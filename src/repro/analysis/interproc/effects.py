@@ -73,8 +73,10 @@ DRAW_METHODS = frozenset((
 #: the queue lock across a simulation (EFF005).
 WORK_QNAMES = (
     "repro.core.queue.worker.execute_item",
-    "repro.core.campaign._execute_run",
-    "repro.core.fleet.campaign._execute_fleet_run",
+    "repro.core.campaign.simulate",
+    "repro.core.campaign.execute_jobs",
+    "repro.core.campaign.BrakeJob.execute",
+    "repro.core.fleet.campaign.FleetJob.execute",
     "repro.core.artifacts.ArtifactStore.put",
     "repro.core.artifacts.ArtifactStore.get",
 )

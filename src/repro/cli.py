@@ -448,8 +448,10 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
     return 1 if result.failed else 0
 
 
-def _fleet_progress(run_id: int, total: int, result) -> None:
-    print(f"  [{run_id}/{total}] seed {result.seed}: "
+def _fleet_progress(outcome, done: int, total: int) -> None:
+    result = outcome.result
+    print(f"  [{done}/{total}] run {outcome.run_id} "
+          f"(seed {outcome.seed}): "
           f"{result.denm_delivered}/{result.n_obus} warned, "
           f"verdict {result.verdict}", file=sys.stderr)
 
@@ -482,15 +484,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         duration=args.duration, seed=args.seed,
         tie_break=args.tie_break)
     sizes = ([int(n) for n in args.sweep.split(",")]
-             if args.sweep else None)
-    if sizes:
-        campaigns = run_fleet_sweep(
-            sizes, scenario, runs=args.runs, base_seed=args.seed,
-            workers=args.workers, progress=_fleet_progress)
-    else:
-        campaigns = {args.obus: run_fleet_campaign(
-            scenario, runs=args.runs, base_seed=args.seed,
-            workers=args.workers, progress=_fleet_progress)}
+             if args.sweep else [args.obus])
+    campaigns = run_fleet_sweep(
+        sizes, scenario, runs=args.runs, base_seed=args.seed,
+        workers=args.workers, progress=_fleet_progress)
 
     print(f"Fleet {scenario.workload} campaigns "
           f"({args.runs} seeds from {args.seed}):")

@@ -9,8 +9,9 @@ network-aided safety function, not just the communication hop.
 * :mod:`repro.core.scenario` -- experiment geometry and parameters;
 * :mod:`repro.core.testbed` -- the assembled emergency-braking
   testbed (Figure 8) and the serial campaign wrapper;
-* :mod:`repro.core.campaign` -- the parallel campaign execution
-  engine: process-pool sharding, run caching, streamed progress;
+* :mod:`repro.core.campaign` -- the campaign execution engine: run
+  jobs, one executor (serial, process pool or work queue), run
+  caching, streamed progress;
 * :mod:`repro.core.latency` -- empirical distribution functions
   (Figure 11), summary statistics, distribution fitting;
 * :mod:`repro.core.braking` -- braking-distance analysis (Table III)
@@ -36,7 +37,6 @@ from repro.core.testbed import CampaignResult, ScaleTestbed, run_campaign
 from repro.core.artifacts import ArtifactStore, CACHE_FORMAT
 from repro.core.campaign import (
     BACKENDS,
-    RunCache,
     RunOutcome,
     run_campaign_parallel,
     scenario_fingerprint,
@@ -95,7 +95,6 @@ __all__ = [
     "EmergencyBrakeScenario",
     "FullScaleVehicle",
     "LatencySummary",
-    "RunCache",
     "RunMeasurement",
     "RunOutcome",
     "ScaleTestbed",

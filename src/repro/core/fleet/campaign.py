@@ -1,49 +1,73 @@
-"""Fleet campaigns: many runs, many seeds, optional process pool.
+"""Fleet campaigns: many runs, many seeds, one executor.
 
-Mirrors :mod:`repro.core.campaign` for fleet scenarios: run *i* gets
-``base_seed + i`` and the runs execute either inline or sharded over a
-``multiprocessing`` pool.  Results are canonical (see
-:mod:`repro.core.fleet.result`), so the campaign digest is bit-identical
-across worker counts -- the pool only changes *where* runs execute,
-never what they compute.  Observability contexts are built per worker
-and folded through the exactly-mergeable :class:`~repro.obs.ObsAggregate`
-fold in sorted run order, same as the core engine.
+Run *i* gets ``base_seed + i``; every run is one :class:`FleetJob`
+handed to the campaign engine's executor
+(:func:`repro.core.campaign.execute_jobs`), which runs it inline,
+across a process pool or on the durable work queue and caches it
+under :func:`~repro.core.fleet.scenario.fleet_fingerprint`.  Results
+are canonical (see :mod:`repro.core.fleet.result`), so the campaign
+digest is bit-identical across worker counts and backends -- they
+only change *where* runs execute, never what they compute.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from time import perf_counter
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, Optional, Sequence
 
+from repro.core.campaign import ProgressCallback, execute_jobs, seeded_jobs
 from repro.core.fleet.result import FleetCampaignResult, FleetRunResult
-from repro.core.fleet.scenario import FleetScenario
+from repro.core.fleet.scenario import FleetScenario, fleet_fingerprint
 from repro.core.fleet.testbed import FleetTestbed
 
-ProgressFn = Callable[[int, int, FleetRunResult], None]
 
+@dataclasses.dataclass
+class FleetJob:
+    """One fleet run of *scenario* (seed included) as *run_id*."""
 
-def _execute_fleet_run(scenario: FleetScenario, run_id: int,
-                       observe: bool,
-                       ) -> Tuple[Dict[str, Any],
-                                  Optional[Dict[str, Any]], float]:
-    """Worker entry point: one fleet run, optionally instrumented.
+    kind: ClassVar[str] = "fleet"
+    scenario_type: ClassVar[Callable[..., Any]] = FleetScenario
+    campaign_type: ClassVar[Callable[..., Any]] = FleetCampaignResult
+    scenario: FleetScenario
+    run_id: int
+    plan_index: int = 0
+    key: str = ""
 
-    Returns the run's canonical dict (picklable), the worker-local
-    observability context as a dict (or None), and the wall time.
-    Module-level so a ``multiprocessing`` pool can pickle it.
-    """
-    started = perf_counter()
-    obs_ctx = None
-    if observe:
-        from repro.obs import ObsContext
+    def __post_init__(self) -> None:
+        if not self.key:
+            self.key = fleet_fingerprint(self.scenario)
 
-        obs_ctx = ObsContext()
-    testbed = FleetTestbed(scenario, run_id=run_id, obs=obs_ctx)
-    result = testbed.run()
-    wall = perf_counter() - started
-    obs_dict = None if obs_ctx is None else obs_ctx.to_dict()
-    return result.to_dict(), obs_dict, wall
+    def to_dict(self) -> Dict[str, Any]:
+        """The canonical queue payload (the observe flag aside)."""
+        return {
+            # to_dict (not asdict): emits the threshold tuple as a
+            # list, so the payload is a JSON fixed point and hashes
+            # identically before and after a queue round trip.
+            "scenario": self.scenario.to_dict(),
+            "run_id": self.run_id,
+            "plan_index": self.plan_index,
+            "result_key": self.key,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "FleetJob":
+        """Rebuild a job from its queue payload."""
+        return cls(FleetScenario.from_dict(data["scenario"]),
+                   int(data["run_id"]),
+                   plan_index=int(data["plan_index"]),
+                   key=str(data["result_key"]))
+
+    def execute(self, obs_ctx: Any = None) -> Dict[str, Any]:
+        """One fresh fleet testbed, one run; the artifact body."""
+        run = FleetTestbed(self.scenario, run_id=self.run_id,
+                           obs=obs_ctx).run()
+        return {"kind": self.kind, "run": run.to_dict()}
+
+    def result(self, body: Dict[str, Any]) -> FleetRunResult:
+        """The run stored in *body*, as this job's run."""
+        run = FleetRunResult.from_dict(body["run"])
+        run.run_id = self.run_id
+        return run
 
 
 def run_fleet_campaign(
@@ -51,81 +75,29 @@ def run_fleet_campaign(
     runs: int = 3,
     base_seed: Optional[int] = None,
     workers: int = 1,
-    progress: Optional[ProgressFn] = None,
+    progress: Optional[ProgressCallback] = None,
     obs=None,
     backend: str = "pool",
     queue_dir: Optional[str] = None,
 ) -> FleetCampaignResult:
     """Run *runs* fleet experiments, seeds ``base_seed .. base_seed+runs-1``.
 
-    With ``workers > 1`` runs shard across a process pool; the returned
-    campaign is bit-identical to the serial one (runs are collected in
-    run-id order and every run is self-contained).  Pass an
+    *base_seed* defaults to the scenario's own seed.  Pass an
     :class:`~repro.obs.ObsAggregate` as *obs* to collect per-run
-    observability; the pool path folds worker-local contexts through
-    the exact merge.  ``backend="queue"`` runs the campaign on the
-    durable work queue instead (see :mod:`repro.core.queue`), keeping
-    its state under *queue_dir*; the fold is bit-identical either way.
+    observability.  *workers* (0 = one per core), *progress*,
+    *backend* and *queue_dir* are those of
+    :func:`~repro.core.campaign.execute_jobs`; the returned campaign
+    is bit-identical whichever way it ran.
     """
-    from repro.core.campaign import BACKENDS
-
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if backend == "queue":
-        from repro.core.queue.campaign import run_fleet_campaign_queue
-
-        return run_fleet_campaign_queue(
-            scenario, runs=runs, base_seed=base_seed, workers=workers,
-            obs=obs, queue_dir=queue_dir)
     base = scenario or FleetScenario()
-    if base_seed is None:
-        base_seed = base.seed
-    jobs = [(base.with_seed(base_seed + index), index + 1)
-            for index in range(runs)]
-    observe = obs is not None
-    results: Dict[int, FleetRunResult] = {}
-    observed: Dict[int, Tuple[Dict[str, Any], float]] = {}
-
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing
-
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=workers) as pool:
-            async_results = {
-                run_id: pool.apply_async(
-                    _execute_fleet_run, (job_scenario, run_id, observe))
-                for job_scenario, run_id in jobs
-            }
-            for run_id in sorted(async_results):
-                run_dict, obs_dict, wall = async_results[run_id].get()
-                result = FleetRunResult.from_dict(run_dict)
-                results[run_id] = result
-                if obs_dict is not None:
-                    observed[run_id] = (obs_dict, wall)
-                if progress is not None:
-                    progress(run_id, len(jobs), result)
-    else:
-        for job_scenario, run_id in jobs:
-            run_dict, obs_dict, wall = _execute_fleet_run(
-                job_scenario, run_id, observe)
-            result = FleetRunResult.from_dict(run_dict)
-            results[run_id] = result
-            if obs_dict is not None:
-                observed[run_id] = (obs_dict, wall)
-            if progress is not None:
-                progress(run_id, len(jobs), result)
-
-    if obs is not None:
-        from repro.obs import ObsContext
-
-        # Deterministic fold order regardless of completion order.
-        for run_id in sorted(observed):
-            obs_dict, wall = observed[run_id]
-            obs.add_run(ObsContext.from_dict(obs_dict), wall)
-
-    ordered = [results[run_id] for run_id in sorted(results)]
-    return FleetCampaignResult(scenario=base, runs=ordered, obs=obs)
+    jobs = seeded_jobs(FleetJob, base, runs,
+                       base.seed if base_seed is None else base_seed)
+    return FleetCampaignResult(
+        scenario=base,
+        runs=execute_jobs(jobs, workers=workers, progress=progress,
+                          obs=obs, backend=backend,
+                          queue_dir=queue_dir),
+        obs=obs)
 
 
 def run_fleet_sweep(
@@ -134,21 +106,18 @@ def run_fleet_sweep(
     runs: int = 3,
     base_seed: Optional[int] = None,
     workers: int = 1,
-    progress: Optional[ProgressFn] = None,
+    progress: Optional[ProgressCallback] = None,
 ) -> Dict[int, FleetCampaignResult]:
     """One campaign per fleet size in *sizes* (same seeds throughout)."""
     base = scenario or FleetScenario()
-    out: Dict[int, FleetCampaignResult] = {}
-    for n_obus in sizes:
-        sized = dataclasses.replace(base, n_obus=n_obus)
-        out[n_obus] = run_fleet_campaign(
-            sized, runs=runs, base_seed=base_seed, workers=workers,
-            progress=progress)
-    return out
+    return {n_obus: run_fleet_campaign(
+                dataclasses.replace(base, n_obus=n_obus), runs=runs,
+                base_seed=base_seed, workers=workers, progress=progress)
+            for n_obus in sizes}
 
 
 __all__ = [
+    "FleetJob",
     "run_fleet_campaign",
     "run_fleet_sweep",
-    "_execute_fleet_run",
 ]

@@ -1,15 +1,14 @@
 """Durable work-queue campaign backend (``backend="queue"``).
 
-The distributed half of the campaign engine: ``(scenario/point,
-seed)`` work items are enqueued into a SQLite-backed
-:class:`~repro.core.queue.backend.WorkQueue`, leased by N independent
-worker processes with heartbeat-based lease expiry, retried/requeued
-when a worker is lost mid-lease (bounded retries, then a dead-letter
-state), and folded via streamed result merging into the same
-:class:`~repro.core.testbed.CampaignResult` /
-:class:`~repro.obs.ObsAggregate` the serial and process-pool paths
-produce -- byte-identical regardless of worker count, placement,
-crash history or lease interleaving.
+The distributed half of the campaign engine: run jobs
+(:class:`~repro.core.campaign.RunJob`) are enqueued as work items
+into a SQLite-backed :class:`~repro.core.queue.backend.WorkQueue`,
+leased by N independent worker processes with heartbeat-based lease
+expiry, retried/requeued when a worker is lost mid-lease (bounded
+retries, then a dead-letter state), and folded in job-list order into
+the same results and :class:`~repro.obs.ObsAggregate` the serial and
+process-pool paths produce -- byte-identical regardless of worker
+count, placement, crash history or lease interleaving.
 
 Results land in the content-addressed
 :class:`~repro.core.artifacts.ArtifactStore` under the same SHA-256
@@ -30,12 +29,8 @@ from repro.core.queue.backend import (
 from repro.core.queue.campaign import (
     DeadLetterError,
     QueueCampaignError,
-    enqueue_campaign,
-    enqueue_fleet_campaign,
-    fold_queue_campaign,
-    fold_queue_fleet_campaign,
-    run_campaign_queue,
-    run_fleet_campaign_queue,
+    enqueue,
+    fold,
 )
 from repro.core.queue.worker import work_loop
 
@@ -47,11 +42,7 @@ __all__ = [
     "QueueCampaignError",
     "QueueItem",
     "WorkQueue",
-    "enqueue_campaign",
-    "enqueue_fleet_campaign",
-    "fold_queue_campaign",
-    "fold_queue_fleet_campaign",
-    "run_campaign_queue",
-    "run_fleet_campaign_queue",
+    "enqueue",
+    "fold",
     "work_loop",
 ]

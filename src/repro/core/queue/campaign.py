@@ -1,48 +1,50 @@
-"""Queue-backed campaigns: enqueue, drive workers, fold results.
+"""Queue-backed campaigns: enqueue jobs, drive workers, fold results.
 
-The glue between the durable queue and the existing campaign
-results.  Three layers:
+The glue between the durable queue and the campaign engine's run
+jobs (:class:`~repro.core.campaign.RunJob`).  Three layers:
 
-* **Enqueue** -- :func:`enqueue_campaign` /
-  :func:`enqueue_fleet_campaign` turn ``(scenario, seed)`` work into
-  :class:`~repro.core.queue.backend.QueueItem` rows whose
-  ``result_key`` is the run's content fingerprint (the very key the
-  pool path caches under) and record the campaign metadata the fold
-  needs to rebuild the result object.
-* **Drive** -- :func:`run_campaign_queue` /
-  :func:`run_fleet_campaign_queue` spawn N worker processes, monitor
-  the queue (expiring lost leases, streaming progress, respawning
-  dead workers while retry budget remains) and fold when every item
-  is done or dead.
-* **Fold** -- :func:`fold_queue_campaign` /
-  :func:`fold_queue_fleet_campaign` stream completed artifacts out of
-  the store *in run-id order* and rebuild the exact
-  :class:`~repro.core.testbed.CampaignResult` /
-  :class:`~repro.core.fleet.result.FleetCampaignResult` (and
-  :class:`~repro.obs.ObsAggregate`) the serial and pool paths
-  produce.
+* **Enqueue** -- :func:`enqueue` turns jobs into
+  :class:`~repro.core.queue.backend.QueueItem` rows whose payload is
+  the job's canonical dict and whose ``result_key`` is the run's
+  content fingerprint (the very key the pool path caches under).
+* **Drive** -- :func:`drive_queue` runs N worker processes, monitors
+  the queue (expiring lost leases, streaming completions, respawning
+  dead workers while retry budget remains) until every item is done
+  or dead; :func:`execute_on_queue` is the executor's queue strategy
+  built on the two.
+* **Fold** -- :func:`fold` rebuilds the campaign a queue holds from
+  the store *in (plan_index, run_id) order*, with the
+  :class:`~repro.obs.ObsAggregate` the serial and pool paths produce.
 
 **The bit-identity argument.**  Every item describes a run that is a
 pure function of its payload (deterministic DES per seed); its
 artifact is stored under the content fingerprint of that payload, so
 a crashed-and-retried item recomputes the byte-identical entry; the
-fold consumes items sorted by ``(plan_index, run_id)`` -- a total
-order fixed at enqueue time -- so completion order, lease
-interleaving, worker count, placement and crash history are all
-invisible to the folded bytes.  Dead-lettered items are *not*
-silently dropped: folding an incomplete campaign raises
-:class:`DeadLetterError` naming them.
+fold consumes items in a total order fixed at enqueue time -- so
+completion order, lease interleaving, worker count, placement and
+crash history are all invisible to the folded bytes.  Dead-lettered
+items are *not* silently dropped: folding an incomplete campaign
+raises :class:`DeadLetterError` naming them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TYPE_CHECKING,
+)
 
 from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import fold_obs
 from repro.core.queue.backend import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
@@ -52,17 +54,13 @@ from repro.core.queue.backend import (
 )
 from repro.core.queue.worker import (
     DEFAULT_POLL_SECONDS,
+    JOB_KINDS,
     WorkerConfig,
     work_loop,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.fleet.result import FleetCampaignResult
-    from repro.core.fleet.scenario import FleetScenario
-    from repro.core.campaign import ProgressCallback
-    from repro.core.scenario import EmergencyBrakeScenario
-    from repro.core.testbed import CampaignResult
-    from repro.faults.plan import FaultPlan
+    from repro.core.campaign import RunJob
     from repro.obs import ObsAggregate
 
 
@@ -110,100 +108,22 @@ def queue_paths(queue_dir: str,
 # ---------------------------------------------------------------------------
 
 
-def enqueue_campaign(
-    queue: WorkQueue,
-    scenario: "EmergencyBrakeScenario",
-    runs: int,
-    base_seed: int = 1,
-    fault_plan: Optional["FaultPlan"] = None,
-    observe: bool = False,
-    cache_salt: Optional[str] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    plan_index: int = 0,
-) -> int:
-    """Enqueue one emergency-brake campaign's ``(scenario, seed)`` items.
+def _item(job: "RunJob", observe: bool) -> QueueItem:
+    payload = {**job.to_dict(), "observe": observe}
+    return QueueItem(item_id=item_identity(job.kind, payload),
+                     kind=job.kind, payload=payload)
 
-    Work item ``i`` runs ``scenario.with_seed(base_seed + i)`` as
-    ``run_id = i + 1`` -- exactly the pool path's sharding.  The
-    campaign metadata (scenario, seeds, family) is recorded on the
-    queue so ``queue fold`` can rebuild the result without the
-    caller's objects.  Returns how many items were newly inserted
-    (re-enqueueing is idempotent).
+
+def enqueue(queue: WorkQueue, jobs: Sequence["RunJob"],
+            observe: bool = False,
+            max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> int:
+    """Enqueue *jobs*; *observe* asks workers to store obs contexts.
+
+    Returns how many items were newly inserted (re-enqueueing is
+    idempotent: an item's id is the hash of its payload).
     """
-    from repro.core.campaign import scenario_fingerprint
-
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
-    if fault_plan is not None and fault_plan.is_empty:
-        fault_plan = None
-    plan_dict = None if fault_plan is None else fault_plan.to_dict()
-    items: List[QueueItem] = []
-    for index in range(runs):
-        run_id = index + 1
-        run_scenario = scenario.with_seed(base_seed + index)
-        payload: Dict[str, Any] = {
-            "scenario": dataclasses.asdict(run_scenario),
-            "fault_plan": plan_dict,
-            "run_id": run_id,
-            "plan_index": plan_index,
-            "observe": observe,
-            "result_key": scenario_fingerprint(
-                run_scenario, fault_plan, salt=cache_salt),
-        }
-        items.append(QueueItem(
-            item_id=item_identity("brake", payload),
-            kind="brake", payload=payload))
-    queue.set_meta("campaign", {
-        "family": "brake",
-        "scenario": dataclasses.asdict(scenario),
-        "runs": runs,
-        "base_seed": base_seed,
-        "observe": observe,
-        "cache_salt": cache_salt,
-    })
-    return queue.enqueue(items, max_attempts=max_attempts)
-
-
-def enqueue_fleet_campaign(
-    queue: WorkQueue,
-    scenario: "FleetScenario",
-    runs: int,
-    base_seed: Optional[int] = None,
-    observe: bool = False,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> int:
-    """Enqueue one fleet campaign (mirrors ``run_fleet_campaign``)."""
-    from repro.core.fleet.scenario import fleet_fingerprint
-
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
-    if base_seed is None:
-        base_seed = scenario.seed
-    items: List[QueueItem] = []
-    for index in range(runs):
-        run_id = index + 1
-        run_scenario = scenario.with_seed(base_seed + index)
-        payload: Dict[str, Any] = {
-            # to_dict (not asdict): emits the threshold tuple as a
-            # list, so the payload is a JSON fixed point and hashes
-            # identically before and after a queue round trip.
-            "scenario": run_scenario.to_dict(),
-            "run_id": run_id,
-            "plan_index": 0,
-            "observe": observe,
-            "result_key": fleet_fingerprint(run_scenario),
-        }
-        items.append(QueueItem(
-            item_id=item_identity("fleet", payload),
-            kind="fleet", payload=payload))
-    queue.set_meta("campaign", {
-        "family": "fleet",
-        "scenario": scenario.to_dict(),
-        "runs": runs,
-        "base_seed": base_seed,
-        "observe": observe,
-    })
-    return queue.enqueue(items, max_attempts=max_attempts)
+    return queue.enqueue([_item(job, observe) for job in jobs],
+                         max_attempts=max_attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +221,19 @@ def drive_queue(
 # ---------------------------------------------------------------------------
 
 
-def _completed_bodies(queue: WorkQueue, store: ArtifactStore,
-                      ) -> List[Dict[str, Any]]:
-    """Completed item rows + verified bodies, in (plan, run_id) order.
+def _body(store: ArtifactStore, item: Dict[str, Any]) -> Dict[str, Any]:
+    """A done item's verified body (a lost result is an error)."""
+    body = store.get(item["result_key"])
+    if body is None:
+        raise QueueCampaignError(
+            f"artifact {item['result_key'][:12]} for item "
+            f"{item['item_id'][:12]} is missing or failed "
+            f"integrity verification")
+    return body
 
-    Raises :class:`DeadLetterError` when items dead-lettered and
-    :class:`QueueCampaignError` when items are still unfinished or an
-    artifact fails integrity verification (a done item whose result
-    cannot be read back is a lost result, not a silent hole).
-    """
+
+def _check_finished(queue: WorkQueue) -> None:
+    """Refuse to fold dead-lettered or still unfinished items."""
     dead = queue.dead_letter()
     if dead:
         raise DeadLetterError(dead)
@@ -318,220 +242,93 @@ def _completed_bodies(queue: WorkQueue, store: ArtifactStore,
         raise QueueCampaignError(
             f"{unfinished} item(s) still pending or leased; drive "
             f"the queue (queue work/drain) before folding")
-    rows = queue.items(state="done")
-    rows.sort(key=lambda item: (int(item["payload"]["plan_index"]),
-                                int(item["payload"]["run_id"])))
-    out: List[Dict[str, Any]] = []
-    for item in rows:
-        body = store.get(item["result_key"])
-        if body is None:
-            raise QueueCampaignError(
-                f"artifact {item['result_key'][:12]} for item "
-                f"{item['item_id'][:12]} is missing or failed "
-                f"integrity verification")
-        out.append({"item": item, "body": body})
-    return out
 
 
-def _fold_obs(completed: List[Dict[str, Any]],
-              obs: Optional["ObsAggregate"]) -> None:
-    """Fold stored per-run obs contexts in run order (exact merge)."""
-    if obs is None:
-        return
-    from repro.obs import ObsContext
+def fold(queue: WorkQueue, store: ArtifactStore,
+         obs: Optional["ObsAggregate"] = None) -> Any:
+    """Rebuild the campaign result a finished queue holds.
 
-    for entry in completed:
-        body = entry["body"]
-        if body.get("obs") is not None:
-            obs.add_run(ObsContext.from_dict(body["obs"]),
-                        body.get("wall_s"))
-        else:
-            obs.add_cached()
-
-
-def fold_queue_campaign(queue: WorkQueue, store: ArtifactStore,
-                        obs: Optional["ObsAggregate"] = None,
-                        ) -> "CampaignResult":
-    """Rebuild the emergency-brake :class:`CampaignResult`.
-
-    Streams completed artifacts out of the store in run-id order --
-    the same canonical order the pool path sorts into -- so the
-    result (measurements and, when instrumented, the folded
-    aggregate) is byte-identical to ``workers=1``.
+    Streams completed artifacts out of the store in ``(plan_index,
+    run_id)`` order -- the job-list order every executor folds in --
+    so the result (and, with *obs*, the folded aggregate) is
+    byte-identical to ``workers=1``.  The campaign's scenario is its
+    first run's.  Raises :class:`DeadLetterError` when items
+    dead-lettered and :class:`QueueCampaignError` when items are
+    unfinished, missing, or the queue is empty.
     """
-    from repro.core.measurement import RunMeasurement
-    from repro.core.scenario import scenario_from_dict
-    from repro.core.testbed import CampaignResult
-
-    meta = queue.get_meta("campaign")
-    if meta is None or meta.get("family") != "brake":
-        raise QueueCampaignError(
-            "queue holds no brake campaign metadata; was it enqueued "
-            "with enqueue_campaign()?")
-    completed = _completed_bodies(queue, store)
-    measurements: List[RunMeasurement] = []
-    for entry in completed:
-        measurement = RunMeasurement.from_dict(
-            entry["body"]["measurement"])
-        # The artifact pins (scenario, seed), not the campaign
-        # position; rebind run_id exactly like a pool cache hit.
-        measurement.run_id = int(entry["item"]["payload"]["run_id"])
-        measurements.append(measurement)
-    _fold_obs(completed, obs)
-    return CampaignResult(
-        scenario=scenario_from_dict(meta["scenario"]),
-        runs=measurements, obs=obs)
-
-
-def fold_queue_fleet_campaign(queue: WorkQueue, store: ArtifactStore,
-                              obs: Optional["ObsAggregate"] = None,
-                              ) -> "FleetCampaignResult":
-    """Rebuild the :class:`FleetCampaignResult` (see brake fold)."""
-    from repro.core.fleet.result import (
-        FleetCampaignResult,
-        FleetRunResult,
-    )
-    from repro.core.fleet.scenario import FleetScenario
-
-    meta = queue.get_meta("campaign")
-    if meta is None or meta.get("family") != "fleet":
-        raise QueueCampaignError(
-            "queue holds no fleet campaign metadata; was it enqueued "
-            "with enqueue_fleet_campaign()?")
-    completed = _completed_bodies(queue, store)
-    runs = [FleetRunResult.from_dict(entry["body"]["run"])
-            for entry in completed]
-    _fold_obs(completed, obs)
-    return FleetCampaignResult(
-        scenario=FleetScenario.from_dict(meta["scenario"]),
-        runs=runs, obs=obs)
+    _check_finished(queue)
+    items = queue.items(state="done")
+    if not items:
+        raise QueueCampaignError("queue holds no work items; run "
+                                 "`queue enqueue` first")
+    items.sort(key=lambda item: (int(item["payload"]["plan_index"]),
+                                 int(item["payload"]["run_id"])))
+    jobs = [JOB_KINDS[item["kind"]].from_dict(item["payload"])
+            for item in items]
+    results = []
+    for job, item in zip(jobs, items):
+        body = _body(store, item)
+        fold_obs(obs, body)
+        results.append(job.result(body))
+    return jobs[0].campaign_type(scenario=jobs[0].scenario,
+                                 runs=results, obs=obs)
 
 
 # ---------------------------------------------------------------------------
-# One-call drivers (what the backend="queue" switch lands on)
+# The executor's queue strategy
 # ---------------------------------------------------------------------------
 
 
-def run_campaign_queue(
-    scenario: Optional["EmergencyBrakeScenario"] = None,
-    runs: int = 5,
-    base_seed: int = 1,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional["ProgressCallback"] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    obs: Optional["ObsAggregate"] = None,
-    cache_salt: Optional[str] = None,
-    queue_dir: Optional[str] = None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> "CampaignResult":
-    """The queue-backed twin of ``run_campaign_parallel``.
+def execute_on_queue(
+    jobs: Sequence["RunJob"],
+    workers: int,
+    cache_dir: Optional[str],
+    queue_dir: Optional[str],
+    observe: bool,
+    finish: Callable[[int, Dict[str, Any], bool], None],
+) -> None:
+    """Run *jobs* on the durable queue; ``finish(index, body, cached)``.
 
-    Enqueues the campaign into *queue_dir* (a fresh temporary
-    directory when None), drives *workers* worker processes to
-    completion -- surviving worker loss via lease expiry and bounded
-    retries -- and folds the streamed results into the bit-identical
-    :class:`CampaignResult`.  With a *cache_dir* the artifact store
-    doubles as the shared run cache, so warm entries complete without
-    simulating (reported as cached through *progress*).
+    Enqueues into *queue_dir* (a fresh temporary directory when None)
+    and drives *workers* worker processes to completion -- surviving
+    worker loss via lease expiry and bounded retries.  With a
+    *cache_dir* the artifact store doubles as the shared run cache,
+    so warm entries complete without simulating.  Every completed
+    job's body is handed to *finish* as it lands; a dead-lettered,
+    unfinished or unreadable item raises instead.
     """
-    from repro.core.campaign import RunOutcome
-    from repro.core.measurement import RunMeasurement
-    from repro.core.scenario import EmergencyBrakeScenario
-
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    scenario = scenario or EmergencyBrakeScenario()
-    owns_dir = queue_dir is None
-    if owns_dir:
-        queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-    assert queue_dir is not None
-    paths = queue_paths(queue_dir, cache_dir)
+    paths = queue_paths(
+        queue_dir or tempfile.mkdtemp(prefix="repro-queue-"), cache_dir)
     queue = WorkQueue(paths["queue"])
     try:
-        total = runs
-        enqueue_campaign(
-            queue, scenario, runs=runs, base_seed=base_seed,
-            fault_plan=fault_plan, observe=obs is not None,
-            cache_salt=cache_salt, max_attempts=max_attempts)
+        items = [_item(job, observe) for job in jobs]
+        queue.enqueue(items)
+        index_of = {item.item_id: index
+                    for index, item in enumerate(items)}
         store = ArtifactStore(paths["store"])
-        done = 0
 
         def on_completed(item: Dict[str, Any]) -> None:
-            nonlocal done
-            done += 1
-            if progress is None:
-                return
-            body = store.get(item["result_key"])
-            if body is None:
-                return
-            measurement = RunMeasurement.from_dict(body["measurement"])
-            run_id = int(item["payload"]["run_id"])
-            measurement.run_id = run_id
-            seed = int(item["payload"]["scenario"]["seed"])
-            progress(RunOutcome(run_id=run_id, seed=seed,
-                                cached=bool(item["cached"]),
-                                measurement=measurement),
-                     done, total)
+            index = index_of.get(item["item_id"])
+            if index is not None:
+                finish(index, _body(store, item), bool(item["cached"]))
 
-        if runs > 0:
-            drive_queue(queue, paths["queue"], paths["store"],
-                        workers=min(workers, max(1, runs)),
-                        lease_seconds=lease_seconds,
-                        on_completed=on_completed)
-        return fold_queue_campaign(queue, store, obs=obs)
-    finally:
-        queue.close()
-
-
-def run_fleet_campaign_queue(
-    scenario: Optional["FleetScenario"] = None,
-    runs: int = 3,
-    base_seed: Optional[int] = None,
-    workers: int = 1,
-    obs: Optional["ObsAggregate"] = None,
-    queue_dir: Optional[str] = None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> "FleetCampaignResult":
-    """The queue-backed twin of ``run_fleet_campaign``."""
-    from repro.core.fleet.scenario import FleetScenario
-
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    base = scenario or FleetScenario()
-    owns_dir = queue_dir is None
-    if owns_dir:
-        queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-    assert queue_dir is not None
-    paths = queue_paths(queue_dir)
-    queue = WorkQueue(paths["queue"])
-    try:
-        enqueue_fleet_campaign(
-            queue, base, runs=runs, base_seed=base_seed,
-            observe=obs is not None, max_attempts=max_attempts)
-        store = ArtifactStore(paths["store"])
-        if runs > 0:
-            drive_queue(queue, paths["queue"], paths["store"],
-                        workers=min(workers, max(1, runs)),
-                        lease_seconds=lease_seconds)
-        return fold_queue_fleet_campaign(queue, store, obs=obs)
+        drive_queue(queue, paths["queue"], paths["store"],
+                    workers=min(workers, len(jobs)),
+                    on_completed=on_completed)
+        _check_finished(queue)
     finally:
         queue.close()
 
 
 __all__ = [
     "DeadLetterError",
+    "JOB_KINDS",
     "QUEUE_DB",
     "QueueCampaignError",
     "STORE_DIR",
     "drive_queue",
-    "enqueue_campaign",
-    "enqueue_fleet_campaign",
-    "fold_queue_campaign",
-    "fold_queue_fleet_campaign",
+    "enqueue",
+    "execute_on_queue",
+    "fold",
     "queue_paths",
-    "run_campaign_queue",
-    "run_fleet_campaign_queue",
 ]

@@ -29,24 +29,25 @@ import json
 import sys
 from typing import Any, Dict, Optional
 
+from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import seeded_jobs
 from repro.core.queue.backend import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
     WorkQueue,
 )
 from repro.core.queue.campaign import (
-    DeadLetterError,
     QueueCampaignError,
     drive_queue,
-    enqueue_campaign,
-    enqueue_fleet_campaign,
-    fold_queue_campaign,
-    fold_queue_fleet_campaign,
+    enqueue,
+    fold,
     queue_paths,
 )
 from repro.core.queue.worker import (
-    DEFAULT_POLL_SECONDS,
-    run_worker,
+    JOB_KINDS,
+    add_worker_arguments,
+    work_loop,
+    worker_config,
 )
 
 
@@ -70,22 +71,13 @@ def _dump(document: Dict[str, Any], path: Optional[str]) -> None:
 
 
 def cmd_enqueue(args: argparse.Namespace) -> int:
+    job_type = JOB_KINDS[args.family]
+    jobs = seeded_jobs(job_type, job_type.scenario_type(),
+                       args.runs, args.seed)
     queue, _ = _open_queue(args)
     try:
-        if args.family == "fleet":
-            from repro.core.fleet.scenario import FleetScenario
-
-            inserted = enqueue_fleet_campaign(
-                queue, FleetScenario(), runs=args.runs,
-                base_seed=args.seed, observe=args.observe,
-                max_attempts=args.max_attempts)
-        else:
-            from repro.core.scenario import EmergencyBrakeScenario
-
-            inserted = enqueue_campaign(
-                queue, EmergencyBrakeScenario(), runs=args.runs,
-                base_seed=args.seed, observe=args.observe,
-                max_attempts=args.max_attempts)
+        inserted = enqueue(queue, jobs, observe=args.observe,
+                           max_attempts=args.max_attempts)
         counts = queue.counts()
     finally:
         queue.close()
@@ -97,13 +89,8 @@ def cmd_enqueue(args: argparse.Namespace) -> int:
 
 def cmd_work(args: argparse.Namespace) -> int:
     paths = queue_paths(args.dir)
-    completed = run_worker(
-        paths["queue"], paths["store"], args.worker_id,
-        lease_seconds=args.lease, poll_seconds=args.poll,
-        max_items=args.max_items,
-        exit_when_empty=not args.daemon,
-        stall_after_lease=args.stall_after_lease,
-        stall_seconds=args.stall_seconds)
+    completed = work_loop(worker_config(args, paths["queue"],
+                                        paths["store"]))
     print(f"worker {args.worker_id}: completed {completed} item(s)")
     return 0
 
@@ -136,41 +123,17 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def cmd_fold(args: argparse.Namespace) -> int:
-    from repro.core.artifacts import ArtifactStore
-
     queue, paths = _open_queue(args)
     try:
-        meta = queue.get_meta("campaign")
-        if meta is None:
-            print("repro-testbed: error: queue holds no campaign "
-                  "metadata (run `queue enqueue` first)",
-                  file=sys.stderr)
-            return 1
-        store = ArtifactStore(paths["store"])
-        try:
-            if meta.get("family") == "fleet":
-                fleet_result = fold_queue_fleet_campaign(queue, store)
-                document = {
-                    "family": "fleet",
-                    "runs": len(fleet_result.runs),
-                    "digest": fleet_result.digest(),
-                }
-            else:
-                result = fold_queue_campaign(queue, store)
-                document = {
-                    "family": "brake",
-                    "runs": len(result.runs),
-                    "digest": result.digest(),
-                }
-        except DeadLetterError as error:
-            print(f"repro-testbed: error: {error}", file=sys.stderr)
-            return 1
-        except QueueCampaignError as error:
-            print(f"repro-testbed: error: {error}", file=sys.stderr)
-            return 1
+        result = fold(queue, ArtifactStore(paths["store"]))
+        family = queue.items(state="done")[0]["kind"]
+    except QueueCampaignError as error:
+        print(f"repro-testbed: error: {error}", file=sys.stderr)
+        return 1
     finally:
         queue.close()
-    _dump(document, args.json)
+    _dump({"family": family, "runs": len(result.runs),
+           "digest": result.digest()}, args.json)
     return 0
 
 
@@ -188,7 +151,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         "(idempotent)")
     add_dir(enqueue_parser)
     enqueue_parser.add_argument("--family",
-                                choices=("brake", "fleet"),
+                                choices=sorted(JOB_KINDS),
                                 default="brake",
                                 help="campaign family")
     enqueue_parser.add_argument("--runs", type=int, default=5,
@@ -207,26 +170,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     work_parser = actions.add_parser(
         "work", help="run one worker process against the queue")
     add_dir(work_parser)
-    work_parser.add_argument("--worker-id", required=True,
-                             help="unique id for lease ownership")
-    work_parser.add_argument("--lease", type=float,
-                             default=DEFAULT_LEASE_SECONDS,
-                             help="lease/heartbeat horizon (s)")
-    work_parser.add_argument("--poll", type=float,
-                             default=DEFAULT_POLL_SECONDS,
-                             help="idle poll interval (s)")
-    work_parser.add_argument("--max-items", type=int, default=None,
-                             help="stop after N completions")
-    work_parser.add_argument("--daemon", action="store_true",
-                             help="keep polling after the queue "
-                                  "empties")
-    work_parser.add_argument("--stall-after-lease", type=int,
-                             default=None, metavar="N",
-                             help="crash-test hook: hold the Nth "
-                                  "lease without completing it")
-    work_parser.add_argument("--stall-seconds", type=float,
-                             default=3600.0,
-                             help="how long the stall hook holds")
+    add_worker_arguments(work_parser)
     work_parser.set_defaults(func=cmd_work)
 
     drain_parser = actions.add_parser(

@@ -17,20 +17,24 @@ done.  Workers are interchangeable and crash-safe:
   and the crashed-between-store-and-complete recovery path.
 
 ``python -m repro.core.queue.worker`` (or ``repro-testbed queue
-work``) runs one worker process; the campaign driver spawns them via
-``multiprocessing``.  The *stall_after_lease* hook exists for the
-crash/recovery test battery (CONTRIBUTING.md): it makes the worker
-hold its Nth lease without completing it, giving tests and the CI
-smoke job a deterministic window in which to SIGKILL it.
+work``, which shares its flags) runs one worker process; the campaign
+driver spawns them via ``multiprocessing``.  The *stall_after_lease*
+hook exists for the crash/recovery test battery (CONTRIBUTING.md): it
+makes the worker hold its Nth lease without completing it, giving
+tests and the CI smoke job a deterministic window in which to SIGKILL
+it.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import BrakeJob, cached_body, simulate
+from repro.core.fleet.campaign import FleetJob
 from repro.core.queue.backend import (
     DEFAULT_LEASE_SECONDS,
     LeasedItem,
@@ -61,59 +65,28 @@ class WorkerConfig:
     stall_seconds: float = 3600.0
 
 
+#: Work-item kind -> the job class that executes and folds it.  A new
+#: scenario family is one job class and one entry here.
+JOB_KINDS: Dict[str, Any] = {job.kind: job for job in (BrakeJob, FleetJob)}
+
+
 def execute_item(kind: str, payload: Dict[str, Any],
                  store: ArtifactStore) -> Tuple[str, bool]:
     """Run one work item; returns ``(result_key, cached)``.
 
     The result key comes from the payload (it is the run's content
-    fingerprint, minted at enqueue time).  A verified artifact that
-    already satisfies the item -- including the observability context
-    when the item asks for one -- short-circuits the simulation.
+    fingerprint, minted at enqueue time).  A body that satisfies the
+    job under the executor's cache-hit rule
+    (:func:`~repro.core.campaign.cached_body`) short-circuits the
+    simulation.
     """
-    key = str(payload["result_key"])
-    observe = bool(payload.get("observe", False))
-    body = store.get(key)
-    if body is not None and "error" not in body:
-        if not observe or body.get("obs") is not None:
-            return key, True
-
-    if kind == "brake":
-        from repro.core.campaign import _execute_run
-        from repro.core.scenario import scenario_from_dict
-        from repro.faults.plan import FaultPlan
-
-        scenario = scenario_from_dict(payload["scenario"])
-        plan = None
-        if payload.get("fault_plan") is not None:
-            plan = FaultPlan.from_dict(payload["fault_plan"])
-        obs_ctx = None
-        if observe:
-            from repro.obs import ObsContext
-
-            obs_ctx = ObsContext()
-        started = time.perf_counter()
-        measurement = _execute_run(scenario, int(payload["run_id"]),
-                                   plan, obs_ctx=obs_ctx)
-        wall = time.perf_counter() - started
-        body = {"kind": "brake", "measurement": measurement.to_dict()}
-        if obs_ctx is not None:
-            body["obs"] = obs_ctx.to_dict()
-            body["wall_s"] = wall
-    elif kind == "fleet":
-        from repro.core.fleet.campaign import _execute_fleet_run
-        from repro.core.fleet.scenario import FleetScenario
-
-        scenario = FleetScenario.from_dict(payload["scenario"])
-        run_dict, obs_dict, wall = _execute_fleet_run(
-            scenario, int(payload["run_id"]), observe)
-        body = {"kind": "fleet", "run": run_dict}
-        if obs_dict is not None:
-            body["obs"] = obs_dict
-            body["wall_s"] = wall
-    else:
+    if kind not in JOB_KINDS:
         raise ValueError(f"unknown work item kind {kind!r}")
-    store.put(key, body)
-    return key, False
+    job = JOB_KINDS[kind].from_dict(payload)
+    if cached_body(store, job) is not None:
+        return job.key, True
+    store.put(job.key, simulate(job, bool(payload["observe"])))
+    return job.key, False
 
 
 def _stall(seconds: float) -> None:
@@ -172,31 +145,42 @@ def work_loop(config: WorkerConfig) -> int:
         queue.close()
 
 
-def run_worker(queue_path: str, store_root: str, worker_id: str,
-               lease_seconds: float = DEFAULT_LEASE_SECONDS,
-               poll_seconds: float = DEFAULT_POLL_SECONDS,
-               max_items: Optional[int] = None,
-               exit_when_empty: bool = True,
-               stall_after_lease: Optional[int] = None,
-               stall_seconds: float = 3600.0) -> int:
-    """Convenience wrapper: build a :class:`WorkerConfig` and loop.
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """The worker flags, shared by ``queue work`` and :func:`main`."""
+    parser.add_argument("--worker-id", required=True,
+                        help="unique id for lease ownership")
+    parser.add_argument("--lease", type=float,
+                        default=DEFAULT_LEASE_SECONDS,
+                        help="lease/heartbeat horizon (s)")
+    parser.add_argument("--poll", type=float,
+                        default=DEFAULT_POLL_SECONDS,
+                        help="idle poll interval (s)")
+    parser.add_argument("--max-items", type=int, default=None,
+                        help="stop after N completions")
+    parser.add_argument("--daemon", action="store_true",
+                        help="keep polling after the queue empties")
+    parser.add_argument("--stall-after-lease", type=int, default=None,
+                        metavar="N",
+                        help="crash-test hook: hold the Nth lease "
+                             "without completing it")
+    parser.add_argument("--stall-seconds", type=float, default=3600.0,
+                        help="how long the stall hook holds")
 
-    Module-level with scalar arguments so ``multiprocessing`` spawn
-    contexts (and the CLI) can use it directly.
-    """
-    return work_loop(WorkerConfig(
+
+def worker_config(args: argparse.Namespace, queue_path: str,
+                  store_root: str) -> WorkerConfig:
+    """The :class:`WorkerConfig` the worker flags in *args* describe."""
+    return WorkerConfig(
         queue_path=queue_path, store_root=store_root,
-        worker_id=worker_id, lease_seconds=lease_seconds,
-        poll_seconds=poll_seconds, max_items=max_items,
-        exit_when_empty=exit_when_empty,
-        stall_after_lease=stall_after_lease,
-        stall_seconds=stall_seconds))
+        worker_id=args.worker_id, lease_seconds=args.lease,
+        poll_seconds=args.poll, max_items=args.max_items,
+        exit_when_empty=not args.daemon,
+        stall_after_lease=args.stall_after_lease,
+        stall_seconds=args.stall_seconds)
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.core.queue.worker``: one worker process."""
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.core.queue.worker",
         description="one work-queue worker process")
@@ -204,26 +188,9 @@ def main(argv: Optional[list] = None) -> int:
                         help="queue SQLite file")
     parser.add_argument("--store", required=True,
                         help="artifact store root")
-    parser.add_argument("--worker-id", required=True)
-    parser.add_argument("--lease", type=float,
-                        default=DEFAULT_LEASE_SECONDS)
-    parser.add_argument("--poll", type=float,
-                        default=DEFAULT_POLL_SECONDS)
-    parser.add_argument("--max-items", type=int, default=None)
-    parser.add_argument("--daemon", action="store_true",
-                        help="keep polling after the queue empties")
-    parser.add_argument("--stall-after-lease", type=int, default=None,
-                        help="crash-test hook: hold the Nth lease "
-                             "without completing it")
-    parser.add_argument("--stall-seconds", type=float, default=3600.0)
+    add_worker_arguments(parser)
     args = parser.parse_args(argv)
-    completed = run_worker(
-        args.queue, args.store, args.worker_id,
-        lease_seconds=args.lease, poll_seconds=args.poll,
-        max_items=args.max_items,
-        exit_when_empty=not args.daemon,
-        stall_after_lease=args.stall_after_lease,
-        stall_seconds=args.stall_seconds)
+    completed = work_loop(worker_config(args, args.queue, args.store))
     print(f"worker {args.worker_id}: completed {completed} items")
     return 0
 

@@ -1,11 +1,11 @@
 """Fault-matrix campaigns: N plans x M seeds, one table out.
 
 Crosses a list of :class:`~repro.faults.plan.FaultPlan` with a seed
-population: every plan runs the same *runs* seeds through the
-parallel campaign engine (:func:`repro.core.campaign.
-run_campaign_parallel`), every run is classified by the
-:mod:`~repro.faults.envelope`, and each plan aggregates into one row
-of availability / safety statistics.
+population: every plan runs the same *runs* seeds, all plans x seeds
+as one job list through the campaign engine's executor
+(:func:`repro.core.campaign.execute_jobs`), every run is classified
+by the :mod:`~repro.faults.envelope`, and each plan aggregates into
+one row of availability / safety statistics.
 
 Because each (scenario, plan, seed) run is deterministic and plans
 fold into the cache fingerprint, the matrix is bit-reproducible:
@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.campaign import run_campaign_parallel
+from repro.core.campaign import BrakeJob, execute_jobs, seeded_jobs
 from repro.core.scenario import EmergencyBrakeScenario, scenario_from_dict
 from repro.faults.envelope import (
     DependabilityVerdict,
@@ -29,7 +29,8 @@ from repro.faults.envelope import (
 )
 from repro.faults.plan import FaultPlan
 
-#: Called after each plan's campaign: ``progress(plan_name, i, total)``.
+#: Called for each plan once the matrix has run, in plan order:
+#: ``progress(plan_name, i, total)``.
 MatrixProgress = Callable[[str, int, int], None]
 
 
@@ -151,36 +152,34 @@ def run_fault_matrix(
 ) -> FaultMatrixResult:
     """Run every plan over the same seed population and classify.
 
-    Plans execute in the given order; within one plan the runs shard
-    over *workers* exactly like an ordinary campaign (``workers=0``
-    auto-sizes).  Rows come back in plan order with verdicts ordered
-    by run_id, so the result is invariant to scheduling.  A
-    *cache_salt* is forwarded into every run's cache fingerprint (the
-    variation engine namespaces its points this way); it never changes
-    what is simulated.
+    Plans x seeds run as one job list, plan ``i``'s runs tagged
+    ``plan_index=i``, sharded over *workers* exactly like an ordinary
+    campaign (``workers=0`` auto-sizes).  Rows come back in plan
+    order with verdicts ordered by run_id, so the result is invariant
+    to scheduling.  A *cache_salt* is forwarded into every run's
+    cache fingerprint (the variation engine namespaces its points
+    this way); it never changes what is simulated.
 
-    *backend*/*queue_dir* forward to the campaign engine: with
-    ``backend="queue"`` each plan's population runs on the durable
-    work queue (per-plan queue state under ``queue_dir/plan-<i>``),
-    surviving worker loss without changing any verdict.
+    *backend*/*queue_dir* forward to the executor: with
+    ``backend="queue"`` the whole matrix runs on one durable work
+    queue under *queue_dir*, surviving worker loss without changing
+    any verdict.
     """
     scenario = scenario or EmergencyBrakeScenario()
     envelope = envelope or SafetyEnvelope()
+    jobs = [job for index, plan in enumerate(plans)
+            for job in seeded_jobs(BrakeJob, scenario, runs, base_seed,
+                                   fault_plan=plan, salt=cache_salt,
+                                   plan_index=index)]
+    measurements = execute_jobs(jobs, workers=workers,
+                                cache_dir=cache_dir, backend=backend,
+                                queue_dir=queue_dir)
     rows: List[FaultMatrixRow] = []
     for index, plan in enumerate(plans):
-        plan_queue_dir = None
-        if queue_dir is not None:
-            import os
-
-            plan_queue_dir = os.path.join(queue_dir, f"plan-{index}")
-        result = run_campaign_parallel(
-            scenario, runs=runs, base_seed=base_seed, workers=workers,
-            cache_dir=cache_dir, fault_plan=plan,
-            cache_salt=cache_salt, backend=backend,
-            queue_dir=plan_queue_dir)
-        verdicts = [evaluate(measurement, envelope)
-                    for measurement in result.runs]
-        rows.append(FaultMatrixRow(plan=plan, verdicts=verdicts))
+        population = measurements[index * runs:(index + 1) * runs]
+        rows.append(FaultMatrixRow(
+            plan=plan, verdicts=[evaluate(measurement, envelope)
+                                 for measurement in population]))
         if progress is not None:
             progress(plan.name, index + 1, len(plans))
     return FaultMatrixResult(scenario=scenario, envelope=envelope,

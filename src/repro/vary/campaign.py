@@ -5,8 +5,9 @@ This is the layer that ties the variation engine together: a
 (:mod:`repro.vary.samplers`), every point is materialised
 (:mod:`repro.vary.materialize`) and fed through the existing
 deterministic engines -- :func:`repro.faults.matrix.run_fault_matrix`
-for the emergency-brake family, :func:`repro.core.fleet.campaign.
-run_fleet_campaign` for the fleet family -- and every outcome folds
+for the emergency-brake family, fleet jobs
+(:class:`repro.core.fleet.campaign.FleetJob`) on the campaign
+executor for the fleet family -- and every outcome folds
 into an exactly-mergeable :class:`~repro.vary.coverage.CoverageModel`.
 
 Determinism contract: for a fixed ``(spec, sampler, seed)`` the whole
@@ -17,10 +18,12 @@ point the runs shard over workers via the engines, whose own
 bit-identity the tier-1 suite already pins.  Tie-break is an
 execution-level override that never enters the report.
 
-The run cache keys varied runs under ``(spec hash, point hash, seed)``
-by salting every point's campaign with
+The run cache keys varied brake runs under ``(spec hash, point hash,
+seed)`` by salting every point's campaign with
 ``<spec fingerprint>:<point key>`` (see
-:func:`repro.core.campaign.scenario_fingerprint`).
+:func:`repro.core.campaign.scenario_fingerprint`); a fleet point's
+materialised scenario already pins the point, so its runs cache under
+:func:`~repro.core.fleet.scenario.fleet_fingerprint`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.fleet.campaign import run_fleet_campaign
+from repro.core.campaign import execute_jobs, seeded_jobs
+from repro.core.fleet.campaign import FleetJob
 from repro.core.fleet.scenario import FleetScenario
 from repro.faults.envelope import SafetyEnvelope
 from repro.faults.matrix import run_fault_matrix
@@ -218,14 +222,14 @@ def _evaluate_point(
 
         point_queue_dir = os.path.join(queue_dir, f"point-{key[:12]}")
     if isinstance(point.scenario, FleetScenario):
-        campaign = run_fleet_campaign(
-            point.scenario, runs=runs_per_point, base_seed=base_seed,
-            workers=workers, backend=backend,
+        runs = execute_jobs(
+            seeded_jobs(FleetJob, point.scenario, runs_per_point,
+                        base_seed),
+            workers=workers, cache_dir=cache_dir, backend=backend,
             queue_dir=point_queue_dir)
-        verdicts = tuple(run.verdict for run in campaign.runs)
+        verdicts = tuple(run.verdict for run in runs)
         latencies = tuple(sorted(
-            value for run in campaign.runs
-            for value in run.latencies()))
+            value for run in runs for value in run.latencies()))
         kinds: Tuple[str, ...] = ()
     else:
         plan = point.fault_plan or FaultPlan.empty()

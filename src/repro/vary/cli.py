@@ -208,7 +208,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                                  "processes (reports are "
                                  "byte-identical for any N)")
     run_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="run cache (emergency_brake family)")
+                            help="run cache (both families)")
     run_parser.add_argument("--tie-break",
                             choices=("fifo", "lifo", "seeded"),
                             default=None,

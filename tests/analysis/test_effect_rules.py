@@ -282,3 +282,24 @@ class TestLeadingLiteral:
             "    return name\n")
         node = symbol.node.body[0].value
         assert leading_literal(symbol, node) is None
+
+
+class TestWorkQnamesResolve:
+    """EFF005 keys on ``WORK_QNAMES``: a renamed entry point would
+    silently switch the rule off, so every entry must name a real
+    function of the ``src/`` project."""
+
+    def test_every_work_qname_is_a_src_symbol(self):
+        from repro.analysis.engine import discover_files
+        from repro.analysis.interproc.effects import WORK_QNAMES
+        from repro.analysis.interproc.symbols import build_symbol_table
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        contexts = []
+        for path in discover_files([src]):
+            with open(path, "r", encoding="utf-8") as handle:
+                contexts.append(_ctx(handle.read(), path))
+        table = build_symbol_table(contexts)
+        assert [qname for qname in WORK_QNAMES
+                if qname not in table.functions] == []

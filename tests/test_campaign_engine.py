@@ -24,11 +24,30 @@ from repro.core import (
     run_campaign_parallel,
     scenario_fingerprint,
 )
-from repro.core.campaign import CACHE_FORMAT, RunCache
+from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import (
+    CACHE_FORMAT,
+    BrakeJob,
+    cached_body,
+    execute_jobs,
+    seeded_jobs,
+)
+from repro.core.fleet import FleetScenario, run_fleet_campaign
+from repro.core.fleet.campaign import FleetJob
+from repro.core.fleet.result import fleet_runs_digest
 from repro.sim.randomness import RandomStreams
 
 #: A short scenario so each test run stays fast.
 FAST = EmergencyBrakeScenario(start_distance=4.0, timeout=15.0)
+
+#: A tiny fleet scenario for the same reason.
+FLEET_FAST = FleetScenario(n_obus=2, duration=3.0)
+
+#: Every family's campaign entry point, on its short scenario.
+FAMILIES = {
+    "brake": lambda **kwargs: run_campaign_parallel(FAST, **kwargs),
+    "fleet": lambda **kwargs: run_fleet_campaign(FLEET_FAST, **kwargs),
+}
 
 
 def as_dicts(result):
@@ -79,11 +98,13 @@ class TestSerialParallelEquivalence:
         assert not any(cached for _, cached, _, _ in events)
         assert sorted(run_id for run_id, _, _, _ in events) == [1, 2, 3]
 
-    def test_invalid_arguments_rejected(self):
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_invalid_arguments_rejected(self, family):
+        run = FAMILIES[family]
         with pytest.raises(ValueError, match="workers"):
-            run_campaign_parallel(FAST, runs=2, workers=-1)
+            run(runs=2, workers=-1)
         with pytest.raises(ValueError, match="runs"):
-            run_campaign_parallel(FAST, runs=-1)
+            run(runs=-1)
 
     def test_workers_zero_means_auto(self):
         # 0 = one worker per core; a one-run campaign exercises the
@@ -92,8 +113,28 @@ class TestSerialParallelEquivalence:
         assert len(result.runs) == 1
         assert result.runs[0].completed
 
-    def test_zero_runs_is_empty_campaign(self):
-        result = run_campaign_parallel(FAST, runs=0, workers=2)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_workers_zero_sizes_pool_to_cores(self, family,
+                                              monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def spy_pool(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            spy_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        result = FAMILIES[family](runs=2, workers=0)
+        assert sizes == [2]
+        assert [run.run_id for run in result.runs] == [1, 2]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_zero_runs_is_empty_campaign(self, family):
+        result = FAMILIES[family](runs=0, workers=2)
         assert result.runs == []
 
 
@@ -167,16 +208,28 @@ class TestScenarioFingerprint:
 
 
 class TestRunCache:
+    """The executor's run cache: an ArtifactStore read through
+    :func:`cached_body`."""
+
     def test_round_trip_identical(self, tmp_path):
-        cache = RunCache(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path))
         measurement = ScaleTestbed(FAST.with_seed(3), run_id=1).run()
-        cache.put("k", measurement)
-        loaded = cache.get("k")
+        cache.put("k", {"kind": "brake",
+                        "measurement": measurement.to_dict()})
+        job = BrakeJob(FAST.with_seed(3), run_id=1, key="k")
+        loaded = job.result(cached_body(cache, job))
         assert loaded is not None
         assert loaded.to_dict() == measurement.to_dict()
 
     def test_miss_returns_none(self, tmp_path):
-        assert RunCache(str(tmp_path)).get("nope") is None
+        assert cached_body(ArtifactStore(str(tmp_path)),
+                           BrakeJob(FAST, run_id=1, key="nope")) is None
+
+    def test_body_of_another_kind_is_a_miss(self, tmp_path):
+        cache = ArtifactStore(str(tmp_path))
+        job = BrakeJob(FAST.with_seed(3), run_id=1)
+        cache.put(job.key, {"kind": "fleet", "run": {}})
+        assert cached_body(cache, job) is None
 
     def test_campaign_cache_hit_skips_simulation(self, tmp_path):
         cold = run_campaign_parallel(FAST, runs=3, base_seed=3,
@@ -227,7 +280,7 @@ class TestRunCache:
         cold = run_campaign_parallel(FAST, runs=2, base_seed=3,
                                      workers=1, cache_dir=str(tmp_path))
         key = scenario_fingerprint(FAST.with_seed(3))
-        cache = RunCache(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path))
         with open(cache.path(key), "w", encoding="utf-8") as handle:
             handle.write("{ not json !!")
         events = []
@@ -243,9 +296,10 @@ class TestRunCache:
         assert cache.get(key) is not None
 
     def test_wrong_format_version_is_miss(self, tmp_path):
-        cache = RunCache(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path))
         measurement = ScaleTestbed(FAST.with_seed(3), run_id=1).run()
-        cache.put("k", measurement)
+        cache.put("k", {"kind": "brake",
+                        "measurement": measurement.to_dict()})
         with open(cache.path("k"), "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["format"] = CACHE_FORMAT + 1
@@ -271,7 +325,7 @@ class TestRunCache:
             progress=lambda o, d, t: events.append(o.cached))
         assert events == [False]  # the legacy entry is a miss
         assert legacy.read_bytes() == before  # ... and untouched
-        cache = RunCache(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path))
         assert cache.get(key) is not None  # recompute landed in v5
         assert os.path.relpath(cache.path(key),
                                str(tmp_path)).startswith("objects")
@@ -289,7 +343,7 @@ class TestRunCache:
         run_campaign_parallel(FAST, runs=1, base_seed=3, workers=1,
                               cache_dir=nested)
         assert os.path.isdir(nested)
-        assert len(RunCache(nested).store.keys()) == 1
+        assert len(ArtifactStore(nested).keys()) == 1
 
     def test_no_stray_temp_files(self, tmp_path):
         run_campaign_parallel(FAST, runs=2, base_seed=3, workers=1,
@@ -299,3 +353,33 @@ class TestRunCache:
         for root, _dirs, files in os.walk(str(tmp_path)):
             assert all(name.endswith(".json") for name in files), \
                 (root, files)
+
+
+class TestFleetCache:
+    """Fleet jobs cache under ``fleet_fingerprint`` like brake jobs."""
+
+    def test_warm_rerun_is_all_cached(self, tmp_path):
+        jobs = seeded_jobs(FleetJob, FLEET_FAST, 2, 1)
+        cold = execute_jobs(jobs, cache_dir=str(tmp_path))
+        events = []
+        warm = execute_jobs(
+            jobs, cache_dir=str(tmp_path),
+            progress=lambda o, d, t: events.append(o.cached))
+        assert events == [True, True]
+        assert fleet_runs_digest(warm) == fleet_runs_digest(cold)
+
+    def test_overlapping_seed_hit_rebinds_run_id(self, tmp_path):
+        # Seed 2 is run 2 of the first campaign and run 1 of the
+        # second: the hit must come back as the second's run 1.
+        execute_jobs(seeded_jobs(FleetJob, FLEET_FAST, 2, 1),
+                     cache_dir=str(tmp_path))
+        events = []
+        runs = execute_jobs(
+            seeded_jobs(FleetJob, FLEET_FAST, 2, 2),
+            cache_dir=str(tmp_path),
+            progress=lambda o, d, t: events.append(
+                (o.run_id, o.seed, o.cached)))
+        assert sorted(events) == [(1, 2, True), (2, 3, False)]
+        assert [run.run_id for run in runs] == [1, 2]
+        cold = run_fleet_campaign(FLEET_FAST, runs=2, base_seed=2)
+        assert fleet_runs_digest(runs) == cold.digest()

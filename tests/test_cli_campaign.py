@@ -27,9 +27,9 @@ class TestCampaignFlags:
         assert main(argv) == 0
         cold = capsys.readouterr()
         assert "simulated" in cold.err
-        from repro.core.campaign import RunCache
+        from repro.core.artifacts import ArtifactStore
 
-        assert len(RunCache(cache_dir).store.keys()) == 2
+        assert len(ArtifactStore(cache_dir).keys()) == 2
 
         assert main(argv) == 0
         warm = capsys.readouterr()

@@ -12,6 +12,7 @@ battery (``test_queue_recovery.py``):
   pool path, and the ``queue`` CLI round-trips a whole campaign.
 """
 
+import dataclasses
 import json
 import os
 
@@ -20,11 +21,13 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import EmergencyBrakeScenario, run_campaign_parallel
 from repro.core.artifacts import ArtifactStore, CACHE_FORMAT, body_digest
+from repro.core.campaign import BrakeJob, seeded_jobs
+from repro.core.fleet.campaign import FleetJob
 from repro.core.fleet import FleetScenario, run_fleet_campaign
 from repro.core.queue import (
     QueueItem,
     WorkQueue,
-    enqueue_campaign,
+    enqueue,
 )
 from repro.core.queue.backend import item_identity
 from repro.obs import ObsAggregate, ObsContext
@@ -258,6 +261,118 @@ class TestBackendParity:
         assert pool.digest() == queued.digest()
 
 
+class TestWarmObsDigest:
+    """A warm cache folds one obs digest, whatever the backend.
+
+    The cache-hit rule is shared: a hit that stored its obs context
+    folds it (``add_run``), a hit without one counts as cached, and
+    nothing re-simulates to collect obs.
+    """
+
+    @pytest.mark.parametrize("observed_fill", [True, False],
+                             ids=["observed-fill", "plain-fill"])
+    @pytest.mark.parametrize("backend,workers",
+                             [("pool", 1), ("pool", 2), ("queue", 2)],
+                             ids=["serial", "pool", "queue"])
+    def test_warm_sim_digest_is_backend_independent(
+            self, tmp_path, backend, workers, observed_fill):
+        cache = str(tmp_path / "cache")
+        fill = ObsAggregate()
+        run_campaign_parallel(FAST, runs=2, base_seed=4, workers=1,
+                              cache_dir=cache,
+                              obs=fill if observed_fill else None)
+        if observed_fill:
+            expected = fill
+        else:
+            expected = ObsAggregate()
+            expected.add_cached()
+            expected.add_cached()
+        warm = ObsAggregate()
+        run_campaign_parallel(FAST, runs=2, base_seed=4,
+                              workers=workers, cache_dir=cache,
+                              obs=warm, backend=backend,
+                              queue_dir=str(tmp_path / "q"))
+        assert warm.sim_digest() == expected.sim_digest()
+
+    def test_pool_misses_store_their_obs(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        run_campaign_parallel(FAST, runs=2, base_seed=4, workers=2,
+                              cache_dir=cache, obs=ObsAggregate())
+        store = ArtifactStore(cache)
+        bodies = [store.get(key) for key in store.keys()]
+        assert len(bodies) == 2
+        assert all(body["obs"] is not None and body["wall_s"] > 0
+                   for body in bodies)
+
+
+class TestPayloadPins:
+    """Queue payloads and item ids are durable: existing queue dirs
+    and caches must stay valid across refactors of the job code."""
+
+    def _item(self, tmp_path, job):
+        queue = WorkQueue(str(tmp_path / "q.sqlite"))
+        enqueue(queue, [job])
+        (item,) = queue.items()
+        queue.close()
+        return item
+
+    def test_brake_payload_and_item_id(self, tmp_path):
+        scenario = EmergencyBrakeScenario(seed=4)
+        item = self._item(tmp_path, BrakeJob(scenario, run_id=1))
+        key = ("e1d3f7a174ba3ee72ea50e57bb44e8aa"
+               "1b237ecebe28aa7e1d3753d8795cfeb2")
+        assert item["kind"] == "brake"
+        assert item["item_id"] == ("d2928d20be256fa8b46e7e9878d27547"
+                                   "f198db4aa1d09c78365699efb5412877")
+        assert item["payload"] == {
+            "scenario": json.loads(json.dumps(
+                dataclasses.asdict(scenario))),
+            "fault_plan": None,
+            "run_id": 1,
+            "plan_index": 0,
+            "observe": False,
+            "result_key": key,
+        }
+
+    def test_fleet_payload_and_item_id(self, tmp_path):
+        item = self._item(tmp_path, FleetJob(
+            FleetScenario(n_obus=2, duration=3.0, seed=4), run_id=1))
+        assert item["kind"] == "fleet"
+        assert item["item_id"] == ("b474192f9568a7075460fdea4e3cda24"
+                                   "f077608c0b40361f19c1eea59b6747da")
+        assert item["payload"] == {
+            "observe": False,
+            "plan_index": 0,
+            "result_key": ("843de5a8ab779b871b77d79d7552c354"
+                           "96fda8a8bfbed1b57811b74d7030e90b"),
+            "run_id": 1,
+            "scenario": {
+                "brake_deceleration": 4.5, "cam_rate_hz": 10.0,
+                "cbr_sample_period": 0.01, "convoy_members": 4,
+                "convoy_spacing": 6.0, "cs_latency": 4e-06,
+                "data_rate_bps": 3000000.0, "dcc_enabled": True,
+                "dcc_thresholds": [0.03, 0.06, 0.1, 0.15],
+                "denm_area_radius": 150.0,
+                "denm_repetition_interval": 0.2, "desired_gap": 6.0,
+                "duration": 3.0, "gbc_hop_limit": 3, "n_obus": 2,
+                "n_rsus": 1, "path_loss_exponent": 2.8,
+                "poll_interval": 0.02, "protagonist_start": 12.0,
+                "road_length": 40.0, "seed": 4, "speed": 2.0,
+                "tie_break": "fifo", "tx_power_dbm": 0.0,
+                "warning_after": 2.0, "workload": "beacon",
+            },
+        }
+
+    def test_payload_round_trips_to_the_same_job(self, tmp_path):
+        for job in (BrakeJob(FAST, run_id=3, plan_index=2,
+                             salt="spec:point"),
+                    FleetJob(FLEET_FAST, run_id=2)):
+            restored = type(job).from_dict(
+                self._item(tmp_path / job.kind, job)["payload"])
+            assert restored.to_dict() == job.to_dict()
+            assert restored.key == job.key
+
+
 class TestQueueCli:
     """enqueue -> work -> status -> fold, through the real CLI."""
 
@@ -295,7 +410,7 @@ class TestQueueCli:
 
         paths = queue_paths(qdir)
         queue = WorkQueue(paths["queue"])
-        enqueue_campaign(queue, FAST, runs=1, base_seed=4)
+        enqueue(queue, seeded_jobs(BrakeJob, FAST, 1, 4))
         poison = QueueItem(item_id=item_identity("bogus", {}),
                            kind="bogus", payload={"result_key": "x"})
         queue.enqueue([poison], max_attempts=1)

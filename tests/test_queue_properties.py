@@ -5,29 +5,40 @@ shuffled enqueue orders, interleaved lease/complete/fail/expire
 sequences from several competing workers, lease losses and retries --
 and the folded campaign must come out byte-identical every time.
 This is the fold's core claim (ARCHITECTURE.md §14) exercised at the
-state-machine level: the simulation runs once (to mint the reference
-artifacts); everything Hypothesis permutes is pure queue mechanics.
+state-machine level: the simulation runs once per job family (to mint
+the reference artifacts); everything Hypothesis permutes is pure queue
+mechanics.  Every property runs over both families' jobs.
 """
 
 import functools
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EmergencyBrakeScenario, run_campaign_parallel
+from repro.core import EmergencyBrakeScenario
 from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import BrakeJob, execute_jobs, seeded_jobs
 from repro.core.fingerprint import canonical_json
+from repro.core.fleet import FleetScenario
+from repro.core.fleet.campaign import FleetJob
 from repro.core.queue import (
     QueueItem,
     WorkQueue,
-    enqueue_campaign,
-    fold_queue_campaign,
+    enqueue,
+    fold,
 )
 from repro.core.queue.campaign import queue_paths
 
 #: A short scenario so the one-time reference campaign stays fast.
 FAST = EmergencyBrakeScenario(start_distance=4.0, timeout=15.0)
+
+#: Family -> (job class, short scenario): a brake and a tiny fleet job.
+FAMILIES = {
+    "brake": (BrakeJob, FAST),
+    "fleet": (FleetJob, FleetScenario(n_obus=2, duration=3.0)),
+}
 
 RUNS = 3
 BASE_SEED = 9
@@ -35,37 +46,38 @@ LEASE = 10.0
 WORKERS = ("w0", "w1", "w2")
 
 
-@functools.lru_cache(maxsize=1)
-def reference():
-    """One-time ground truth: digest, item payloads, artifacts, meta.
+@functools.lru_cache(maxsize=None)
+def reference(family):
+    """One-time ground truth per family: digest, item payloads, artifacts.
 
     The campaign is simulated exactly once; every Hypothesis example
     then replays pure queue mechanics against these fixed artifacts.
     """
-    serial = run_campaign_parallel(FAST, runs=RUNS,
-                                   base_seed=BASE_SEED, workers=1)
+    job_type, scenario = FAMILIES[family]
+    jobs = seeded_jobs(job_type, scenario, RUNS, BASE_SEED)
+    cache = tempfile.mkdtemp(prefix="queue-prop-cache-")
+    serial = job_type.campaign_type(
+        scenario=scenario, runs=execute_jobs(jobs, cache_dir=cache))
+    store = ArtifactStore(cache)
     scratch = tempfile.mkdtemp(prefix="queue-prop-ref-")
     paths = queue_paths(scratch)
     queue = WorkQueue(paths["queue"])
-    enqueue_campaign(queue, FAST, runs=RUNS, base_seed=BASE_SEED)
+    enqueue(queue, jobs)
     items = queue.items()
-    meta = queue.get_meta("campaign")
     queue.close()
     bodies = {}
-    for item, measurement in zip(items, serial.runs):
-        assert int(item["payload"]["run_id"]) == measurement.run_id
-        bodies[str(item["payload"]["result_key"])] = {
-            "kind": "brake",
-            "measurement": measurement.to_dict(),
-        }
+    for item, run in zip(items, serial.runs):
+        assert int(item["payload"]["run_id"]) == run.run_id
+        key = str(item["payload"]["result_key"])
+        bodies[key] = store.get(key)
     serial_bytes = canonical_json(
         [run.to_dict() for run in serial.runs])
-    return serial.digest(), serial_bytes, items, bodies, meta
+    return serial.digest(), serial_bytes, items, bodies
 
 
-def fresh_queue(order, clock):
+def fresh_queue(family, order, clock):
     """A new queue holding the reference items enqueued in *order*."""
-    _, _, items, _, meta = reference()
+    _, _, items, _ = reference(family)
     paths = queue_paths(tempfile.mkdtemp(prefix="queue-prop-"))
     queue = WorkQueue(paths["queue"], clock=clock)
     queue.enqueue(
@@ -74,13 +86,12 @@ def fresh_queue(order, clock):
                    payload=items[index]["payload"])
          for index in order],
         max_attempts=10_000)  # never dead-letter inside a property
-    queue.set_meta("campaign", meta)
     return queue, ArtifactStore(paths["store"])
 
 
 def fold_bytes(queue, store):
     """The canonical bytes of the folded campaign."""
-    result = fold_queue_campaign(queue, store)
+    result = fold(queue, store)
     return canonical_json([run.to_dict() for run in result.runs])
 
 
@@ -90,14 +101,14 @@ STEP = st.tuples(
     st.integers(min_value=0, max_value=len(WORKERS) - 1))
 
 
-def run_schedule(queue, store, steps):
+def run_schedule(family, queue, store, steps):
     """Drive the queue through *steps*, then drain what remains.
 
     Workers "execute" an item by writing its reference artifact --
     exactly what a real worker computes, minus the simulation -- so
     completions are indistinguishable from the real thing.
     """
-    _, _, _, bodies, _ = reference()
+    _, _, _, bodies = reference(family)
     held = {worker: [] for worker in WORKERS}
     clock = {"t": 0.0}
 
@@ -145,6 +156,7 @@ def run_schedule(queue, store, steps):
         queue.complete("drain", leased.item_id, key, now=clock["t"])
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestFoldInvariance:
     """Same items, any schedule, same bytes."""
 
@@ -152,13 +164,14 @@ class TestFoldInvariance:
     @given(order=st.permutations(list(range(RUNS))),
            steps=st.lists(STEP, max_size=30))
     def test_any_interleaving_folds_to_identical_bytes(
-            self, order, steps):
-        digest, serial_bytes, _, _, _ = reference()
+            self, family, order, steps):
+        digest, serial_bytes, _, _ = reference(family)
         clock = {"t": 0.0}
-        queue, store = fresh_queue(order, clock=lambda: clock["t"])
-        run_schedule(queue, store, steps)
+        queue, store = fresh_queue(family, order,
+                                   clock=lambda: clock["t"])
+        run_schedule(family, queue, store, steps)
         payload = fold_bytes(queue, store)
-        result = fold_queue_campaign(queue, store)
+        result = fold(queue, store)
         queue.close()
         assert result.digest() == digest
         # And the canonical bytes themselves, not just the digest.
@@ -166,12 +179,13 @@ class TestFoldInvariance:
 
     @settings(max_examples=10, deadline=None)
     @given(order=st.permutations(list(range(RUNS))))
-    def test_enqueue_order_never_changes_fold(self, order):
-        digest, _, _, _, _ = reference()
+    def test_enqueue_order_never_changes_fold(self, family, order):
+        digest, _, _, _ = reference(family)
         clock = {"t": 0.0}
-        queue, store = fresh_queue(order, clock=lambda: clock["t"])
-        run_schedule(queue, store, [])
-        result = fold_queue_campaign(queue, store)
+        queue, store = fresh_queue(family, order,
+                                   clock=lambda: clock["t"])
+        run_schedule(family, queue, store, [])
+        result = fold(queue, store)
         queue.close()
         assert result.digest() == digest
         assert [run.run_id for run in result.runs] == \

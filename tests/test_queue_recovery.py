@@ -21,6 +21,9 @@ Covered here:
   verified artifact and completes without recomputing;
 * a poison item cannot take a worker down with it.
 
+Every case that needs no real kill runs over both job families
+(emergency brake and a tiny fleet job).
+
 The multi-process end-to-end drain with a mid-campaign kill runs
 under the ``slow`` marker (the tier-1 gate keeps the single-kill
 subprocess test).
@@ -36,19 +39,45 @@ import pytest
 
 from repro.core import EmergencyBrakeScenario, run_campaign_parallel
 from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import BrakeJob, seeded_jobs, simulate
+from repro.core.fleet import FleetScenario, run_fleet_campaign
+from repro.core.fleet.campaign import FleetJob
 from repro.core.queue import (
     DeadLetterError,
     QueueItem,
     WorkQueue,
-    enqueue_campaign,
-    fold_queue_campaign,
+    enqueue,
+    fold,
 )
 from repro.core.queue.backend import item_identity
 from repro.core.queue.campaign import queue_paths
 from repro.core.queue.worker import WorkerConfig, work_loop
+from repro.obs import ObsAggregate
 
 #: A short scenario so each test run stays fast.
 FAST = EmergencyBrakeScenario(start_distance=4.0, timeout=15.0)
+
+#: A tiny fleet scenario for the same reason.
+FLEET_FAST = FleetScenario(n_obus=2, duration=3.0)
+
+#: Family -> (job class, short scenario, campaign entry point).
+FAMILIES = {
+    "brake": (BrakeJob, FAST, run_campaign_parallel),
+    "fleet": (FleetJob, FLEET_FAST, run_fleet_campaign),
+}
+
+
+def family_jobs(family, runs, base_seed):
+    """The jobs of one *family* campaign, as its entry point builds them."""
+    job_type, scenario, _ = FAMILIES[family]
+    return seeded_jobs(job_type, scenario, runs, base_seed)
+
+
+def serial_campaign(family, runs, base_seed, obs=None):
+    """The undisturbed ``workers=1`` campaign of one *family*."""
+    _, scenario, entry_point = FAMILIES[family]
+    return entry_point(scenario, runs=runs, base_seed=base_seed,
+                       workers=1, obs=obs)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -96,7 +125,7 @@ class TestSigkillRecovery:
 
         paths = queue_paths(str(tmp_path / "q"))
         queue = WorkQueue(paths["queue"])
-        enqueue_campaign(queue, FAST, runs=4, base_seed=11)
+        enqueue(queue, seeded_jobs(BrakeJob, FAST, 4, 11))
 
         # A real worker that stalls on its first lease, giving us a
         # deterministic window to SIGKILL it mid-lease.
@@ -128,29 +157,26 @@ class TestSigkillRecovery:
 
         completed = rescue(paths)
         assert completed == 4
-        result = fold_queue_campaign(queue,
-                                     ArtifactStore(paths["store"]))
+        result = fold(queue, ArtifactStore(paths["store"]))
         queue.close()
         assert result.digest() == serial.digest()
         assert [run.run_id for run in result.runs] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_crash_between_store_and_complete_resumes_cached(
-            self, tmp_path):
+            self, family, tmp_path):
         # A worker that stored its artifact but died before
         # complete(): the retry must find the verified artifact and
         # complete without recomputing (cached=True).
-        serial = run_campaign_parallel(FAST, runs=2, base_seed=5,
-                                       workers=1)
+        serial = serial_campaign(family, runs=2, base_seed=5)
         paths = queue_paths(str(tmp_path / "q"))
         queue = WorkQueue(paths["queue"])
-        enqueue_campaign(queue, FAST, runs=2, base_seed=5)
-
-        from repro.core.campaign import scenario_fingerprint
+        jobs = family_jobs(family, runs=2, base_seed=5)
+        enqueue(queue, jobs)
 
         store = ArtifactStore(paths["store"])
-        key = scenario_fingerprint(FAST.with_seed(5))
-        store.put(key, {"kind": "brake",
-                        "measurement": serial.runs[0].to_dict()})
+        key = jobs[0].key
+        store.put(key, jobs[0].execute(None))
 
         rescue(paths)
         done = queue.items(state="done")
@@ -158,9 +184,33 @@ class TestSigkillRecovery:
         assert by_key[key]["cached"] is True
         others = [item for item in done if item["result_key"] != key]
         assert all(item["cached"] is False for item in others)
-        result = fold_queue_campaign(queue, store)
+        result = fold(queue, store)
         queue.close()
         assert result.digest() == serial.digest()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_observed_crash_between_store_and_complete_folds_cold_obs(
+            self, family, tmp_path):
+        # The stored body carries the run's obs context: the fold
+        # replays it, so the aggregate equals a cold observed run's.
+        cold = ObsAggregate()
+        serial_campaign(family, runs=2, base_seed=5, obs=cold)
+        paths = queue_paths(str(tmp_path / "q"))
+        queue = WorkQueue(paths["queue"])
+        jobs = family_jobs(family, runs=2, base_seed=5)
+        enqueue(queue, jobs, observe=True)
+        store = ArtifactStore(paths["store"])
+        store.put(jobs[0].key, simulate(jobs[0], observe=True))
+
+        rescue(paths)
+        cached = {item["result_key"]: item["cached"]
+                  for item in queue.items(state="done")}
+        assert cached == {jobs[0].key: True, jobs[1].key: False}
+        folded = ObsAggregate()
+        fold(queue, store, obs=folded)
+        queue.close()
+        assert (folded.runs, folded.cached_runs) == (2, 0)
+        assert folded.sim_digest() == cold.sim_digest()
 
 
 class TestDoubleLeasePrevention:
@@ -213,10 +263,6 @@ class TestRetryBudget:
             item_id=item_identity("brake", {"doomed": True}),
             kind="brake", payload={"doomed": True})
         queue.enqueue([item], max_attempts=2)
-        queue.set_meta("campaign", {"family": "brake",
-                                    "scenario": {}, "runs": 1,
-                                    "base_seed": 1, "observe": False,
-                                    "cache_salt": None})
 
         # Attempt 1 and 2 both stall out; the second expiry
         # dead-letters because the retry budget is spent.
@@ -242,16 +288,17 @@ class TestRetryBudget:
         assert "lease expired" in entry["last_error"]
 
         with pytest.raises(DeadLetterError) as excinfo:
-            fold_queue_campaign(queue, ArtifactStore(paths["store"]))
+            fold(queue, ArtifactStore(paths["store"]))
         assert excinfo.value.dead[0]["item_id"] == item.item_id
         queue.close()
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_poison_item_dead_letters_without_killing_worker(
-            self, tmp_path):
+            self, family, tmp_path):
         paths = queue_paths(str(tmp_path / "q"))
         queue = WorkQueue(paths["queue"])
-        enqueue_campaign(queue, FAST, runs=2, base_seed=7,
-                         max_attempts=2)
+        enqueue(queue, family_jobs(family, runs=2, base_seed=7),
+                max_attempts=2)
         poison = QueueItem(
             item_id=item_identity("no-such-kind", {}),
             kind="no-such-kind", payload={"result_key": "x"})
@@ -267,20 +314,20 @@ class TestRetryBudget:
         assert entry["item_id"] == poison.item_id
         assert "no-such-kind" in entry["last_error"]
         with pytest.raises(DeadLetterError):
-            fold_queue_campaign(queue, ArtifactStore(paths["store"]))
+            fold(queue, ArtifactStore(paths["store"]))
         queue.close()
 
 
 class TestRestartResume:
     """Durable state survives closing every connection."""
 
-    def test_resume_after_full_queue_restart(self, tmp_path):
-        serial = run_campaign_parallel(FAST, runs=4, base_seed=3,
-                                       workers=1)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_resume_after_full_queue_restart(self, family, tmp_path):
+        serial = serial_campaign(family, runs=4, base_seed=3)
         paths = queue_paths(str(tmp_path / "q"))
 
         queue = WorkQueue(paths["queue"])
-        enqueue_campaign(queue, FAST, runs=4, base_seed=3)
+        enqueue(queue, family_jobs(family, runs=4, base_seed=3))
         # First life: complete two items, then shut everything down.
         completed = work_loop(WorkerConfig(
             queue_path=paths["queue"], store_root=paths["store"],
@@ -294,12 +341,11 @@ class TestRestartResume:
         reopened = WorkQueue(paths["queue"])
         assert reopened.counts()["done"] == 2
         assert reopened.unfinished() == 2
-        assert enqueue_campaign(reopened, FAST, runs=4,
-                                base_seed=3) == 0
+        assert enqueue(reopened, family_jobs(family, runs=4,
+                                             base_seed=3)) == 0
         completed = rescue(paths, worker_id="second-life")
         assert completed == 2
-        result = fold_queue_campaign(reopened,
-                                     ArtifactStore(paths["store"]))
+        result = fold(reopened, ArtifactStore(paths["store"]))
         reopened.close()
         assert result.digest() == serial.digest()
 
@@ -314,7 +360,7 @@ class TestMultiWorkerKillEndToEnd:
                                      workers=4)
         paths = queue_paths(str(tmp_path / "q"))
         queue = WorkQueue(paths["queue"])
-        enqueue_campaign(queue, FAST, runs=runs, base_seed=21)
+        enqueue(queue, seeded_jobs(BrakeJob, FAST, runs, 21))
 
         victim = subprocess.Popen(
             worker_argv(paths, "victim", lease="0.8",
@@ -351,7 +397,6 @@ class TestMultiWorkerKillEndToEnd:
 
         assert queue.counts()["done"] == runs
         assert queue.dead_letter() == []
-        result = fold_queue_campaign(queue,
-                                     ArtifactStore(paths["store"]))
+        result = fold(queue, ArtifactStore(paths["store"]))
         queue.close()
         assert result.digest() == pool.digest()

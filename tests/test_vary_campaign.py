@@ -16,7 +16,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.artifacts import ArtifactStore
 from repro.core.campaign import scenario_fingerprint
+from repro.core.fleet.campaign import FleetJob
 from repro.core.scenario import EmergencyBrakeScenario
 from repro.vary import (
     Constraint,
@@ -111,6 +113,23 @@ class TestFleetCampaign:
         result = run_variation_campaign(spec, **FAST)
         for point in result.points:
             assert PointResult.from_dict(point.to_dict()) == point
+
+    def test_warm_rerun_serves_every_run_from_cache(self, tmp_path,
+                                                     monkeypatch):
+        spec = blind_corner_demo()
+        cache = str(tmp_path / "cache")
+        cold = run_variation_campaign(spec, runs_per_point=2,
+                                      cache_dir=cache, **FAST)
+        runs = sum(len(point.verdicts) for point in cold.points)
+        assert len(ArtifactStore(cache).keys()) == runs
+
+        def no_simulation(job, obs_ctx=None):
+            raise AssertionError(f"run {job.run_id} re-simulated")
+
+        monkeypatch.setattr(FleetJob, "execute", no_simulation)
+        warm = run_variation_campaign(spec, runs_per_point=2,
+                                      cache_dir=cache, **FAST)
+        assert warm.digest() == cold.digest()
 
     def test_coverage_counts_runs(self):
         spec = blind_corner_demo()
