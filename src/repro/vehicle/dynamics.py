@@ -149,14 +149,14 @@ class VehicleDynamics:
         this tie is routine -- see the class docstring).
         """
         self._catch_up()
-        self.throttle = float(np.clip(throttle, 0.0, 1.0))
+        self.throttle = float(min(max(throttle, 0.0), 1.0))
         self.mode = "drive"
 
     def set_steering(self, angle: float) -> None:
         """Command the steering servo to *angle* radians (from now on)."""
         self._catch_up()
         limit = self.params.max_steering
-        self.steering_command = float(np.clip(angle, -limit, limit))
+        self.steering_command = float(min(max(angle, -limit), limit))
 
     def cut_power(self, brake: bool = True) -> None:
         """Emergency stop: cut motor power (ESC drag-brake engages)."""
@@ -195,16 +195,16 @@ class VehicleDynamics:
         # Steering servo slews towards the command.
         max_delta = p.steering_rate * dt
         error = self.steering_command - s.steering
-        s.steering += float(np.clip(error, -max_delta, max_delta))
+        s.steering += float(min(max(error, -max_delta), max_delta))
         # Longitudinal forces.
         if self.mode == "drive":
             # RC ESCs behave like a speed loop: throttle selects a
             # target speed, force pushes towards it (never negative --
             # backing off the throttle freewheels rather than brakes).
             target = self.throttle * p.max_speed
-            force = float(np.clip(
-                p.mass * p.speed_gain * (target - s.speed),
-                0.0, p.max_motor_force))
+            force = float(min(max(
+                p.mass * p.speed_gain * (target - s.speed), 0.0),
+                p.max_motor_force))
         else:
             force = 0.0
         resistance = (p.drag_coefficient * s.speed * s.speed

@@ -15,6 +15,7 @@ frame-rate bound the same way).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from typing import Callable, Optional
@@ -89,26 +90,16 @@ class LineDetectionNode:
     def _process(self, frame: CameraFrame) -> LineEstimate:
         self.frames_processed += 1
         obs = self.sim.obs
-        if obs is not None:
-            with obs.profile("vision.canny"):
-                edges = canny(frame.image, self.canny_low, self.canny_high)
-        else:
+        with (obs.profile("vision.canny") if obs is not None
+              else contextlib.nullcontext()):
             edges = canny(frame.image, self.canny_low, self.canny_high)
         # Region filter: "applying a region filter to only receive the
         # center of the image" -- blank the lateral margins.
         margin = self.view.width // 8
         edges[:, :margin] = False
         edges[:, -margin:] = False
-        if obs is not None:
-            with obs.profile("vision.hough"):
-                segments = probabilistic_hough(
-                    edges,
-                    threshold=self.hough_threshold,
-                    min_line_length=self.min_line_length,
-                    max_line_gap=self.max_line_gap,
-                    rng=self.rng,
-                )
-        else:
+        with (obs.profile("vision.hough") if obs is not None
+              else contextlib.nullcontext()):
             segments = probabilistic_hough(
                 edges,
                 threshold=self.hough_threshold,

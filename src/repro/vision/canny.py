@@ -87,9 +87,9 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     """Grow strong edges through connected weak pixels."""
     structure = np.ones((3, 3), dtype=bool)
     labels, count = ndimage.label(weak, structure=structure)
-    if count == 0:
-        return np.zeros_like(weak)
-    strong_labels = np.unique(labels[strong & (labels > 0)])
-    if strong_labels.size == 0:
-        return np.zeros_like(weak)
-    return np.isin(labels, strong_labels)
+    # Label lookup table: a component survives if any strong pixel
+    # lies in it; label 0 is the background.
+    keep = np.zeros(count + 1, dtype=bool)
+    keep[labels[strong]] = True
+    keep[0] = False
+    return keep[labels]

@@ -83,34 +83,39 @@ def probabilistic_hough(
     order = rng.permutation(len(points))
 
     thetas = np.arange(0.0, math.pi, theta_resolution)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
     diagonal = int(math.ceil(math.hypot(rows, cols)))
-    accumulator = np.zeros((len(thetas), 2 * diagonal + 1), dtype=np.int32)
+    # Every point's accumulator bins, computed once per frame.
+    bins = _rho_table(points, thetas, diagonal)
+    accumulator = np.zeros(len(thetas) * (2 * diagonal + 1), dtype=np.int64)
+    point_index = np.zeros((rows, cols), dtype=np.intp)
+    point_index[points[:, 0], points[:, 1]] = np.arange(len(points))
 
+    coords = points.tolist()
     segments: List[LineSegment] = []
-    for index in order:
-        r, c = points[index]
+    for index in order.tolist():
+        r, c = coords[index]
         if not remaining[r, c]:
             continue
         # Vote.
-        rhos = np.round(c * cos_t + r * sin_t).astype(int) + diagonal
-        accumulator[np.arange(len(thetas)), rhos] += 1
-        best_theta = int(np.argmax(accumulator[np.arange(len(thetas)), rhos]))
-        if accumulator[best_theta, rhos[best_theta]] < threshold:
+        point_bins = bins[index]
+        accumulator[point_bins] += 1
+        votes = accumulator[point_bins]
+        best_theta = int(votes.argmax())
+        if votes[best_theta] < threshold:
             continue
         # Trace the candidate line through the edge map.
         segment_pixels = _trace_segment(
             remaining, r, c, thetas[best_theta], max_line_gap)
         if len(segment_pixels) < 2:
             continue
-        # Un-vote and remove the segment's pixels.
-        for pr, pc in segment_pixels:
-            if remaining[pr, pc]:
-                remaining[pr, pc] = False
-                p_rhos = np.round(pc * cos_t + pr * sin_t).astype(int) \
-                    + diagonal
-                np.add.at(accumulator, (np.arange(len(thetas)), p_rhos), -1)
+        # Un-vote and remove the segment's pixels.  They are all live
+        # (the walk reads ``remaining``) and distinct (each step moves
+        # the dominant axis one pixel); integer counts do not depend
+        # on the un-vote order.
+        pr, pc = segment_pixels[:, 0], segment_pixels[:, 1]
+        remaining[pr, pc] = False
+        accumulator -= np.bincount(bins[point_index[pr, pc]].ravel(),
+                                   minlength=accumulator.size)
         (r1, c1), (r2, c2) = segment_pixels[0], segment_pixels[-1]
         segment = LineSegment(x1=float(c1), y1=float(r1),
                               x2=float(c2), y2=float(r2))
@@ -120,6 +125,26 @@ def probabilistic_hough(
                 break
     segments.sort(key=lambda s: s.length, reverse=True)
     return segments
+
+
+def _rho_table(points: np.ndarray, thetas: np.ndarray,
+               diagonal: int) -> np.ndarray:
+    """The accumulator bin of every (point, theta) vote.
+
+    Row *i* holds the bins point *i* = (row, col) votes for, one per
+    theta: rho index ``round(col cos t + row sin t) + diagonal``,
+    flattened as ``theta_index * (2 * diagonal + 1) + rho_index`` into
+    a 1-D accumulator.  The float ops are the same elementwise ones as
+    a per-point ``c * cos_t + r * sin_t``, so the bins are identical.
+    """
+    # Cast the pixel coordinates up front (exact) and round in place;
+    # adding the integral bin offsets before the cast is exact too.
+    coords = points.astype(float)
+    table = coords[:, 1:2] * np.cos(thetas)
+    table += coords[:, 0:1] * np.sin(thetas)
+    np.rint(table, out=table)
+    table += diagonal + np.arange(len(thetas)) * (2 * diagonal + 1)
+    return table.astype(np.intp)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,17 +186,11 @@ def standard_hough(
         return []
     thetas = np.arange(0.0, math.pi, theta_resolution)
     diagonal = int(math.ceil(math.hypot(rows, cols)))
-    accumulator = np.zeros((len(thetas), 2 * diagonal + 1),
-                           dtype=np.int32)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
-    # Vectorised voting: for each theta, bin all points at once.
-    ys = points[:, 0].astype(float)
-    xs = points[:, 1].astype(float)
-    for index in range(len(thetas)):
-        rhos = np.round(xs * cos_t[index]
-                        + ys * sin_t[index]).astype(int) + diagonal
-        np.add.at(accumulator[index], rhos, 1)
+    width = 2 * diagonal + 1
+    # Every pixel votes in every theta row: one bincount over the table.
+    accumulator = np.bincount(
+        _rho_table(points, thetas, diagonal).ravel(),
+        minlength=len(thetas) * width).reshape(len(thetas), width)
 
     lines: List[HoughLine] = []
     working = accumulator.copy()
@@ -197,9 +216,18 @@ def standard_hough(
 
 
 def _trace_segment(edges: np.ndarray, r0: int, c0: int, theta: float,
-                   max_gap: int) -> List:
+                   max_gap: int) -> np.ndarray:
     """Walk from (r0, c0) in both directions along the line of angle
     *theta* (normal angle), collecting edge pixels until the gap limit.
+
+    Step k (negative backward) visits ``rint(r0 + k*dr), rint(c0 +
+    k*dc)`` -- half to even, like ``round``.  A step hits if that pixel
+    is an edge, else if its -1 then +1 neighbour across the walk is
+    (one-pixel lateral tolerance).  Each direction ends at the image
+    border or once more than *max_gap* steps in a row miss.
+
+    Returns the collected pixels as an ``(n, 2)`` array of (row, col)
+    in order along the line, (r0, c0) included.
     """
     # Direction along the line is perpendicular to the normal (theta).
     dr = math.cos(theta)
@@ -207,46 +235,47 @@ def _trace_segment(edges: np.ndarray, r0: int, c0: int, theta: float,
     # Normalise the dominant axis to unit steps.
     scale = max(abs(dr), abs(dc))
     if scale == 0:
-        return [(r0, c0)]
+        return np.array([[r0, c0]])
     dr /= scale
     dc /= scale
     rows, cols = edges.shape
-
-    def walk(sign: int) -> List:
-        collected = []
-        gap = 0
-        step = 1
-        while True:
-            r = int(round(r0 + sign * step * dr))
-            c = int(round(c0 + sign * step * dc))
-            if not (0 <= r < rows and 0 <= c < cols):
-                break
-            hit = edges[r, c] or _neighbour_edge(edges, r, c, dr, dc)
-            if hit is not None and hit is not False:
-                collected.append(hit if isinstance(hit, tuple) else (r, c))
-                gap = 0
-            else:
-                gap += 1
-                if gap > max_gap:
-                    break
-            step += 1
-        return collected
-
-    forward = walk(+1)
-    backward = walk(-1)
-    return list(reversed(backward)) + [(r0, c0)] + forward
-
-
-def _neighbour_edge(edges: np.ndarray, r: int, c: int,
-                    dr: float, dc: float):
-    """Allow one-pixel lateral tolerance perpendicular to the walk."""
-    if edges[r, c]:
-        return (r, c)
-    # Perpendicular direction.
-    pr, pc = (1, 0) if abs(dc) >= abs(dr) else (0, 1)
-    for sign in (-1, 1):
-        rr, cc = r + sign * pr, c + sign * pc
-        if 0 <= rr < edges.shape[0] and 0 <= cc < edges.shape[1] \
-                and edges[rr, cc]:
-            return (rr, cc)
-    return False
+    # The whole line at once, steps -n..n with the start at index n.
+    # The dominant axis moves one pixel per step, so n steps reach
+    # past the border in both directions.
+    n = rows if abs(dr) >= abs(dc) else cols
+    steps = np.arange(-n, n + 1)
+    r = np.rint(r0 + steps * dr).astype(np.intp)
+    c = np.rint(c0 + steps * dc).astype(np.intp)
+    # Coordinates are monotone in the step, so the steps on the image
+    # are one run around the start; negatives wrap to huge unsigned.
+    inside = (r.view(np.uintp) < rows) & (c.view(np.uintp) < cols)
+    # Look up on a 1-pixel zero border; steps off the image look at
+    # pixel 0 and are masked out by *inside*.
+    width = cols + 2
+    padded = np.zeros((rows + 2, width), dtype=bool)
+    padded[1:-1, 1:-1] = edges
+    flat = padded.ravel()
+    index = np.where(inside, r * width + c + (width + 1), 0)
+    lateral = width if abs(dc) >= abs(dr) else 1
+    centre = flat[index]
+    before = flat[index - lateral]
+    after = flat[index + lateral]
+    hit = (centre | before | after) & inside
+    side = np.where(centre, 0, np.where(before, -1, 1))
+    side[n] = 0
+    hit[n] = True
+    if lateral == 1:
+        c += side
+    else:
+        r += side
+    # Cut each direction at its first run of max_gap + 1 misses.  The
+    # start always hits, so no run spans it.
+    run = max(max_gap, 0) + 1
+    misses = np.zeros(steps.size + 1, dtype=np.intp)
+    np.cumsum(~hit, out=misses[1:])
+    gaps = np.flatnonzero(misses[run:] - misses[:-run] == run)
+    split = int(np.searchsorted(gaps, n))
+    lo = gaps[split - 1] + run if split else 0
+    hi = gaps[split] if split < gaps.size else steps.size
+    keep = np.flatnonzero(hit[lo:hi]) + lo
+    return np.column_stack((r[keep], c[keep]))

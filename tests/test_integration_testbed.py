@@ -5,6 +5,7 @@ blind-corner use-case and the platoon extension."""
 import pytest
 
 from repro.core import (
+    CampaignResult,
     EmergencyBrakeScenario,
     ScaleTestbed,
     Steps,
@@ -110,6 +111,18 @@ class TestDeterminism:
         a = ScaleTestbed(EmergencyBrakeScenario(seed=5)).run()
         b = ScaleTestbed(EmergencyBrakeScenario(seed=6)).run()
         assert a.intervals_ms() != b.intervals_ms()
+
+    def test_brake_campaign_digest_pinned(self):
+        # The brake-grid digest of seeds 1..10, pinned byte for byte:
+        # a speed-up of any layer the run touches (vision, vehicle,
+        # net, codec) must leave it unchanged.
+        base = EmergencyBrakeScenario()
+        result = CampaignResult(
+            scenario=base,
+            runs=[ScaleTestbed(base.with_seed(seed), run_id=seed).run()
+                  for seed in range(1, 11)])
+        assert result.digest() == (
+            "9dcbb6032e3e5982fa98942422cbbc2efa3742729a9edb9a3f17f10834b8f578")
 
 
 class TestFailureInjection:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,39 @@ class TestSteering:
         # transient slack).
         assert abs(dyn.state.x) < 2 * expected_radius + 1.5
         assert abs(dyn.state.y) < 2 * expected_radius + 1.5
+
+
+class TestScalarClamp:
+    """``VehicleDynamics`` clamps with ``float(min(max(x, lo), hi))``;
+    it must agree with ``float(np.clip(x, lo, hi))`` bit for bit."""
+
+    VALUES = [-0.0, 0.0, 1e-300, -1e-300, 0.25, -0.25, 0.3, -0.3, 1.0,
+              -1.0, 4.0, -4.0, math.inf, -math.inf, math.nan]
+    BOUNDS = [(0.0, 1.0), (-0.3, 0.3), (-0.0, 0.0), (0.0, 0.0),
+              (-1.0, -0.0), (0.0, 3), (-2, 2)]
+
+    @staticmethod
+    def bits(x):
+        return (math.isnan(x), x if not math.isnan(x) else 0.0,
+                math.copysign(1.0, x))
+
+    def test_agrees_with_np_clip(self):
+        for lo, hi in self.BOUNDS:
+            # The grid plus the bounds themselves.
+            for x in self.VALUES + [lo, hi]:
+                scalar = float(min(max(x, lo), hi))
+                vector = float(np.clip(x, lo, hi))
+                assert self.bits(scalar) == self.bits(vector), (x, lo, hi)
+
+    def test_int_bounds_and_commands_stay_float(self):
+        sim, dyn = build(params=VehicleParams(max_steering=1))
+        dyn.set_steering(5)
+        dyn.set_throttle(2)
+        assert type(dyn.steering_command) is float
+        assert type(dyn.throttle) is float
+        sim.run_until(1.0)
+        assert type(dyn.state.steering) is float
+        assert dyn.state.steering == 1.0
 
 
 class TestTracks:
