@@ -52,7 +52,6 @@ class NetworkInterface:
         self.mac = EdcaMac(sim, rng or np.random.default_rng(0), self)
         self._rx_callbacks: List[RxCallback] = []
         self._loss_callbacks: List[LossCallback] = []
-        self._own_tx_intervals: List[Tuple[float, float]] = []
         self.frames_received = 0
         self.frames_lost = 0
         medium.attach(self)
@@ -80,17 +79,7 @@ class NetworkInterface:
 
     def start_transmission(self, frame: Frame) -> float:
         """Called by the MAC; puts the frame on the air."""
-        duration = self.medium.transmit(self, frame)
-        now = self.sim.now
-        self._own_tx_intervals.append((now, now + duration))
-        if len(self._own_tx_intervals) > 32:
-            del self._own_tx_intervals[:-32]
-        return duration
-
-    def overlapped_own_tx(self, start: float, end: float) -> bool:
-        """Whether this NIC transmitted at any point during [start, end]."""
-        return any(min(t_end, end) > max(t_start, start)
-                   for t_start, t_end in self._own_tx_intervals)
+        return self.medium.transmit(self, frame)
 
     def deliver(self, frame: Frame, info: ReceptionInfo) -> None:
         """Called by the medium on successful decode."""

@@ -15,7 +15,9 @@ import pytest
 
 from repro.core.fleet import (
     FleetScenario,
+    FleetTestbed,
     canonical_json,
+    fleet_runs_digest,
     golden_scenario,
     run_fleet,
     run_fleet_campaign,
@@ -112,6 +114,49 @@ class TestGoldenFixture:
         assert payload["scenario"]["n_rsus"] == 2
         assert payload["runs"][0]["verdict"] == "SAFE"
         assert payload["runs"][0]["denm_delivered"] == 16
+
+
+#: The 64-OBU / 2-RSU blind corner, four simulated seconds.
+CORNER64 = FleetScenario(workload="blind_corner", n_obus=64, n_rsus=2,
+                         duration=4.0)
+
+
+class TestCorner64:
+    def test_digest_pinned(self):
+        # Seeds 1 and 2 with run ids 1 and 2, pinned byte for byte: a
+        # speed-up of the medium, GeoNet or codec path must leave it.
+        runs = [FleetTestbed(CORNER64.with_seed(seed), run_id=seed).run()
+                for seed in (1, 2)]
+        assert fleet_runs_digest(runs) == (
+            "0cb8897e9c3f5da24aae4cea23ac682bd7fc24bb6f5c652d0f193cc88e9ba117")
+
+    def test_airtime_log_stays_bounded(self):
+        # The medium's airtime log (half-duplex bookkeeping) never
+        # holds more entries than there are stations, whatever the run
+        # length, and is empty whenever the channel falls idle.
+        testbed = FleetTestbed(CORNER64.with_seed(1), run_id=1)
+        medium = testbed.medium
+        stations = CORNER64.n_obus + CORNER64.n_rsus
+        peaks = []
+        idle_sizes = []
+        transmit, complete = medium.transmit, medium._complete
+
+        def counted_transmit(sender, frame):
+            duration = transmit(sender, frame)
+            peaks.append(len(medium._airtime))
+            return duration
+
+        def counted_complete(tx):
+            complete(tx)
+            if medium.active_count == 0:
+                idle_sizes.append(len(medium._airtime))
+
+        medium.transmit = counted_transmit
+        medium._complete = counted_complete
+        testbed.run()
+        assert len(peaks) == medium.frames_sent > 1000
+        assert max(peaks) <= stations
+        assert idle_sizes and set(idle_sizes) == {0}
 
 
 @pytest.mark.slow

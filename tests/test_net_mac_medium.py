@@ -232,3 +232,36 @@ class TestHalfDuplex:
         sim.run()
         assert got_b == []
         assert b.frames_lost >= 1
+
+    def test_suppressed_transmission_still_deafens(self):
+        # b's radio is down (tx_blocked): its frame never reaches the
+        # air, but b spends the airtime "transmitting" and so still
+        # cannot decode a's overlapping frame -- a half-duplex loss.
+        from repro.net.medium import ChannelImpairment
+
+        class RadioDown(ChannelImpairment):
+            def tx_blocked(self, sender_name, now):
+                return sender_name == "b"
+
+        sim = Simulator()
+        medium = WirelessMedium(
+            sim, np.random.default_rng(1),
+            LinkBudget(path_loss=LogDistancePathLoss()))
+        medium.impairment = RadioDown()
+        a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0),
+                             rng=np.random.default_rng(2))
+        b = NetworkInterface(sim, medium, "b", lambda: (5.0, 0.0),
+                             phy=PhyConfig(cs_threshold_dbm=40.0),
+                             rng=np.random.default_rng(3))
+        losses = []
+        b.on_loss(lambda f, reason: losses.append(reason))
+        got_a = []
+        a.on_receive(lambda f, info: got_a.append(f))
+        sim.schedule(0.0, lambda: a.send(make_frame(size=1400)))
+        sim.schedule(0.0005, lambda: b.send(make_frame(size=60)))
+        sim.run()
+        assert medium.frames_suppressed == 1
+        assert medium.frames_sent == 1
+        assert losses == ["half-duplex"]
+        assert b.frames_received == 0
+        assert got_a == []
