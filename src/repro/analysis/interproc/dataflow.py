@@ -32,8 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.interproc.symbols import FunctionSymbol
 
 #: Wall-clock and global-randomness call targets that taint a value.
-#: ``time.perf_counter`` is deliberately absent: the obs layer uses
-#: it for host-side durations that never feed simulated behaviour.
+#: ``time.perf_counter`` is deliberately absent: the campaign executor
+#: uses it for per-run host durations that never feed simulated
+#: behaviour.
 TAINT_SOURCES: Dict[str, str] = {
     "time.time": "wall clock",
     "time.time_ns": "wall clock",
@@ -53,8 +54,8 @@ TAINT_SOURCES: Dict[str, str] = {
 }
 
 #: Modules whose own use of these APIs is sanctioned (the substream
-#: factory seeds from them deliberately; the profiler is host-side).
-TAINT_EXEMPT_MODULES = ("repro.sim.randomness", "repro.obs.profile")
+#: factory seeds from them deliberately).
+TAINT_EXEMPT_MODULES = ("repro.sim.randomness",)
 
 
 @dataclasses.dataclass(frozen=True)

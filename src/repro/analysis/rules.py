@@ -14,7 +14,7 @@ The catalogue (rationale per rule in ARCHITECTURE.md §10):
 DET001    no module-level or unseeded ``random``/``numpy.random``
           outside the ``repro.sim.randomness`` substream factory
 DET002    no wall-clock reads (``time.time``, ``time.monotonic``,
-          ``datetime.now``/``today``) outside ``repro.obs.profile``
+          ``datetime.now``/``today``); no module is exempt
 DET003    no iteration over sets anywhere, nor over mapping views
           inside canonical exporters/mergers, without ``sorted(...)``
 DET004    no float ``+=`` accumulators in exactly-mergeable state
@@ -238,14 +238,13 @@ class WallClockRule(Rule):
     """Simulated code must read ``sim.now``, never the host clock."""
 
     rule_id = "DET002"
-    title = "wall-clock read outside the profiling allowlist"
+    title = "wall-clock read in simulated code"
     rationale = (
         "Wall time differs between hosts, runs and workers; one "
         "time.time() in a simulated path breaks bit-identity.  "
-        "Simulated code reads sim.now; wall-clock profiling goes "
-        "through repro.obs.profile (perf_counter durations that "
-        "never feed measurements).")
-    allowed_modules = ("repro.obs.profile",)
+        "Simulated code reads sim.now; a host-side duration is a "
+        "time.perf_counter difference that never feeds a "
+        "measurement.")
 
     _BANNED = {
         "time.time": "read sim.now instead",
@@ -273,8 +272,7 @@ class WallClockRule(Rule):
                 yield self.finding(
                     ctx, node,
                     f"wall-clock call {target}() in simulated code "
-                    f"({why}); only repro.obs.profile may touch the "
-                    f"host clock")
+                    f"({why}); no module is exempt")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,6 @@ class FloatAccumulatorRule(Rule):
         "Keep counts as int and sums as fractions.Fraction (every "
         "float is an exact rational), converting to float only at "
         "the export edge.")
-    allowed_modules = ("repro.obs.profile",)
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -11,10 +11,6 @@ Subcommands:
   SAFE/LATE/NO/SPURIOUS-stop verdicts;
 * ``fleet`` -- fleet-scale congestion campaigns: N OBUs and M RSUs
   sharing one channel, sweepable over fleet sizes;
-* ``bench`` -- the fixed perf grid, writing ``BENCH_<rev>.json``
-  (``--fleet-sizes`` adds a fleet-size axis);
-* ``bench-gate`` -- compare a fresh bench artefact against a
-  committed baseline with warn/fail tolerance bands;
 * ``vary`` -- the scenario-space variation engine: sample a declared
   spec (grid / LHS / adaptive boundary refinement), run every point,
   and emit a canonical coverage report;
@@ -33,9 +29,6 @@ Examples::
     repro-testbed campaign --runs 10 --secured
     repro-testbed campaign --runs 50 --workers 4 --cache-dir .runs
     repro-testbed platoon --interface 5g_leader --members 5
-    repro-testbed bench --runs 5
-    repro-testbed bench-gate --fresh BENCH_abc.json \
-        --baseline BENCH_192981b.json
     repro-testbed vary run --spec blind-corner-demo \
         --sampler adaptive --points 8 --report coverage.json
     repro-testbed vary sample --spec brake-demo --sampler lhs \
@@ -346,108 +339,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import (
-        default_output_path,
-        run_bench,
-        write_bench,
-    )
-
-    fleet_sizes = ([int(n) for n in args.fleet_sizes.split(",")]
-                   if args.fleet_sizes else None)
-    payload = run_bench(runs=args.runs, base_seed=args.seed,
-                        fleet_sizes=fleet_sizes,
-                        progress=_print_progress)
-    path = args.output or default_output_path(payload["revision"])
-    write_bench(payload, path)
-    wall = payload["wall"]
-    print(f"bench: {payload['grid']['runs']} runs in "
-          f"{wall['total_s']:.2f} s "
-          f"({wall['runs_per_sec']:.2f} runs/s, "
-          f"{payload['kernel']['events_per_sec']:,.0f} kernel "
-          f"events/s)")
-    for name, stats in sorted(payload["spans"].items()):
-        print(f"  span {name:<28} n={stats['count']:<6} "
-              f"mean={stats['mean_s'] * 1000:8.3f} ms")
-    for name, stats in sorted(payload["wall_sites"].items()):
-        print(f"  wall {name:<28} n={stats['count']:<6} "
-              f"mean={stats['mean_s'] * 1000:8.3f} ms")
-    for entry in payload.get("fleet", []):
-        print(f"  fleet N={entry['n_obus']:<4} "
-              f"wall={entry['wall_s']:7.2f} s "
-              f"{entry['events_per_sec']:,.0f} kernel events/s "
-              f"cbr={entry['cbr_mean']:.3f}")
-    print(f"(written to {path})")
-    return 0
-
-
-def _load_bench_artefact(label: str, path: str):
-    import json
-
-    from repro.obs.bench import validate_bench
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise SystemExit(
-            f"repro-testbed: error: cannot read --{label} "
-            f"{path!r} ({error})") from error
-    try:
-        validate_bench(payload)
-    except ValueError as error:
-        raise SystemExit(
-            f"repro-testbed: error: --{label} {path!r} is not a "
-            f"valid bench artefact ({error})") from error
-    return payload
-
-
-def cmd_bench_gate(args: argparse.Namespace) -> int:
-    import glob
-    import json
-
-    from repro.obs.benchgate import compare_bench, render_gate
-
-    fresh = _load_bench_artefact("fresh", args.fresh)
-    matches = sorted(glob.glob(args.baseline))
-    if not matches:
-        # A repository that has never committed a BENCH_*.json has
-        # nothing to gate against; that is a clean pass, not an
-        # error, so fresh clones stay green until a baseline lands.
-        revision = str(fresh.get("revision", "unknown"))
-        print(f"bench gate: no committed baseline matches "
-              f"{args.baseline!r}")
-        print(f"verdict: NO-BASELINE  (fresh {revision} accepted "
-              f"ungated)")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump({"status": "no-baseline",
-                           "baseline_pattern": args.baseline,
-                           "fresh_revision": revision},
-                          handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.json}")
-        return 0
-    if len(matches) > 1:
-        listing = ", ".join(matches)
-        raise SystemExit(
-            f"repro-testbed: error: --baseline {args.baseline!r} "
-            f"matches {len(matches)} artefacts ({listing}); pass "
-            f"one explicitly")
-    baseline = _load_bench_artefact("baseline", matches[0])
-    result = compare_bench(baseline, fresh,
-                           warn_ratio=args.warn,
-                           fail_ratio=args.fail)
-    print(render_gate(result), end="")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 1 if result.failed else 0
-
-
 def _fleet_progress(outcome, done: int, total: int) -> None:
     result = outcome.result
     print(f"  [{done}/{total}] run {outcome.run_id} "
@@ -678,45 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "section (forces serial runs)")
     _add_engine_arguments(report_parser)
     report_parser.set_defaults(func=cmd_report)
-
-    bench_parser = sub.add_parser(
-        "bench", help="perf benchmark grid -> BENCH_<rev>.json")
-    bench_parser.add_argument("--runs", type=_positive_int, default=5,
-                              help="grid size (consecutive seeds)")
-    bench_parser.add_argument("--seed", type=int, default=1,
-                              help="base random seed of the grid")
-    bench_parser.add_argument("--output", default=None, metavar="FILE",
-                              help="artefact path (default: "
-                                   "BENCH_<rev>.json)")
-    bench_parser.add_argument("--fleet-sizes", default=None,
-                              metavar="N,N,...",
-                              help="also bench fleet scenarios at "
-                                   "these OBU counts (e.g. 1,8,32)")
-    bench_parser.set_defaults(func=cmd_bench)
-
-    gate_parser = sub.add_parser(
-        "bench-gate", help="compare a fresh bench artefact against a "
-                           "committed baseline (warn/fail bands)")
-    gate_parser.add_argument("--fresh", required=True, metavar="FILE",
-                             help="the just-measured BENCH_*.json")
-    gate_parser.add_argument("--baseline", default="BENCH_*.json",
-                             metavar="FILE",
-                             help="the committed reference "
-                                  "BENCH_*.json -- a path or glob; "
-                                  "no match is a clean no-baseline "
-                                  "pass (default: BENCH_*.json)")
-    gate_parser.add_argument("--warn", type=float, default=0.25,
-                             metavar="RATIO",
-                             help="warn when a metric is this "
-                                  "fraction worse (default 0.25)")
-    gate_parser.add_argument("--fail", type=float, default=3.0,
-                             metavar="RATIO",
-                             help="fail when a metric is this "
-                                  "fraction worse (default 3.0)")
-    gate_parser.add_argument("--json", default=None, metavar="FILE",
-                             help="write the per-metric verdicts as "
-                                  "JSON")
-    gate_parser.set_defaults(func=cmd_bench_gate)
 
     vary_parser = sub.add_parser(
         "vary", help="scenario-space variation engine "

@@ -301,8 +301,8 @@ def execute_jobs(
     loss via lease expiry and bounded retries.  Completions stream
     through *progress* in completion order; results and the *obs*
     aggregate are folded in job-list order, so neither backend,
-    worker count nor cache state changes a byte of either (wall-clock
-    profile stats aside, which are real measured times).
+    worker count nor cache state changes a byte of either (per-run
+    wall times aside, which are real measured times).
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 = auto), "

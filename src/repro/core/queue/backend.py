@@ -61,10 +61,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 STATES = ("pending", "leased", "done", "dead")
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS items (
     item_id        TEXT PRIMARY KEY,
     seq            INTEGER NOT NULL,
@@ -166,23 +162,6 @@ class WorkQueue:
     def _count(self, name: str, amount: int = 1) -> None:
         if self.obs is not None:
             self.obs.count(name, float(amount))
-
-    # ------------------------------------------------------------------
-    # Campaign metadata
-    # ------------------------------------------------------------------
-
-    def set_meta(self, key: str, value: Any) -> None:
-        """Attach one JSON-serialisable campaign metadata entry."""
-        self._db.execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-            (key, canonical_json(value)))
-
-    def get_meta(self, key: str) -> Optional[Any]:
-        """One metadata entry, or None when absent."""
-        row = self._db.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
-        return None if row is None else json.loads(row[0])
 
     # ------------------------------------------------------------------
     # Producer side

@@ -159,13 +159,10 @@ class DenBasicService:
         return event
 
     def _send(self, denm: Denm, area: CircularArea) -> None:
+        payload = denm.encode()
         obs = self.sim.obs
         if obs is not None:
-            with obs.profile("asn1.encode"):
-                payload = denm.encode()
             obs.count("den.denms_sent", device=str(self.station_id))
-        else:
-            payload = denm.encode()
         self.router.send_gbc(
             payload, BtpPort.DENM, area,
             hop_limit=self.config.hop_limit,
@@ -198,13 +195,10 @@ class DenBasicService:
         self._callbacks.append(callback)
 
     def _on_payload(self, payload: bytes, _context: object) -> None:
+        denm = Denm.decode(payload)
         obs = self.sim.obs
         if obs is not None:
-            with obs.profile("asn1.decode"):
-                denm = Denm.decode(payload)
             obs.count("den.denms_received", device=str(self.station_id))
-        else:
-            denm = Denm.decode(payload)
         self.denms_received += 1
         classification = self._classify(denm)
         if classification == "termination":

@@ -1,9 +1,9 @@
-"""Deterministic observability: metrics, sim-time spans, wall profiling.
+"""Deterministic observability: metrics and sim-time spans.
 
 The testbed's headline claims are quantitative (Table II latency
 decomposition, the 1.6 ms radio hop, the 0.36 m braking distance), so
 the reproduction needs a first-class measurement layer rather than ad
-hoc prints.  This package provides three cooperating pieces:
+hoc prints.  This package provides two cooperating pieces:
 
 * :mod:`repro.obs.metrics` -- a registry of counters, gauges and
   fixed-bucket histograms with *exact* mergeable state (histogram sums
@@ -11,11 +11,11 @@ hoc prints.  This package provides three cooperating pieces:
   associative and commutative bit for bit);
 * :mod:`repro.obs.spans` -- sim-time spans (``span("phy.tx") ...
   end()``) recorded per device as structured events, aggregated into
-  per-stage statistics;
-* :mod:`repro.obs.profile` -- wall-clock profiling hooks around the
-  hot paths (per-run sim step, vision Canny/Hough, PER
-  encode/decode), kept strictly separate from the simulated-time data
-  because wall time is *not* deterministic.
+  per-stage statistics.
+
+Host wall time is not deterministic; apart from one duration per run
+(for runs/sec) it is not recorded here.  The outside-in benchmark
+under ``bench/`` measures it, untraced end to end and per layer.
 
 Everything hangs off an :class:`~repro.obs.context.ObsContext`
 attached to a :class:`~repro.sim.kernel.Simulator` via ``sim.obs``.
@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     DEFAULT_BUCKETS,
 )
-from repro.obs.profile import WallProfiler, WallStats
 from repro.obs.spans import Span, SpanEvent, SpanRecorder, SpanStats
 
 __all__ = [
@@ -48,6 +47,4 @@ __all__ = [
     "SpanEvent",
     "SpanRecorder",
     "SpanStats",
-    "WallProfiler",
-    "WallStats",
 ]

@@ -1,7 +1,7 @@
 """The per-run observability context and the campaign aggregate.
 
-:class:`ObsContext` bundles the three collectors (metrics registry,
-sim-time span recorder, wall profiler) for *one* simulation run.  A
+:class:`ObsContext` bundles the two collectors (metrics registry,
+sim-time span recorder) for *one* simulation run.  A
 testbed built with ``ScaleTestbed(scenario, obs=ctx)`` attaches it as
 ``sim.obs``; every instrumented site in the stack then reports
 through the convenience methods here.  When no context is attached
@@ -9,19 +9,18 @@ through the convenience methods here.  When no context is attached
 is bit-identical to an uninstrumented one.
 
 :class:`ObsAggregate` folds per-run contexts into campaign-level
-state: metric registries merge exactly, span and wall statistics
-merge per name, per-run wall times accumulate for runs/sec.  The
-campaign engine attaches the aggregate to its
-:class:`~repro.core.testbed.CampaignResult` and the ``bench``
-subcommand serialises it into ``BENCH_<rev>.json``.
+state: metric registries merge exactly, span statistics merge per
+name, per-run wall times accumulate for runs/sec.  The campaign
+engine attaches the aggregate to its
+:class:`~repro.core.testbed.CampaignResult`.  Host wall time per
+layer is measured from outside the package, by ``bench/``.
 """
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import WallProfiler, WallStats
 from repro.obs.spans import (
     Span,
     SpanEvent,
@@ -37,7 +36,6 @@ class ObsContext:
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder()
-        self.wall = WallProfiler()
 
     def bind(self, sim: Any) -> "ObsContext":
         """Attach to *sim*: spans read ``sim.now``, seams light up."""
@@ -74,14 +72,9 @@ class ObsContext:
         """Record a sim-time span whose endpoints are known."""
         self.spans.record(name, start, end, device=device)
 
-    def profile(self, name: str) -> ContextManager[None]:
-        """Wall-clock timing context for a hot path."""
-        return self.wall.measure(name)
-
-    def kernel_step(self, wall_seconds: float) -> None:
-        """Kernel hook: one executed event and its wall cost."""
+    def kernel_step(self) -> None:
+        """Kernel hook: one executed event."""
         self.metrics.counter("kernel.events").inc()
-        self.wall.observe("kernel.step", wall_seconds)
 
     # ------------------------------------------------------------------
     # Export
@@ -95,7 +88,6 @@ class ObsContext:
                       for name, stats
                       in sorted(self.spans.stats().items())},
             "span_events": self.spans.to_dicts(),
-            "wall": self.wall.to_dict(),
         }
 
     @classmethod
@@ -104,13 +96,13 @@ class ObsContext:
 
         Per-name span statistics are re-derived from the replayed
         events, so the round-tripped ``to_dict`` matches the
-        original byte for byte.
+        original byte for byte.  A ``"wall"`` profile, which bodies
+        stored by earlier versions carry, is ignored.
         """
         ctx = cls()
         ctx.metrics = MetricsRegistry.from_dict(data["metrics"])
         for entry in data["span_events"]:
             ctx.spans._events.append(SpanEvent.from_dict(entry))
-        ctx.wall = WallProfiler.from_dict(data["wall"])
         return ctx
 
     def to_prometheus_text(self) -> str:
@@ -131,7 +123,6 @@ class ObsAggregate:
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.span_stats: Dict[str, SpanStats] = {}
-        self.wall = WallProfiler()
         self.runs = 0
         self.cached_runs = 0
         self.run_wall_seconds: List[float] = []
@@ -141,7 +132,6 @@ class ObsAggregate:
         """Fold one instrumented run into the aggregate."""
         self.metrics.merge(ctx.metrics)
         merge_span_stats(self.span_stats, ctx.spans.stats())
-        self.wall.merge(ctx.wall)
         self.runs += 1
         if wall_seconds is not None:
             self.run_wall_seconds.append(wall_seconds)
@@ -177,7 +167,6 @@ class ObsAggregate:
             "spans": {name: stats.to_dict()
                       for name, stats in
                       sorted(self.span_stats_sorted().items())},
-            "wall": self.wall.to_dict(),
         }
 
     @classmethod
@@ -191,18 +180,17 @@ class ObsAggregate:
         agg.metrics = MetricsRegistry.from_dict(data["metrics"])
         for name, entry in sorted(data["spans"].items()):
             agg.span_stats[name] = SpanStats.from_dict(entry)
-        agg.wall = WallProfiler.from_dict(data["wall"])
         return agg
 
     def sim_digest(self) -> str:
         """SHA-256 over the deterministic slice of the aggregate.
 
         Covers run/cached counts, metrics and span statistics -- the
-        parts the simulation determines -- and excludes the
-        wall-clock profile and per-run wall times, which are real
-        measured durations and never reproducible.  Two campaigns
-        over the same work fold to the same ``sim_digest`` whatever
-        the backend, worker count or crash history.
+        parts the simulation determines -- and excludes the per-run
+        wall times, which are real measured durations and never
+        reproducible.  Two campaigns over the same work fold to the
+        same ``sim_digest`` whatever the backend, worker count or
+        crash history.
         """
         import hashlib
 
@@ -215,4 +203,4 @@ class ObsAggregate:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-__all__ = ["ObsAggregate", "ObsContext", "WallStats"]
+__all__ = ["ObsAggregate", "ObsContext"]

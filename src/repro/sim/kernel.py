@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.tie_audit import UNKNOWN_SITE, TieAudit
@@ -332,12 +331,9 @@ class Simulator:
                          self._queue.peek_site())
         self._now = when
         obs = self.obs
-        if obs is None:
-            callback()
-        else:
-            begin = perf_counter()
-            callback()
-            obs.kernel_step(perf_counter() - begin)
+        callback()
+        if obs is not None:
+            obs.kernel_step()
         if self._pending_failures:
             failure = self._pending_failures.pop(0)
             self._pending_failures.clear()

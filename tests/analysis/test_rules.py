@@ -15,6 +15,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.rules import (
     PoolBoundaryRule,
+    all_rules,
     build_context,
     resolve_target,
     rule_ids,
@@ -78,14 +79,44 @@ class TestAllowlists:
         assert [f.rule for f in in_factory] == []
         assert [f.rule for f in elsewhere] == ["DET001"]
 
-    def test_det002_exempt_in_profile_module(self):
+    def test_det002_fires_under_obs_package(self):
+        # DET002 has no allowlisted module: the observability package
+        # records sim time only, so a host-clock read there is flagged
+        # like anywhere else.
         source = ("import time\n"
                   "def stamp():\n"
                   "    return time.time()\n")
-        in_profile = lint_source(source, "src/repro/obs/profile.py")
-        elsewhere = lint_source(source, "src/repro/sim/kernel.py")
-        assert [f.rule for f in in_profile] == []
-        assert [f.rule for f in elsewhere] == ["DET002"]
+        for path in ("src/repro/obs/context.py", "src/repro/obs/wall.py",
+                     "src/repro/sim/kernel.py"):
+            assert [f.rule for f in lint_source(source, path)] == \
+                ["DET002"], path
+
+    def test_det002_det004_allowlist_no_module(self):
+        rules = {rule.rule_id: rule for rule in all_rules()}
+        assert rules["DET002"].allowed_modules == ()
+        assert rules["DET004"].allowed_modules == ()
+
+    def test_det004_fires_under_obs_package(self):
+        source = ("class Stats:\n"
+                  "    def __init__(self):\n"
+                  "        self.total = 0.0\n"
+                  "    def merge(self, other):\n"
+                  "        self.total += other.total\n")
+        for path in ("src/repro/obs/spans.py", "src/repro/net/phy.py"):
+            assert [f.rule for f in lint_source(source, path)] == \
+                ["DET004"], path
+
+    def test_taint_exempts_only_the_substream_factory(self):
+        from repro.analysis.interproc.dataflow import TAINT_EXEMPT_MODULES
+
+        assert TAINT_EXEMPT_MODULES == ("repro.sim.randomness",)
+
+    def test_obs_package_reads_no_host_clock(self):
+        obs_dir = os.path.join(os.path.dirname(__file__), os.pardir,
+                               os.pardir, "src", "repro", "obs")
+        result = lint_paths([obs_dir], select=["DET002", "DET004"])
+        assert result.files_checked > 0
+        assert result.findings == []
 
     def test_fixture_paths_never_match_repro_allowlists(self):
         assert not module_name_for(

@@ -104,6 +104,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["bench", "bench-gate"])
+    def test_wall_benchmark_commands_are_gone(self, command, capsys):
+        # Host wall time is measured by bench/run.py, outside the
+        # package; the CLI has no benchmark subcommand.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_run_command(self, capsys):
         code = main(["run", "--seed", "7", "--start-distance", "4.0"])
         out = capsys.readouterr().out
@@ -172,6 +181,22 @@ class TestReport:
         assert code == 0
         assert out_path.exists()
         assert "Reproduction report" in out
+
+    def test_observability_section_reports_run_wall_times(self):
+        from repro.core.report import _observability_section
+        from repro.obs import ObsAggregate, ObsContext
+
+        obs = ObsAggregate()
+        for wall in (0.5, 1.5):
+            ctx = ObsContext()
+            ctx.count("kernel.events", 3)
+            ctx.record_span("e2e.total", 0.0, 0.25)
+            obs.add_run(ctx, wall)
+        obs.add_cached()
+        text = "\n".join(_observability_section(obs))
+        assert ("2 instrumented runs (1 cache hits), 2.00 s wall, "
+                "1.00 runs/s.") in text
+        assert "| e2e.total | 2 | 250.00 | 250.00 | 250.00 |" in text
 
     def test_report_deterministic(self, tmp_path):
         from repro.core.report import ReportConfig, generate_report

@@ -26,7 +26,6 @@ from repro.faults.plan import (
 from repro.core.scenario import EmergencyBrakeScenario
 from repro.obs.context import ObsAggregate, ObsContext
 from repro.obs.metrics import Counter
-from repro.obs.profile import WallProfiler, WallStats
 from repro.obs.spans import SpanEvent, SpanStats
 
 
@@ -123,26 +122,6 @@ class TestObsRoundtrips:
         again = SpanEvent.from_dict(event.to_dict())
         assert again == event
 
-    def test_wall_stats(self):
-        stats = WallStats()
-        stats.add(0.25)
-        stats.add(0.5)
-        again = WallStats.from_dict(stats.to_dict())
-        assert again.to_dict() == stats.to_dict()
-
-    def test_wall_stats_empty(self):
-        stats = WallStats()
-        again = WallStats.from_dict(stats.to_dict())
-        assert again.to_dict() == stats.to_dict()
-
-    def test_wall_profiler(self):
-        profiler = WallProfiler()
-        profiler.observe("kernel.step", 0.001)
-        profiler.observe("kernel.step", 0.003)
-        profiler.observe("vision.canny", 0.125)
-        again = WallProfiler.from_dict(profiler.to_dict())
-        assert again.to_dict() == profiler.to_dict()
-
     def test_obs_context(self):
         ctx = ObsContext()
         ctx.count("kernel.events", 3)
@@ -150,7 +129,6 @@ class TestObsRoundtrips:
         ctx.set_gauge("queue.depth", 7)
         ctx.record_span("phy.tx", 1.0, 1.5, device="rsu")
         ctx.record_span("phy.tx", 2.0, 2.25, device="obu")
-        ctx.wall.observe("kernel.step", 0.002)
         again = ObsContext.from_dict(ctx.to_dict())
         assert again.to_dict() == ctx.to_dict()
         assert again.to_prometheus_text() == ctx.to_prometheus_text()

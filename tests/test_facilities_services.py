@@ -7,6 +7,7 @@ from repro.geonet import CircularArea, LocalFrame
 from repro.messages import ActionId, Denm, ReferencePosition, StationType
 from repro.net import WirelessMedium
 from repro.net.propagation import LinkBudget, LogDistancePathLoss
+from repro.obs import ObsContext
 from repro.sim import NtpModel, RandomStreams, Simulator
 
 FRAME = LocalFrame()
@@ -124,15 +125,20 @@ class TestCaGenerationRules:
         assert stations[0].ca.current_period < config.t_gen_cam_max
 
 
+def collision_denm(station, x=2.0, y=0.0):
+    """A fresh collision-risk DENM originated by *station*."""
+    geo = FRAME.to_geo(x, y)
+    return Denm.collision_risk(
+        station.den.allocate_action_id(),
+        detection_time=station.its_time(),
+        event_position=ReferencePosition(geo.latitude, geo.longitude),
+        station_type=StationType.ROAD_SIDE_UNIT,
+    )
+
+
 class TestDenService:
     def make_denm(self, station, x=2.0, y=0.0):
-        geo = FRAME.to_geo(x, y)
-        return Denm.collision_risk(
-            station.den.allocate_action_id(),
-            detection_time=station.its_time(),
-            event_position=ReferencePosition(geo.latitude, geo.longitude),
-            station_type=StationType.ROAD_SIDE_UNIT,
-        )
+        return collision_denm(station, x, y)
 
     def test_trigger_delivers(self):
         sim, (a, b) = build_stations(enable_cam=False)
@@ -242,6 +248,67 @@ class TestDenService:
         assert denm.action_id in a.den.originated_events()
         a.den.cancel(denm.action_id)
         assert denm.action_id not in a.den.originated_events()
+
+
+class TestObservedServices:
+    """CAM/DENM encode and decode run whether or not a context is
+    attached; an attached one counts every message per station."""
+
+    @staticmethod
+    def counted(ctx, name, station):
+        return ctx.metrics.counter(
+            name, device=str(station.station_id)).value
+
+    @staticmethod
+    def cam_run(observe):
+        sim, stations = build_stations(count=3)
+        ctx = ObsContext().bind(sim) if observe else None
+        sim.run_until(3.0)
+        return ctx, stations
+
+    @staticmethod
+    def denm_run(observe):
+        sim, stations = build_stations(count=3, enable_cam=False)
+        ctx = ObsContext().bind(sim) if observe else None
+        origin = stations[0]
+        for delay in (0.1, 0.4, 0.7):
+            sim.schedule(delay, lambda: origin.den.trigger(
+                collision_denm(origin)))
+        sim.run_until(1.5)
+        return ctx, stations
+
+    def test_cam_counters_match_service_tallies(self):
+        ctx, stations = self.cam_run(observe=True)
+        for station in stations:
+            assert station.ca.cams_sent > 0
+            assert station.ca.cams_received > 0
+            assert self.counted(ctx, "ca.cams_sent", station) == \
+                station.ca.cams_sent
+            assert self.counted(ctx, "ca.cams_received", station) == \
+                station.ca.cams_received
+
+    def test_cam_traffic_identical_with_and_without_obs(self):
+        _ctx, observed = self.cam_run(observe=True)
+        _none, plain = self.cam_run(observe=False)
+        assert [(s.ca.cams_sent, s.ca.cams_received) for s in observed] \
+            == [(s.ca.cams_sent, s.ca.cams_received) for s in plain]
+
+    def test_denm_counters_match_service_tallies(self):
+        ctx, stations = self.denm_run(observe=True)
+        assert stations[0].den.denms_sent == 3
+        for station in stations:
+            assert self.counted(ctx, "den.denms_sent", station) == \
+                station.den.denms_sent
+            assert self.counted(ctx, "den.denms_received", station) == \
+                station.den.denms_received
+        assert all(s.den.denms_received > 0 for s in stations[1:])
+
+    def test_denm_traffic_identical_with_and_without_obs(self):
+        _ctx, observed = self.denm_run(observe=True)
+        _none, plain = self.denm_run(observe=False)
+        assert [(s.den.denms_sent, s.den.denms_received)
+                for s in observed] == \
+            [(s.den.denms_sent, s.den.denms_received) for s in plain]
 
 
 class TestStationClock:

@@ -1,12 +1,14 @@
-"""Tests for sim-time spans and the wall profiler (repro.obs)."""
+"""Tests for sim-time spans and the observability context (repro.obs)."""
 
 import math
 
+import pytest
+
 from repro.obs import (
+    ObsAggregate,
     ObsContext,
     SpanRecorder,
     SpanStats,
-    WallProfiler,
 )
 from repro.obs.spans import merge_span_stats
 from repro.sim.kernel import Simulator
@@ -102,31 +104,6 @@ class TestSpanStats:
         assert into["y"].count == 1
 
 
-class TestWallProfiler:
-    def test_measure_records_positive_time(self):
-        profiler = WallProfiler()
-        with profiler.measure("hot"):
-            sum(range(1000))
-        stats = profiler.stats()["hot"]
-        assert stats.count == 1
-        assert stats.total >= 0.0
-
-    def test_observe_and_merge(self):
-        a, b = WallProfiler(), WallProfiler()
-        a.observe("k", 0.5)
-        b.observe("k", 1.5)
-        a.merge(b)
-        assert a.stats()["k"].count == 2
-        assert a.stats()["k"].total == 2.0
-
-    def test_to_dict_shape(self):
-        profiler = WallProfiler()
-        profiler.observe("k", 0.5)
-        entry = profiler.to_dict()["k"]
-        assert set(entry) == {"count", "total_s", "min_s", "max_s",
-                              "mean_s"}
-
-
 class TestObsContext:
     def test_bind_attaches_to_simulator(self):
         sim = Simulator()
@@ -151,20 +128,16 @@ class TestObsContext:
         ctx.observe("h", 0.5)
         ctx.set_gauge("g", 3.0)
         ctx.record_span("s", 0.0, 1.0)
-        with ctx.profile("w"):
-            pass
         data = ctx.to_dict()
         assert 'c{device="obu"}' in data["metrics"]
         assert data["spans"]["s"]["count"] == 1
-        assert "w" in data["wall"]
         assert data["span_events"][0]["name"] == "s"
 
     def test_kernel_step_hook(self):
         ctx = ObsContext()
-        ctx.kernel_step(1e-6)
-        ctx.kernel_step(2e-6)
+        ctx.kernel_step()
+        ctx.kernel_step()
         assert ctx.metrics.counter("kernel.events").value == 2.0
-        assert ctx.wall.stats()["kernel.step"].count == 2
 
     def test_prometheus_text_includes_span_summaries(self):
         ctx = ObsContext()
@@ -183,7 +156,162 @@ class TestObsContext:
         sim.run_until(5.0)
         assert fired == [1, 2]
         assert ctx.metrics.counter("kernel.events").value == 2.0
-        assert ctx.wall.stats()["kernel.step"].count == 2
+
+
+class TestKernelHook:
+    """``Simulator.step`` calls ``obs.kernel_step()`` once per event."""
+
+    @staticmethod
+    def events(ctx):
+        return ctx.metrics.counter("kernel.events").value
+
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    def test_counts_every_executed_event(self, count):
+        sim = Simulator()
+        ctx = ObsContext().bind(sim)
+        for index in range(count):
+            sim.schedule(0.5 * index, lambda: None)
+        sim.run_until(100.0)
+        assert self.events(ctx) == float(count)
+
+    def test_idle_simulator_registers_no_counter(self):
+        sim = Simulator()
+        ctx = ObsContext().bind(sim)
+        sim.run_until(5.0)
+        assert ctx.to_dict()["metrics"] == {}
+
+    def test_hook_runs_after_the_callback(self):
+        sim = Simulator()
+        ctx = ObsContext().bind(sim)
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(self.events(ctx)))
+        sim.schedule(2.0, lambda: seen.append(self.events(ctx)))
+        sim.run_until(5.0)
+        assert seen == [0.0, 1.0]
+        assert self.events(ctx) == 2.0
+
+    def test_events_scheduled_by_callbacks_are_counted(self):
+        sim = Simulator()
+        ctx = ObsContext().bind(sim)
+
+        def chain(remaining):
+            if remaining:
+                sim.schedule(1.0, lambda: chain(remaining - 1))
+
+        sim.schedule(0.0, lambda: chain(4))
+        sim.run()
+        assert self.events(ctx) == 5.0
+
+    def test_hook_patched_by_name_sees_every_event(self, monkeypatch):
+        # bench/layers.py wraps ObsContext.kernel_step by name; the
+        # kernel must keep calling it through the instance.
+        calls = []
+        original = ObsContext.kernel_step
+
+        def wrapped(ctx):
+            calls.append(ctx)
+            original(ctx)
+
+        monkeypatch.setattr(ObsContext, "kernel_step", wrapped)
+        sim = Simulator()
+        ctx = ObsContext().bind(sim)
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: None)
+        sim.run_until(5.0)
+        assert calls == [ctx, ctx, ctx]
+        assert self.events(ctx) == 3.0
+
+    def test_attaching_mid_run_counts_only_later_events(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(3.0, lambda: fired.append(3))
+        sim.run_until(2.0)
+        ctx = ObsContext().bind(sim)
+        sim.run_until(5.0)
+        assert fired == [1, 3]
+        assert self.events(ctx) == 1.0
+
+
+class TestObsAggregate:
+    """Export shape and per-run wall times of the campaign fold."""
+
+    @staticmethod
+    def context():
+        ctx = ObsContext()
+        ctx.count("kernel.events", 4)
+        ctx.observe("e2e.latency", 0.042)
+        ctx.record_span("e2e.total", 0.0, 0.5, device="obu")
+        return ctx
+
+    def test_context_export_has_no_wall_key(self):
+        assert set(self.context().to_dict()) == {
+            "metrics", "spans", "span_events"}
+
+    def test_context_ignores_wall_profile_of_earlier_bodies(self):
+        data = self.context().to_dict()
+        legacy = dict(data, wall={
+            "kernel.step": {"count": 4, "total_s": 4e-05,
+                            "min_s": 1e-05, "max_s": 1e-05,
+                            "mean_s": 1e-05}})
+        assert ObsContext.from_dict(legacy).to_dict() == data
+
+    def test_aggregate_export_has_no_wall_key(self):
+        agg = ObsAggregate()
+        agg.add_run(self.context(), 0.25)
+        assert set(agg.to_dict()) == {
+            "runs", "cached_runs", "run_wall_seconds", "metrics",
+            "spans"}
+
+    def test_aggregate_ignores_wall_profile_of_earlier_exports(self):
+        agg = ObsAggregate()
+        agg.add_run(self.context(), 0.25)
+        legacy = dict(agg.to_dict(), wall={})
+        again = ObsAggregate.from_dict(legacy)
+        assert again.to_dict() == agg.to_dict()
+        assert again.sim_digest() == agg.sim_digest()
+
+    def test_total_wall_seconds_sums_runs(self):
+        agg = ObsAggregate()
+        agg.add_run(self.context(), 0.25)
+        agg.add_run(self.context(), 0.5)
+        assert agg.run_wall_seconds == [0.25, 0.5]
+        assert agg.total_wall_seconds == 0.75
+
+    @pytest.mark.parametrize("walls, expected", [
+        ([], math.nan),
+        ([0.0], math.nan),
+        ([0.5, 1.5], 1.0),
+    ])
+    def test_runs_per_second(self, walls, expected):
+        agg = ObsAggregate()
+        for wall in walls:
+            agg.add_run(self.context(), wall)
+        if math.isnan(expected):
+            assert math.isnan(agg.runs_per_second)
+        else:
+            assert agg.runs_per_second == expected
+
+    def test_run_without_wall_time_adds_none(self):
+        agg = ObsAggregate()
+        agg.add_run(self.context())
+        assert agg.runs == 1
+        assert agg.run_wall_seconds == []
+        assert math.isnan(agg.runs_per_second)
+
+    def test_sim_digest_ignores_wall_times(self):
+        fast, slow = ObsAggregate(), ObsAggregate()
+        fast.add_run(self.context(), 0.1)
+        slow.add_run(self.context(), 9.0)
+        assert fast.to_dict() != slow.to_dict()
+        assert fast.sim_digest() == slow.sim_digest()
+
+    def test_cached_runs_move_sim_digest(self):
+        plain, cached = ObsAggregate(), ObsAggregate()
+        plain.add_run(self.context(), 0.1)
+        cached.add_run(self.context(), 0.1)
+        cached.add_cached()
+        assert plain.sim_digest() != cached.sim_digest()
 
 
 def test_uninstrumented_simulator_has_no_obs():

@@ -187,6 +187,65 @@ class TestWorkQueue:
         assert value("queue.requeued") == 1.0
         queue.close()
 
+    def test_queue_file_with_meta_table_drains_and_folds(self, tmp_path):
+        # Queue files written by earlier versions also hold a "meta"
+        # key/value table; one must still open, drain and fold.
+        import sqlite3
+
+        from repro.core.queue.campaign import drive_queue, fold, queue_paths
+
+        paths = queue_paths(str(tmp_path / "q"))
+        os.makedirs(os.path.dirname(paths["queue"]))
+        db = sqlite3.connect(paths["queue"])
+        db.executescript("""
+            CREATE TABLE meta (
+                key   TEXT PRIMARY KEY,
+                value TEXT NOT NULL
+            );
+            CREATE TABLE items (
+                item_id        TEXT PRIMARY KEY,
+                seq            INTEGER NOT NULL,
+                kind           TEXT NOT NULL,
+                payload        TEXT NOT NULL,
+                state          TEXT NOT NULL DEFAULT 'pending',
+                attempts       INTEGER NOT NULL DEFAULT 0,
+                max_attempts   INTEGER NOT NULL,
+                lease_owner    TEXT,
+                lease_deadline REAL,
+                completed_by   TEXT,
+                cached         INTEGER,
+                result_key     TEXT,
+                last_error     TEXT
+            );
+            CREATE INDEX idx_items_state_seq ON items (state, seq);
+            INSERT INTO meta (key, value) VALUES ('family', '"brake"');
+        """)
+        db.close()
+        queue = WorkQueue(paths["queue"])
+        assert enqueue(queue, seeded_jobs(BrakeJob, FAST, 2, 4),
+                       observe=True) == 2
+        drive_queue(queue, paths["queue"], paths["store"], workers=1)
+        folded_obs = ObsAggregate()
+        folded = fold(queue, ArtifactStore(paths["store"]), folded_obs)
+        queue.close()
+        pool_obs = ObsAggregate()
+        pool = run_campaign_parallel(FAST, runs=2, base_seed=4,
+                                     workers=1, obs=pool_obs)
+        assert folded.digest() == pool.digest()
+        assert folded_obs.sim_digest() == pool_obs.sim_digest()
+
+    def test_new_queue_file_holds_only_items(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "q.sqlite")
+        WorkQueue(path).close()
+        db = sqlite3.connect(path)
+        names = sorted(row[0] for row in db.execute(
+            "SELECT name FROM sqlite_master WHERE type IN "
+            "('table', 'index') AND name NOT LIKE 'sqlite_%'"))
+        db.close()
+        assert names == ["idx_items_state_seq", "items"]
+
     def test_invalid_inputs(self, tmp_path):
         queue = WorkQueue(str(tmp_path / "q.sqlite"))
         with pytest.raises(ValueError, match="max_attempts"):
