@@ -353,7 +353,7 @@ class SubstreamDisciplineRule(EffectRule):
                 continue
             for call, _target in fx.calls:
                 if is_stream_get(call) and call.args:
-                    name = leading_literal(fx.symbol, call.args[0])
+                    name = leading_literal(fx.scope, call.args[0])
                     if not name:
                         continue
                     if not any(name.startswith(p)
@@ -373,7 +373,7 @@ class SubstreamDisciplineRule(EffectRule):
                         and isinstance(call.func.value, ast.Name)):
                     continue
                 receiver = call.func.value.id
-                producer = local_producer(fx.symbol, receiver)
+                producer = local_producer(fx.scope, receiver)
                 if producer is None:
                     index = _param_index(fx.symbol, receiver)
                     if index is not None:
@@ -405,7 +405,7 @@ class SubstreamDisciplineRule(EffectRule):
                         continue
                     if isinstance(arg, ast.Name):
                         arg = local_producer(
-                            caller.symbol, arg.id) or arg
+                            caller.scope, arg.id) or arg
                     if _is_adhoc(ctx, arg):
                         yield self.site(
                             project, caller, call,

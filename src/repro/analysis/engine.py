@@ -27,7 +27,6 @@ from repro.analysis.registry import (
     family_summary,
     registered_project_rules,
     registered_rule_ids,
-    rule_families,
 )
 from repro.analysis.rules import (
     ModuleContext,
@@ -45,13 +44,6 @@ from repro.analysis.suppressions import (
     apply_suppressions,
     parse_suppressions,
 )
-
-
-#: The rule families, for error messages and reports.  One line per
-#: family: (id range, one-phrase subject).  Generated from the
-#: single registry (:mod:`repro.analysis.registry`).
-RULE_FAMILIES: Tuple[Tuple[str, str], ...] = tuple(
-    (family.span, family.subject) for family in rule_families())
 
 
 class UnknownRuleError(ValueError):
@@ -133,8 +125,6 @@ def module_name_for(path: str) -> str:
         parts = parts[:-1]
     if "src" in parts:
         parts = parts[parts.index("src") + 1:]
-    elif parts and parts[0] == "repro":
-        pass
     return ".".join(part for part in parts if part)
 
 
@@ -214,7 +204,7 @@ def _finalise(state: _FileState, extra: Sequence[Finding],
         return sorted(state.raw, key=Finding.sort_key), []
     kept, unused = apply_suppressions(
         state.raw + list(extra), state.suppressions, state.path,
-        state.ctx.lines, state.ctx.tree, active_rules)
+        state.ctx.lines, state.ctx.nodes, active_rules)
     findings = kept + state.problems
     if warn_suppressions:
         findings += unused

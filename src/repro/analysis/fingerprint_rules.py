@@ -50,12 +50,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.effect_rules import _module_in
 from repro.analysis.findings import Finding
+from repro.analysis.interproc.callgraph import Scope
 from repro.analysis.interproc.effects import local_producer
 from repro.analysis.interproc.project import ProjectContext
 from repro.analysis.interproc.serialization import (
     COVERS_ALL,
     ClassSerialization,
-    FingerprintUse,
     StreamSite,
 )
 from repro.analysis.interproc.symbols import FunctionSymbol, _dotted
@@ -520,7 +520,7 @@ class AdHocStoreKeyRule(FingerprintRule):
         for qname in sorted(functions):
             symbol = functions[qname]
             for node, value, what in self._key_sites(symbol):
-                verdict = self._judge(symbol, value)
+                verdict = self._judge(project.scopes[qname], value)
                 if verdict is not None:
                     yield self.at(
                         project, symbol, node,
@@ -558,11 +558,11 @@ class AdHocStoreKeyRule(FingerprintRule):
                         yield sub.args[0], sub.args[0], \
                             f"{receiver}.put key"
 
-    def _judge(self, symbol: FunctionSymbol,
+    def _judge(self, scope: Scope,
                value: ast.expr) -> Optional[str]:
         """A description of the ad-hoc shape, or None when fine."""
         if isinstance(value, ast.Name):
-            produced = local_producer(symbol, value.id)
+            produced = local_producer(scope, value.id)
             if produced is None:
                 return None
             value = produced
@@ -575,7 +575,7 @@ class AdHocStoreKeyRule(FingerprintRule):
             if isinstance(inner, ast.Constant):
                 return "a literal"
             if not isinstance(inner, ast.Name):
-                return self._judge(symbol, inner)
+                return self._judge(scope, inner)
             return None
         if isinstance(value, ast.Constant):
             return "a literal" if \

@@ -24,18 +24,27 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.interproc.symbols import (
     ClassSymbol,
     FunctionSymbol,
     SymbolTable,
+    _dotted,
 )
 from repro.analysis.rules import ModuleContext
 
 #: The receiver-name convention for the DES kernel seam: a local or
 #: attribute called ``sim`` is the Simulator in this codebase.
 SIMULATOR_QNAME = "repro.sim.kernel.Simulator"
+
+#: Direct callees that construct a Simulator: a caller of one of these
+#: starts a run scope (``sim.build`` effect, run roots).
+SIM_CONSTRUCTORS = (
+    SIMULATOR_QNAME,
+    f"{SIMULATOR_QNAME}.__init__",
+    "repro.sim.kernel.build_simulator",
+)
 
 
 @dataclasses.dataclass
@@ -68,7 +77,8 @@ class _FunctionResolver:
     """Resolves call/reference targets inside one function body."""
 
     def __init__(self, table: SymbolTable, ctx: ModuleContext,
-                 symbol: FunctionSymbol):
+                 symbol: FunctionSymbol,
+                 class_attrs: Mapping[str, Dict[str, str]]):
         self.table = table
         self.ctx = ctx
         self.symbol = symbol
@@ -77,92 +87,43 @@ class _FunctionResolver:
             self.cls = table.classes.get(f"{ctx.module}.{symbol.cls}")
         #: local name -> class qname (annotated params, local ctors).
         self.local_types: Dict[str, str] = {}
-        #: ``self.attr`` -> class qname (from every method's ctor
-        #: assignments, gathered class-wide so any method sees them).
-        self.attr_types: Dict[str, str] = {}
+        #: ``self.attr`` -> class qname, one map shared by every
+        #: method of the class (see :func:`_class_attr_types`).
+        self.attr_types: Dict[str, str] = (
+            class_attrs[self.cls.qname] if self.cls is not None else {})
         self._seed_types()
 
     # -- type seeding --------------------------------------------------
 
     def _seed_types(self) -> None:
         node = self.symbol.node
+        module = self.ctx.module
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for arg in (list(node.args.args)
                         + list(node.args.kwonlyargs)):
-                cls = self._annotation_class(arg.annotation)
+                cls = _annotation_class(self.table, module,
+                                        arg.annotation)
                 if cls is not None:
                     self.local_types[arg.arg] = cls.qname
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Assign) and \
                         len(sub.targets) == 1 and \
                         isinstance(sub.targets[0], ast.Name):
-                    cls = self._constructed_class(sub.value)
+                    cls = _constructed_class(self.table, module,
+                                             sub.value)
                     if cls is not None:
                         self.local_types[sub.targets[0].id] = cls.qname
         elif isinstance(node, ast.Module):
-            # Pseudo-symbol for module-level code: constructor
-            # assignments at the top level type the module globals.
+            # Module-level code: constructor assignments at the top
+            # level type the module globals.
             for item in node.body:
                 if isinstance(item, ast.Assign) and \
                         len(item.targets) == 1 and \
                         isinstance(item.targets[0], ast.Name):
-                    cls = self._constructed_class(item.value)
+                    cls = _constructed_class(self.table, module,
+                                             item.value)
                     if cls is not None:
                         self.local_types[item.targets[0].id] = cls.qname
-        if self.cls is not None:
-            for item in self.cls.node.body:
-                if not isinstance(item, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                for sub in ast.walk(item):
-                    if isinstance(sub, ast.Assign) and \
-                            len(sub.targets) == 1 and \
-                            self._is_self_attr(sub.targets[0]):
-                        attr = sub.targets[0].attr  # type: ignore[union-attr]
-                        cls = self._constructed_class(sub.value)
-                        if cls is not None:
-                            self.attr_types.setdefault(attr, cls.qname)
-                    if isinstance(sub, ast.AnnAssign) and \
-                            self._is_self_attr(sub.target):
-                        attr = sub.target.attr  # type: ignore[union-attr]
-                        cls = self._annotation_class(sub.annotation)
-                        if cls is not None:
-                            self.attr_types.setdefault(attr, cls.qname)
-
-    @staticmethod
-    def _is_self_attr(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self")
-
-    def _annotation_class(self, annotation: Optional[ast.expr]
-                          ) -> Optional[ClassSymbol]:
-        if annotation is None:
-            return None
-        if isinstance(annotation, ast.Constant) and \
-                isinstance(annotation.value, str):
-            name = annotation.value
-        else:
-            name = _dotted_name(annotation) or ""
-        # Unwrap Optional[X] / "X" spellings conservatively.
-        if isinstance(annotation, ast.Subscript):
-            head = _dotted_name(annotation.value) or ""
-            if head.split(".")[-1] == "Optional":
-                inner = annotation.slice
-                return self._annotation_class(inner)
-            return None
-        if not name:
-            return None
-        return self.table.resolve_class(self.ctx.module, name)
-
-    def _constructed_class(self, value: ast.expr
-                           ) -> Optional[ClassSymbol]:
-        if not isinstance(value, ast.Call):
-            return None
-        name = _dotted_name(value.func)
-        if name is None:
-            return None
-        return self.table.resolve_class(self.ctx.module, name)
 
     # -- receiver typing ----------------------------------------------
 
@@ -177,7 +138,7 @@ class _FunctionResolver:
             if node.id == "sim":
                 return SIMULATOR_QNAME
             return None
-        if self._is_self_attr(node):
+        if _is_self_attr(node):
             attr = node.attr  # type: ignore[union-attr]
             known = self.attr_types.get(attr)
             if known is not None:
@@ -222,7 +183,7 @@ class _FunctionResolver:
                     # schedule-site detection still works.
                     return f"{SIMULATOR_QNAME}.{node.attr}"
                 return None
-            dotted = _dotted_name(node)
+            dotted = _dotted(node)
             if dotted is not None:
                 root = dotted.split(".")[0]
                 origin = self.ctx.imports.get(root)
@@ -238,98 +199,156 @@ class _FunctionResolver:
         return None
 
 
-def build_call_graph(table: SymbolTable) -> CallGraph:
-    """Resolve every call and callback reference in *table*."""
-    edges: Dict[str, Set[str]] = {}
-    callback_targets: Set[str] = set()
-    for qname in sorted(table.functions):
-        symbol = table.functions[qname]
-        ctx = table.modules.get(symbol.module)
-        if ctx is None:
-            continue
-        resolver = _FunctionResolver(table, ctx, symbol)
-        out: Set[str] = set()
-        for node, is_call in _callables_in(symbol.node):
-            target = resolver.resolve_callable(node)
-            if target is None:
-                continue
-            out.add(target)
-            if not is_call:
-                callback_targets.add(target)
-        edges[qname] = out
-    # Module-level code gets a pseudo-caller per module.
-    for module in sorted(table.modules):
-        ctx = table.modules[module]
-        pseudo = FunctionSymbol(
-            qname=f"{module}.<module>", module=module,
-            name="<module>", cls=None, node=ctx.tree, path=ctx.path)
-        resolver = _FunctionResolver(table, ctx, pseudo)
-        out = set()
-        for node, is_call in _module_level_callables(ctx.tree):
-            target = resolver.resolve_callable(node)
-            if target is None:
-                continue
-            out.add(target)
-            if not is_call:
-                callback_targets.add(target)
-        edges[pseudo.qname] = out
-    return CallGraph(
-        edges={caller: tuple(sorted(callees))
-               for caller, callees in sorted(edges.items())},
-        callback_targets=callback_targets)
+def _is_self_attr(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
 
 
-def _callables_in(function: ast.AST
-                  ) -> Iterator[Tuple[ast.expr, bool]]:
-    """(callable expression, is-direct-call) pairs in a function.
-
-    Yields the ``func`` of every Call, plus bare Name/Attribute
-    arguments of calls (callback references).  Nested defs belong to
-    their own symbols and are skipped.
-    """
-    body = getattr(function, "body", [])
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node.func, True
-            for arg in node.args:
-                if isinstance(arg, (ast.Name, ast.Attribute)):
-                    yield arg, False
-            for keyword in node.keywords:
-                if isinstance(keyword.value, (ast.Name, ast.Attribute)):
-                    yield keyword.value, False
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _module_level_callables(tree: ast.Module
-                            ) -> Iterator[Tuple[ast.expr, bool]]:
-    """Callables used by module-level statements only."""
-    for item in tree.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        for node in ast.walk(item):
-            if isinstance(node, ast.Call):
-                yield node.func, True
-                for arg in node.args:
-                    if isinstance(arg, (ast.Name, ast.Attribute)):
-                        yield arg, False
-                for keyword in node.keywords:
-                    if isinstance(keyword.value,
-                                  (ast.Name, ast.Attribute)):
-                        yield keyword.value, False
-
-
-def _dotted_name(node: ast.expr) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
+def _annotation_class(table: SymbolTable, module: str,
+                      annotation: Optional[ast.expr]
+                      ) -> Optional[ClassSymbol]:
+    if annotation is None:
         return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
+    if isinstance(annotation, ast.Constant) and \
+            isinstance(annotation.value, str):
+        name = annotation.value
+    else:
+        name = _dotted(annotation) or ""
+    # Unwrap Optional[X] / "X" spellings conservatively.
+    if isinstance(annotation, ast.Subscript):
+        head = _dotted(annotation.value) or ""
+        if head.split(".")[-1] == "Optional":
+            return _annotation_class(table, module, annotation.slice)
+        return None
+    if not name:
+        return None
+    return table.resolve_class(module, name)
+
+
+def _constructed_class(table: SymbolTable, module: str,
+                       value: ast.expr) -> Optional[ClassSymbol]:
+    if not isinstance(value, ast.Call):
+        return None
+    name = _dotted(value.func)
+    if name is None:
+        return None
+    return table.resolve_class(module, name)
+
+
+def _class_attr_types(table: SymbolTable,
+                      cls: ClassSymbol) -> Dict[str, str]:
+    """``self.attr`` -> class qname over every method of *cls*.
+
+    The first constructor assignment or annotation of an attribute
+    wins, in method order then ``ast.walk`` order.
+    """
+    out: Dict[str, str] = {}
+    for item in cls.node.body:
+        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for sub in ast.walk(item):
+            if isinstance(sub, ast.Assign) and \
+                    len(sub.targets) == 1 and \
+                    _is_self_attr(sub.targets[0]):
+                attr = sub.targets[0].attr  # type: ignore[union-attr]
+                found = _constructed_class(table, cls.module, sub.value)
+                if found is not None:
+                    out.setdefault(attr, found.qname)
+            if isinstance(sub, ast.AnnAssign) and \
+                    _is_self_attr(sub.target):
+                attr = sub.target.attr  # type: ignore[union-attr]
+                found = _annotation_class(table, cls.module,
+                                          sub.annotation)
+                if found is not None:
+                    out.setdefault(attr, found.qname)
+    return out
+
+
+@dataclasses.dataclass(eq=False)
+class Scope:
+    """One function body or module body, resolved once per project.
+
+    The call graph, the schedule sites and the effect pass all read
+    the same scope: one resolver and one node list per body.
+    """
+
+    #: The function, or the ``pkg.mod.<module>`` pseudo-symbol whose
+    #: node is the module tree.
+    symbol: FunctionSymbol
+    ctx: ModuleContext
+    resolver: _FunctionResolver
+    #: The body's own nodes in source (line, column) order.  A
+    #: function's nested defs are excluded (they are scopes of their
+    #: own); a module body is every top-level statement but its defs
+    #: and classes, walked whole.
+    nodes: List[ast.AST]
+
+
+def build_scopes(table: SymbolTable) -> Dict[str, Scope]:
+    """qname -> :class:`Scope`, functions then module bodies, sorted.
+
+    Each class's ``self.attr`` types are computed once here and
+    shared by the resolvers of all its methods.
+    """
+    class_attrs = {qname: _class_attr_types(table, cls)
+                   for qname, cls in table.classes.items()}
+    bodies: List[Tuple[FunctionSymbol, ModuleContext]] = [
+        (symbol, table.modules[symbol.module])
+        for _qname, symbol in sorted(table.functions.items())]
+    for module, ctx in sorted(table.modules.items()):
+        bodies.append((FunctionSymbol(
+            qname=f"{module}.<module>", module=module, name="<module>",
+            cls=None, node=ctx.tree, path=ctx.path), ctx))
+    return {symbol.qname: Scope(
+        symbol=symbol, ctx=ctx,
+        resolver=_FunctionResolver(table, ctx, symbol, class_attrs),
+        nodes=_scope_nodes(symbol.node))
+        for symbol, ctx in bodies}
+
+
+def _scope_nodes(node: ast.AST) -> List[ast.AST]:
+    """The nodes :attr:`Scope.nodes` documents, in source order."""
+    out: List[ast.AST] = []
+    if isinstance(node, ast.Module):
+        for item in node.body:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                out.extend(ast.walk(item))
+    else:
+        stack: List[ast.AST] = list(getattr(node, "body", []))
+        while stack:
+            sub = stack.pop()
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            out.append(sub)
+            stack.extend(ast.iter_child_nodes(sub))
+    return sorted(out, key=lambda n: (getattr(n, "lineno", 0),
+                                      getattr(n, "col_offset", 0)))
+
+
+def build_call_graph(scopes: Mapping[str, Scope]) -> CallGraph:
+    """Resolve every call and callback reference in *scopes*.
+
+    Module-level code is the caller ``pkg.mod.<module>``.
+    """
+    edges: Dict[str, Tuple[str, ...]] = {}
+    callback_targets: Set[str] = set()
+    for qname in sorted(scopes):
+        resolver = scopes[qname].resolver
+        out: Set[str] = set()
+        for node in scopes[qname].nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            target = resolver.resolve_callable(node.func)
+            if target is not None:
+                out.add(target)
+            # Bare callables passed as arguments are references.
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                if isinstance(arg, (ast.Name, ast.Attribute)):
+                    target = resolver.resolve_callable(arg)
+                    if target is not None:
+                        out.add(target)
+                        callback_targets.add(target)
+        edges[qname] = tuple(sorted(out))
+    return CallGraph(edges=edges, callback_targets=callback_targets)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.analysis.interproc.symbols import SymbolTable
+from repro.analysis.interproc.symbols import SymbolTable, _dotted
 from repro.analysis.rules import ModuleContext, resolve_target
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
         CallGraph,
         _FunctionResolver,
     )
-    from repro.analysis.interproc.symbols import FunctionSymbol
 
 #: Wall-clock and global-randomness call targets that taint a value.
 #: ``time.perf_counter`` is deliberately absent: the campaign executor
@@ -128,27 +127,22 @@ def tainted_functions(table: SymbolTable,
     return taints
 
 
-def evaluate_delay(table: SymbolTable,
-                   resolver: "_FunctionResolver",
-                   symbol: "FunctionSymbol",
+def evaluate_delay(resolver: "_FunctionResolver",
                    expr: Optional[ast.expr]) -> DelayValue:
-    """Fold one delay expression to a :class:`DelayValue`."""
+    """Fold one delay expression in *resolver*'s scope."""
     if expr is None:
         return DelayValue(kind="unknown")
-    ctx = table.modules.get(symbol.module)
-    if ctx is not None:
-        reason = direct_taint(ctx, expr)
-        if reason is not None:
-            return DelayValue(kind="tainted", origin=reason)
-    folded = _fold(table, resolver, symbol, expr)
+    reason = direct_taint(resolver.ctx, expr)
+    if reason is not None:
+        return DelayValue(kind="tainted", origin=reason)
+    folded = _fold(resolver, expr)
     if folded is not None:
         kind, value, origin = folded
         return DelayValue(kind=kind, value=value, origin=origin)
     return DelayValue(kind="unknown")
 
 
-def _fold(table: SymbolTable, resolver: "_FunctionResolver",
-          symbol: "FunctionSymbol", expr: ast.expr
+def _fold(resolver: "_FunctionResolver", expr: ast.expr
           ) -> Optional[Tuple[str, float, str]]:
     """(kind, value, origin) for foldable expressions, else None."""
     if isinstance(expr, ast.Constant) and \
@@ -156,15 +150,15 @@ def _fold(table: SymbolTable, resolver: "_FunctionResolver",
             not isinstance(expr.value, bool):
         return ("literal", float(expr.value), "")
     if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
-        inner = _fold(table, resolver, symbol, expr.operand)
+        inner = _fold(resolver, expr.operand)
         if inner is not None:
             kind, value, origin = inner
             return (kind, -value, origin)
         return None
     if isinstance(expr, ast.BinOp) and \
             isinstance(expr.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        left = _fold(table, resolver, symbol, expr.left)
-        right = _fold(table, resolver, symbol, expr.right)
+        left = _fold(resolver, expr.left)
+        right = _fold(resolver, expr.right)
         if left is None or right is None:
             return None
         value = _apply(expr.op, left[1], right[1])
@@ -175,9 +169,9 @@ def _fold(table: SymbolTable, resolver: "_FunctionResolver",
         origin = left[2] or right[2]
         return (kind, value, origin)
     if isinstance(expr, ast.Name):
-        return _fold_name(table, resolver, symbol, expr.id)
+        return _fold_name(resolver, expr.id)
     if isinstance(expr, ast.Attribute):
-        return _fold_attribute(table, resolver, symbol, expr)
+        return _fold_attribute(resolver, expr)
     return None
 
 
@@ -194,33 +188,28 @@ def _apply(op: ast.operator, left: float,
     return None
 
 
-def _fold_name(table: SymbolTable, resolver: "_FunctionResolver",
-               symbol: "FunctionSymbol", name: str
+def _fold_name(resolver: "_FunctionResolver", name: str
                ) -> Optional[Tuple[str, float, str]]:
+    table = resolver.table
     # Local assignment of a foldable value inside this function.
-    node = symbol.node
-    for sub in ast.walk(node):
+    for sub in ast.walk(resolver.symbol.node):
         if isinstance(sub, ast.Assign) and len(sub.targets) == 1 and \
                 isinstance(sub.targets[0], ast.Name) and \
                 sub.targets[0].id == name:
-            folded = _fold(table, resolver, symbol, sub.value)
+            folded = _fold(resolver, sub.value)
             if folded is not None:
                 return folded
     # Module-level constant, local or imported.
-    qname = f"{symbol.module}.{name}"
+    qname = f"{resolver.ctx.module}.{name}"
     if qname in table.constants:
         return ("constant", table.constants[qname], qname)
-    ctx = table.modules.get(symbol.module)
-    if ctx is not None:
-        origin = ctx.imports.get(name)
-        if origin is not None and origin in table.constants:
-            return ("constant", table.constants[origin], origin)
+    origin = resolver.ctx.imports.get(name)
+    if origin is not None and origin in table.constants:
+        return ("constant", table.constants[origin], origin)
     return None
 
 
-def _fold_attribute(table: SymbolTable,
-                    resolver: "_FunctionResolver",
-                    symbol: "FunctionSymbol", expr: ast.Attribute
+def _fold_attribute(resolver: "_FunctionResolver", expr: ast.Attribute
                     ) -> Optional[Tuple[str, float, str]]:
     # self.dt / self.WATCH_PERIOD: class constants and defaulted
     # __init__ parameters of the enclosing class.
@@ -232,22 +221,15 @@ def _fold_attribute(table: SymbolTable,
                     f"{resolver.cls.qname}.{expr.attr}")
         return None
     # ClassName.CONSTANT and module.CONSTANT through imports.
-    parts: List[str] = []
-    current: ast.expr = expr
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
+    dotted = _dotted(expr)
+    if dotted is None:
         return None
-    parts.append(current.id)
-    dotted = ".".join(reversed(parts))
-    root = parts[-1]
-    candidates = [f"{symbol.module}.{dotted}"]
-    ctx = table.modules.get(symbol.module)
-    if ctx is not None:
-        origin = ctx.imports.get(root)
-        if origin is not None:
-            candidates.append(origin + dotted[len(root):])
+    table = resolver.table
+    root = dotted.split(".")[0]
+    candidates = [f"{resolver.ctx.module}.{dotted}"]
+    origin = resolver.ctx.imports.get(root)
+    if origin is not None:
+        candidates.append(origin + dotted[len(root):])
     for candidate in candidates:
         if candidate in table.constants:
             return ("constant", table.constants[candidate], candidate)

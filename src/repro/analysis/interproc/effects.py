@@ -24,11 +24,15 @@ from __future__ import annotations
 import ast
 import dataclasses
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.interproc.callgraph import CallGraph, _FunctionResolver
-from repro.analysis.interproc.symbols import FunctionSymbol, SymbolTable
-from repro.analysis.rules import ModuleContext, resolve_target
+from repro.analysis.interproc.callgraph import (
+    SIM_CONSTRUCTORS,
+    Scope,
+    _FunctionResolver,
+)
+from repro.analysis.interproc.symbols import FunctionSymbol
+from repro.analysis.rules import resolve_target
 
 # -- effect kinds -----------------------------------------------------------
 
@@ -164,7 +168,7 @@ class TransactionWindow:
 class FunctionEffects:
     """Everything the effect pass extracted from one function body."""
 
-    symbol: FunctionSymbol
+    scope: Scope
     #: Direct effect kinds of this body alone.
     direct: Set[str]
     #: Bare class names this body raises directly.
@@ -178,6 +182,11 @@ class FunctionEffects:
     #: Every call with its strictly-resolved target (None when the
     #: receiver could not be typed; never a single-owner guess).
     calls: List[Tuple[ast.Call, Optional[str]]]
+
+    @property
+    def symbol(self) -> FunctionSymbol:
+        """The function this summary describes."""
+        return self.scope.symbol
 
     def windows(self) -> List[TransactionWindow]:
         """The function's BEGIN..COMMIT spans, in statement order.
@@ -230,20 +239,6 @@ class EffectMap:
         return self.raised.get(qname, set())
 
 
-def _body_nodes(function: ast.AST) -> List[ast.AST]:
-    """Nodes of a function body, nested defs excluded, source order."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = list(getattr(function, "body", []))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(out, key=lambda n: (getattr(n, "lineno", 0),
-                                      getattr(n, "col_offset", 0)))
-
-
 def _terminal_name(node: ast.expr) -> Optional[str]:
     """The last identifier of a Name/Attribute receiver expression."""
     if isinstance(node, ast.Name):
@@ -275,7 +270,6 @@ def _is_write_mode(mode: Optional[str]) -> bool:
 
 
 def resolve_strict(resolver: _FunctionResolver,
-                   table: SymbolTable, ctx: ModuleContext,
                    node: ast.expr) -> Optional[str]:
     """Resolve a callable without the single-owner method fallback.
 
@@ -291,29 +285,19 @@ def resolve_strict(resolver: _FunctionResolver,
     if isinstance(node, ast.Attribute):
         if resolver.receiver_class(node.value) is not None:
             return resolver.resolve_callable(node)
-        dotted = resolve_target(ctx, node)
-        if dotted is not None and dotted in table.functions:
+        dotted = resolve_target(resolver.ctx, node)
+        if dotted is not None and dotted in resolver.table.functions:
             return dotted
     return None
 
 
-#: Direct callees that mark the start of a run scope (mirrors the
-#: run-root convention in :mod:`repro.analysis.interproc.project`).
-_SIM_BUILD_TARGETS = (
-    "repro.sim.kernel.Simulator",
-    "repro.sim.kernel.Simulator.__init__",
-    "repro.sim.kernel.build_simulator",
-)
-
-
-def _extract_function(table: SymbolTable, ctx: ModuleContext,
-                      symbol: FunctionSymbol) -> FunctionEffects:
+def _extract_function(scope: Scope) -> FunctionEffects:
     """The direct effect summary of one function body."""
-    resolver = _FunctionResolver(table, ctx, symbol)
-    fx = FunctionEffects(symbol=symbol, direct=set(), raises=set(),
+    ctx = scope.ctx
+    fx = FunctionEffects(scope=scope, direct=set(), raises=set(),
                          db_calls=[], write_opens=[], renames=[],
                          calls=[])
-    for node in _body_nodes(symbol.node):
+    for node in scope.nodes:
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) \
                 else node.exc
@@ -324,11 +308,11 @@ def _extract_function(table: SymbolTable, ctx: ModuleContext,
         if not isinstance(node, ast.Call):
             continue
         target = resolve_target(ctx, node.func)
-        qname = resolve_strict(resolver, table, ctx, node.func)
+        qname = resolve_strict(scope.resolver, node.func)
         fx.calls.append((node, qname))
         if qname in WORK_QNAMES or target in WORK_QNAMES:
             fx.direct.add(WORK)
-        if qname in _SIM_BUILD_TARGETS:
+        if qname in SIM_CONSTRUCTORS:
             fx.direct.add(SIM_BUILD)
         if isinstance(node.func, ast.Name) and \
                 node.func.id == "open" or target == "io.open":
@@ -384,25 +368,18 @@ def _extract_function(table: SymbolTable, ctx: ModuleContext,
     return fx
 
 
-def infer_effects(table: SymbolTable,
-                  graph: CallGraph) -> EffectMap:
-    """Direct extraction plus the caller<-callee fixpoint.
+def infer_effects(scopes: Mapping[str, Scope]) -> EffectMap:
+    """Direct extraction per function, then the caller<-callee fixpoint.
 
     The fixpoint propagates along the *strict* edges recorded in
     each summary's ``calls`` -- not the call graph's permissive
     edges -- so the single-owner method fallback (fine for
     reachability, wrong for attribution) can never fold a stranger
-    class's effects into a caller.  *graph* is accepted for parity
-    with the other interproc passes but only its node set is used.
+    class's effects into a caller.
     """
-    del graph  # strict edges only; see docstring
-    per_function: Dict[str, FunctionEffects] = {}
-    for qname in sorted(table.functions):
-        symbol = table.functions[qname]
-        ctx = table.modules.get(symbol.module)
-        if ctx is None:
-            continue
-        per_function[qname] = _extract_function(table, ctx, symbol)
+    per_function = {qname: _extract_function(scope)
+                    for qname, scope in scopes.items()
+                    if not isinstance(scope.symbol.node, ast.Module)}
     edges: Dict[str, Set[str]] = {
         qname: {callee for _node, callee in fx.calls
                 if callee is not None}
@@ -426,7 +403,7 @@ def infer_effects(table: SymbolTable,
                      raised=raised)
 
 
-def leading_literal(symbol: FunctionSymbol,
+def leading_literal(scope: Scope,
                     expr: ast.expr, depth: int = 0) -> Optional[str]:
     """The statically-known leading text of a string expression.
 
@@ -449,25 +426,24 @@ def leading_literal(symbol: FunctionSymbol,
                 isinstance(head.value, str):
             return head.value
         if isinstance(head, ast.FormattedValue):
-            return leading_literal(symbol, head.value, depth + 1)
+            return leading_literal(scope, head.value, depth + 1)
         return None
     if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-        return leading_literal(symbol, expr.left, depth + 1)
+        return leading_literal(scope, expr.left, depth + 1)
     if isinstance(expr, ast.Name):
-        for node in _body_nodes(symbol.node):
+        for node in scope.nodes:
             if isinstance(node, ast.Assign) and \
                     len(node.targets) == 1 and \
                     isinstance(node.targets[0], ast.Name) and \
                     node.targets[0].id == expr.id:
-                return leading_literal(symbol, node.value, depth + 1)
+                return leading_literal(scope, node.value, depth + 1)
     return None
 
 
-def local_producer(symbol: FunctionSymbol,
-                   name: str) -> Optional[ast.expr]:
+def local_producer(scope: Scope, name: str) -> Optional[ast.expr]:
     """The expression last assigned to local *name*, if any."""
     found: Optional[ast.expr] = None
-    for node in _body_nodes(symbol.node):
+    for node in scope.nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
                 and node.targets[0].id == name:

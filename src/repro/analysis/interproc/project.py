@@ -5,7 +5,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Sequence, Set
 
-from repro.analysis.interproc.callgraph import CallGraph, build_call_graph
+from repro.analysis.interproc.callgraph import (
+    SIM_CONSTRUCTORS,
+    CallGraph,
+    Scope,
+    build_call_graph,
+    build_scopes,
+)
 from repro.analysis.interproc.dataflow import tainted_functions
 from repro.analysis.interproc.effects import EffectMap, infer_effects
 from repro.analysis.interproc.serialization import (
@@ -26,6 +32,9 @@ class ProjectContext:
 
     contexts: List[ModuleContext]
     symbols: SymbolTable
+    #: qname -> the one resolver and body-node list of every function
+    #: and module body (``pkg.mod.<module>``), shared by the passes.
+    scopes: Dict[str, Scope]
     callgraph: CallGraph
     sites: List[ScheduleSite]
     #: Transitively tainted functions (wall clock / global RNG).
@@ -56,8 +65,9 @@ def build_project(contexts: Sequence[ModuleContext]) -> ProjectContext:
     """Build the full interprocedural view over *contexts*."""
     ordered = sorted(contexts, key=lambda c: c.path)
     symbols = build_symbol_table(ordered)
-    callgraph = build_call_graph(symbols)
-    sites = collect_schedule_sites(symbols, callgraph)
+    scopes = build_scopes(symbols)
+    callgraph = build_call_graph(scopes)
+    sites = collect_schedule_sites(scopes)
     taints = tainted_functions(symbols, callgraph)
     entry_roots: List[str] = []
     for module in sorted(symbols.modules):
@@ -70,32 +80,18 @@ def build_project(contexts: Sequence[ModuleContext]) -> ProjectContext:
     reachable = callgraph.reachable(roots)
     site_callers = sorted({site.caller for site in sites})
     caller_roots: Dict[str, Set[str]] = {c: set() for c in site_callers}
-    for root in _run_roots(symbols, callgraph):
+    # A run root constructs a Simulator itself (a direct callee).
+    for root in scopes:
+        if not any(callee in SIM_CONSTRUCTORS
+                   for callee in callgraph.callees(root)):
+            continue
         reach = callgraph.reachable([root])
         for caller in site_callers:
             if caller in reach:
                 caller_roots[caller].add(root)
     return ProjectContext(
-        contexts=list(ordered), symbols=symbols, callgraph=callgraph,
-        sites=sites, taints=taints, reachable=reachable,
-        caller_roots=caller_roots,
-        effects=infer_effects(symbols, callgraph),
-        serialization=build_serialization_map(symbols))
-
-
-#: Direct callees that mark a function as the start of a run scope.
-_SIM_CONSTRUCTORS = (
-    "repro.sim.kernel.Simulator",
-    "repro.sim.kernel.Simulator.__init__",
-    "repro.sim.kernel.build_simulator",
-)
-
-
-def _run_roots(symbols: SymbolTable,
-               callgraph: CallGraph) -> List[str]:
-    """Every function (or module body) that constructs a Simulator."""
-    candidates = sorted(symbols.functions)
-    candidates += [f"{m}.<module>" for m in sorted(symbols.modules)]
-    return [qname for qname in candidates
-            if any(callee in _SIM_CONSTRUCTORS
-                   for callee in callgraph.callees(qname))]
+        contexts=list(ordered), symbols=symbols, scopes=scopes,
+        callgraph=callgraph, sites=sites, taints=taints,
+        reachable=reachable, caller_roots=caller_roots,
+        effects=infer_effects(scopes),
+        serialization=build_serialization_map(symbols, scopes))

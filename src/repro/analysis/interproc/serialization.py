@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
+from repro.analysis.interproc.callgraph import Scope
 from repro.analysis.interproc.effects import is_stream_get, local_producer
 from repro.analysis.interproc.symbols import (
     ClassSymbol,
@@ -442,9 +443,8 @@ def _merge_coverage(coverage: Dict[str, Coverage], qname: str,
         coverage[qname] = current | update
 
 
-def _payload_coverage(table: SymbolTable,
-                      classes: Dict[str, ClassSerialization],
-                      symbol: FunctionSymbol,
+def _payload_coverage(classes: Dict[str, ClassSerialization],
+                      scope: Scope,
                       varmap: Dict[str, str],
                       payload: ast.expr) -> Dict[str, Coverage]:
     """What the payload expression covers, per contributing class."""
@@ -461,7 +461,7 @@ def _payload_coverage(table: SymbolTable,
                     sub.id not in seen_names:
                 # Fold a locally built payload (``payload = {...}``).
                 seen_names.add(sub.id)
-                produced = local_producer(symbol, sub.id)
+                produced = local_producer(scope, sub.id)
                 if produced is not None:
                     queue.append(produced)
             elif isinstance(sub, ast.Call):
@@ -500,8 +500,7 @@ def _payload_coverage(table: SymbolTable,
 # ---------------------------------------------------------------------------
 
 
-def full_literal(symbol: FunctionSymbol,
-                 expr: ast.expr) -> Optional[str]:
+def full_literal(scope: Scope, expr: ast.expr) -> Optional[str]:
     """The *complete* literal value of a string expression.
 
     Unlike :func:`~repro.analysis.interproc.effects.leading_literal`
@@ -511,7 +510,7 @@ def full_literal(symbol: FunctionSymbol,
     if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
         return expr.value
     if isinstance(expr, ast.Name):
-        produced = local_producer(symbol, expr.id)
+        produced = local_producer(scope, expr.id)
         if isinstance(produced, ast.Constant) and \
                 isinstance(produced.value, str):
             return produced.value
@@ -523,7 +522,9 @@ def full_literal(symbol: FunctionSymbol,
 # ---------------------------------------------------------------------------
 
 
-def build_serialization_map(table: SymbolTable) -> SerializationMap:
+def build_serialization_map(table: SymbolTable,
+                            scopes: Mapping[str, Scope]
+                            ) -> SerializationMap:
     """Assemble the full serialization view over *table*."""
     classes: Dict[str, ClassSerialization] = {}
     for qname in sorted(table.classes):
@@ -576,12 +577,12 @@ def build_serialization_map(table: SymbolTable) -> SerializationMap:
                 coverage: Dict[str, Coverage] = {}
                 if payload is not None:
                     coverage = _payload_coverage(
-                        table, classes, symbol, varmap, payload)
+                        classes, scopes[fq], varmap, payload)
                 fingerprints.append(FingerprintUse(
                     symbol=symbol, node=sub, kind=kind,
                     coverage=coverage))
             elif is_stream_get(sub) and sub.args:
-                name = full_literal(symbol, sub.args[0])
+                name = full_literal(scopes[fq], sub.args[0])
                 receiver = _dotted(sub.func.value)  # type: ignore[union-attr]
                 if name is not None and receiver is not None:
                     streams.append(StreamSite(

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.analysis.interproc.callgraph import (
     SIMULATOR_QNAME,
-    CallGraph,
+    Scope,
     _FunctionResolver,
 )
 from repro.analysis.interproc.dataflow import DelayValue, evaluate_delay
-from repro.analysis.interproc.symbols import FunctionSymbol, SymbolTable
+from repro.analysis.interproc.symbols import FunctionSymbol
 
 #: Scheduling entry points on the kernel seam.
 SCHEDULE_METHODS = ("schedule", "schedule_at")
@@ -58,27 +58,15 @@ class ScheduleSite:
         return (self.path, self.line, self.column)
 
 
-def collect_schedule_sites(table: SymbolTable,
-                           graph: CallGraph) -> List[ScheduleSite]:
+def collect_schedule_sites(scopes: Mapping[str, Scope]
+                           ) -> List[ScheduleSite]:
     """Every schedule site in the project, in path/line order."""
     sites: List[ScheduleSite] = []
-    for qname in sorted(table.functions):
-        symbol = table.functions[qname]
-        ctx = table.modules.get(symbol.module)
-        if ctx is None:
-            continue
-        resolver = _FunctionResolver(table, ctx, symbol)
-        for call in _schedule_calls(symbol.node, resolver):
-            sites.append(_build_site(table, resolver, symbol, call))
-    # Module-level scheduling (fixtures, scripts).
-    for module in sorted(table.modules):
-        ctx = table.modules[module]
-        pseudo = FunctionSymbol(
-            qname=f"{module}.<module>", module=module, name="<module>",
-            cls=None, node=ctx.tree, path=ctx.path)
-        resolver = _FunctionResolver(table, ctx, pseudo)
-        for call in _module_schedule_calls(ctx.tree, resolver):
-            sites.append(_build_site(table, resolver, pseudo, call))
+    for scope in scopes.values():
+        for node in scope.nodes:
+            if isinstance(node, ast.Call) and \
+                    _is_schedule_target(scope.resolver, node) is not None:
+                sites.append(_build_site(scope, node))
     return sorted(sites, key=ScheduleSite.sort_key)
 
 
@@ -106,39 +94,9 @@ def _is_schedule_target(resolver: _FunctionResolver,
     return None
 
 
-def _schedule_calls(function: ast.AST, resolver: _FunctionResolver
-                    ) -> List[ast.Call]:
-    out: List[ast.Call] = []
-    body = getattr(function, "body", [])
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call) and \
-                _is_schedule_target(resolver, node) is not None:
-            out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(out, key=lambda c: (c.lineno, c.col_offset))
-
-
-def _module_schedule_calls(tree: ast.Module,
-                           resolver: _FunctionResolver
-                           ) -> List[ast.Call]:
-    out: List[ast.Call] = []
-    for item in tree.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        for node in ast.walk(item):
-            if isinstance(node, ast.Call) and \
-                    _is_schedule_target(resolver, node) is not None:
-                out.append(node)
-    return sorted(out, key=lambda c: (c.lineno, c.col_offset))
-
-
-def _build_site(table: SymbolTable, resolver: _FunctionResolver,
-                symbol: FunctionSymbol, call: ast.Call) -> ScheduleSite:
+def _build_site(scope: Scope, call: ast.Call) -> ScheduleSite:
+    resolver = scope.resolver
+    symbol = scope.symbol
     method = call.func.attr if isinstance(call.func, ast.Attribute) \
         else "schedule"
     delay_expr = call.args[0] if call.args else None
@@ -152,7 +110,7 @@ def _build_site(table: SymbolTable, resolver: _FunctionResolver,
     if callback_expr is not None and \
             isinstance(callback_expr, (ast.Name, ast.Attribute)):
         callback = resolver.resolve_callable(callback_expr)
-    delay = evaluate_delay(table, resolver, symbol, delay_expr)
+    delay = evaluate_delay(resolver, delay_expr)
     delay_calls: List[str] = []
     if delay_expr is not None:
         for sub in ast.walk(delay_expr):

@@ -32,11 +32,6 @@ class FunctionSymbol:
     #: Source path of the defining file.
     path: str
 
-    @property
-    def is_method(self) -> bool:
-        """Whether this is a method of some class."""
-        return self.cls is not None
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ClassSymbol:

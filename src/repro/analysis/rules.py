@@ -51,13 +51,17 @@ class ModuleContext:
     #: local name -> dotted origin (``np`` -> ``numpy``,
     #: ``perf_counter`` -> ``time.perf_counter``).
     imports: Dict[str, str]
+    #: Every node of *tree*, in ``ast.walk`` order, walked once for
+    #: every per-file rule and the suppression spans.
+    nodes: List[ast.AST]
 
 
 def build_context(path: str, module: str, source: str,
                   tree: ast.Module) -> ModuleContext:
     """Assemble the :class:`ModuleContext` for one file."""
+    nodes = list(ast.walk(tree))
     imports: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -73,7 +77,7 @@ def build_context(path: str, module: str, source: str,
                 imports[local] = f"{node.module}.{alias.name}"
     return ModuleContext(path=path, module=module, source=source,
                          tree=tree, lines=source.splitlines(),
-                         imports=imports)
+                         imports=imports, nodes=nodes)
 
 
 def resolve_target(ctx: ModuleContext,
@@ -184,7 +188,7 @@ class UnseededRandomRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         enclosing = _enclosing_functions(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_target(ctx, node.func)
@@ -261,7 +265,7 @@ class WallClockRule(Rule):
     }
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_target(ctx, node.func)
@@ -301,7 +305,7 @@ class UnsortedIterationRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         enclosing = _enclosing_functions(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             iters: List[ast.expr] = []
             if isinstance(node, ast.For):
                 iters = [node.iter]
@@ -389,7 +393,7 @@ class FloatAccumulatorRule(Rule):
         "the export edge.")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(ctx, node)
 
@@ -473,7 +477,7 @@ class SeamGuardRule(Rule):
     allowed_modules = ("repro.obs", "repro.faults.injector")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef,
                                  ast.AsyncFunctionDef)):
                 yield from self._check_function(ctx, node)
@@ -570,7 +574,7 @@ class SerialisationPairRule(Rule):
         "defaulted deliberately).")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             methods = {item.name for item in node.body
@@ -604,7 +608,7 @@ class EnvFormattingRule(Rule):
         "text) must produce identical bytes on every machine.")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 module = ""
                 if isinstance(node, ast.Import):
@@ -677,7 +681,7 @@ class PoolBoundaryRule(Rule):
     def _check_submissions(self, ctx: ModuleContext
                            ) -> Iterator[Finding]:
         enclosing = _enclosing_functions(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("submit", "map")
@@ -715,7 +719,7 @@ class PoolBoundaryRule(Rule):
         return False
 
     def _check_frozen(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             for decorator in node.decorator_list:

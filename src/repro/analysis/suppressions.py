@@ -21,7 +21,7 @@ import dataclasses
 import io
 import re
 import tokenize
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import FAMILY_PREFIXES
@@ -57,7 +57,8 @@ _COMPOUND_STMTS = (
 )
 
 
-def statement_spans(tree: ast.Module) -> Dict[int, Tuple[int, int]]:
+def statement_spans(nodes: Iterable[ast.AST]
+                    ) -> Dict[int, Tuple[int, int]]:
     """line -> (first, last) physical line of its simple statement.
 
     Only *multi-line simple statements* (a call split over several
@@ -66,7 +67,7 @@ def statement_spans(tree: ast.Module) -> Dict[int, Tuple[int, int]]:
     semantics.
     """
     spans: Dict[int, Tuple[int, int]] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.stmt) or \
                 isinstance(node, _COMPOUND_STMTS):
             continue
@@ -164,12 +165,12 @@ def apply_suppressions(
         by_line: Dict[int, Suppression],
         path: str,
         lines: List[str],
-        tree: Optional[ast.Module] = None,
+        nodes: Optional[Iterable[ast.AST]] = None,
         active_rules: Optional[Set[str]] = None,
 ) -> Tuple[List[Finding], List[Finding]]:
     """Filter *findings* through the suppression table.
 
-    When *tree* is given, a suppression on any physical line of a
+    When the module's *nodes* are given, a suppression on any physical line of a
     multi-line simple statement covers findings anchored anywhere in
     that statement (a ``schedule(...)`` call split over four lines
     can carry its suppression on whichever line reads best).
@@ -181,7 +182,7 @@ def apply_suppressions(
     never reported unused -- a narrowed ``--select`` must not flag
     every suppression for the rules it skipped.
     """
-    spans = statement_spans(tree) if tree is not None else {}
+    spans = statement_spans(nodes) if nodes is not None else {}
     used: Set[int] = set()
     kept: List[Finding] = []
     for finding in findings:

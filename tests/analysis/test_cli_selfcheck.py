@@ -7,8 +7,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.analysis.cli import main as detlint_main
-from repro.analysis.engine import lint_paths
 from repro.cli import main as repro_main
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -146,20 +147,33 @@ class TestReproTestbedLint:
         assert "DET002" in capsys.readouterr().out
 
 
-class TestSelfCheck:
-    def test_src_tree_is_clean_with_no_baseline(self):
-        result = lint_paths([os.path.join(REPO, "src")])
-        assert [f.to_dict() for f in result.findings] == []
-        assert result.grandfathered == []
-        assert result.exit_code == 0
-        assert result.files_checked > 90
+@pytest.fixture(scope="session")
+def src_selfcheck(tmp_path_factory):
+    """One ``tools/detlint src/`` run, shared by the self-checks.
 
-    def test_tools_detlint_script(self):
-        script = os.path.join(REPO, "tools", "detlint")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO, "src")
-        proc = subprocess.run(
-            [sys.executable, script, "src/"],
-            cwd=REPO, env=env, capture_output=True, text=True)
+    Returns the finished process (text report on stdout) and the
+    parsed ``--output`` artifact (always JSON).
+    """
+    artifact = tmp_path_factory.mktemp("selfcheck") / "detlint.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "tools", "detlint"), "src/",
+         "--output", str(artifact)],
+        cwd=REPO, env=env, capture_output=True, text=True)
+    assert artifact.exists(), proc.stdout + proc.stderr
+    return proc, json.loads(artifact.read_text())
+
+
+class TestSelfCheck:
+    def test_src_tree_is_clean_with_no_baseline(self, src_selfcheck):
+        proc, report = src_selfcheck
+        assert report["findings"] == []
+        assert report["grandfathered"] == []
+        assert proc.returncode == 0
+        assert report["files_checked"] > 90
+
+    def test_tools_detlint_script(self, src_selfcheck):
+        proc, _report = src_selfcheck
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "detlint: clean" in proc.stdout

@@ -255,33 +255,33 @@ class TestSqlHelpers:
 
 
 class TestLeadingLiteral:
-    def _symbol(self, source: str):
+    def _scope(self, source: str):
         project = _project(source, "src/demo/names.py")
         (qname,) = [q for q in project.effects.per_function
                     if not q.endswith("<module>")]
-        return project.effects.per_function[qname].symbol
+        return project.effects.per_function[qname].scope
 
     def test_folds_fstring_head_and_local_assignment(self):
-        symbol = self._symbol(
+        scope = self._scope(
             "def scope(name):\n"
             "    label = f\"vary.lhs.{name}\"\n"
             "    return label\n")
-        node = symbol.node.body[0].value
-        assert leading_literal(symbol, node) == "vary.lhs."
+        node = scope.symbol.node.body[0].value
+        assert leading_literal(scope, node) == "vary.lhs."
 
     def test_folds_concatenation(self):
-        symbol = self._symbol(
+        scope = self._scope(
             "def scope(name):\n"
             "    return \"fleet.\" + name\n")
-        node = symbol.node.body[0].value
-        assert leading_literal(symbol, node) == "fleet."
+        node = scope.symbol.node.body[0].value
+        assert leading_literal(scope, node) == "fleet."
 
     def test_opaque_parameter_is_unknown(self):
-        symbol = self._symbol(
+        scope = self._scope(
             "def scope(name):\n"
             "    return name\n")
-        node = symbol.node.body[0].value
-        assert leading_literal(symbol, node) is None
+        node = scope.symbol.node.body[0].value
+        assert leading_literal(scope, node) is None
 
 
 class TestWorkQnamesResolve:

@@ -332,7 +332,7 @@ def _ctx(source: str, path: str):
 
 def _serialization(source: str, path: str = "src/demo/spec.py"):
     project = build_project([_ctx(source, path)])
-    return build_serialization_map(project.symbols), project
+    return build_serialization_map(project.symbols, project.scopes), project
 
 
 CLASS_SOURCE = '''
@@ -496,8 +496,8 @@ class TestSerializationMap:
             "    b = streams.get('fleet.' + suffix)\n"
             "    return a, b\n")
         serialization, project = _serialization(source)
-        build = project.symbols.functions["demo.spec.build"]
-        calls = [sub for sub in ast.walk(build.node)
+        build = project.scopes["demo.spec.build"]
+        calls = [sub for sub in ast.walk(build.symbol.node)
                  if isinstance(sub, ast.Call)]
         assert full_literal(build, calls[0].args[0]) == \
             "fleet.medium"

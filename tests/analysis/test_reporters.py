@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 
-from repro.analysis.engine import LintResult
+from repro.analysis.engine import LintResult, lint_paths
 from repro.analysis.findings import Finding
 from repro.analysis.reporters import (
     render_json,
@@ -12,6 +13,16 @@ from repro.analysis.reporters import (
     render_text,
 )
 from repro.analysis.rules import all_rules
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+#: The JSON report over every shipped fixture, pinned byte for byte.
+#: Regenerate from the repo root, only when a rule's output changes on
+#: purpose: ``python tools/detlint tests/analysis/fixtures/ --format
+#: json > tests/analysis/golden/fixture_report.json``.
+FIXTURE_REPORT = os.path.join(REPO, "tests", "analysis", "golden",
+                              "fixture_report.json")
 
 
 def _result() -> LintResult:
@@ -105,6 +116,16 @@ class TestJsonReporter:
     def test_rendering_is_deterministic(self):
         assert render_json(_result()) == render_json(_result())
         assert render_text(_result()) == render_text(_result())
+
+
+class TestFixtureReport:
+    def test_fixture_report_matches_golden(self, monkeypatch):
+        # Paths normalise relative to the cwd, as they do in CI.
+        monkeypatch.chdir(REPO)
+        result = lint_paths([os.path.join("tests", "analysis",
+                                          "fixtures")])
+        with open(FIXTURE_REPORT, encoding="utf-8") as handle:
+            assert render_json(result) == handle.read()
 
 
 class TestRuleCatalogue:

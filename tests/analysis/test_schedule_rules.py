@@ -152,6 +152,62 @@ class TestInterprocLayer:
         roots = project.caller_roots["demo.devices.Sensor._tick"]
         assert "demo.devices.build" in roots
 
+    def test_argument_callables_are_reference_edges(self):
+        source = ("def _on_scan():\n"
+                  "    return 1\n"
+                  "\n"
+                  "\n"
+                  "def _on_tick():\n"
+                  "    return 2\n"
+                  "\n"
+                  "\n"
+                  "def wire(bus):\n"
+                  "    bus.attach(_on_tick, publish=_on_scan)\n"
+                  "\n"
+                  "\n"
+                  "wire(None)\n")
+        project = build_project([_ctx(source, "src/demo/wiring.py")])
+        graph = project.callgraph
+        assert graph.callees("demo.wiring.wire") == (
+            "demo.wiring._on_scan", "demo.wiring._on_tick")
+        assert {"demo.wiring._on_scan", "demo.wiring._on_tick"} <= \
+            graph.callback_targets
+        assert graph.callees("demo.wiring.<module>") == (
+            "demo.wiring.wire",)
+        assert "demo.wiring.wire" not in graph.callback_targets
+
+    def test_one_scope_per_body_shared_class_attr_types(self):
+        source = ("class Radio:\n"
+                  "    def send(self):\n"
+                  "        return 1\n"
+                  "\n"
+                  "\n"
+                  "class Node:\n"
+                  "    def __init__(self):\n"
+                  "        self.radio = Radio()\n"
+                  "\n"
+                  "    def tick(self):\n"
+                  "        def later():\n"
+                  "            return self.radio.send()\n"
+                  "        return later\n")
+        project = build_project([_ctx(source, "src/demo/scoped.py")])
+        scopes = project.scopes
+        assert list(scopes) == sorted(project.symbols.functions) + \
+            ["demo.scoped.<module>"]
+        init = scopes["demo.scoped.Node.__init__"]
+        tick = scopes["demo.scoped.Node.tick"]
+        # Class-wide self.attr types: one map for every method.
+        assert init.resolver.attr_types is tick.resolver.attr_types
+        assert tick.resolver.attr_types == {"radio": "demo.scoped.Radio"}
+        # A nested def is not part of its parent's body.
+        assert not [n for n in tick.nodes if isinstance(n, ast.Call)]
+        assert project.callgraph.callees("demo.scoped.Node.tick") == ()
+        # Body nodes come in source order; the module body has none.
+        positions = [(n.lineno, n.col_offset) for n in init.nodes
+                     if hasattr(n, "lineno")]
+        assert positions == sorted(positions)
+        assert scopes["demo.scoped.<module>"].nodes == []
+
     def test_taint_propagates_with_a_via_chain(self):
         source = ("import time\n"
                   "\n"

@@ -85,7 +85,7 @@ class TestStatementSpans:
                   "    2,\n"
                   ")\n"
                   "y = 1\n")
-        spans = statement_spans(ast.parse(source))
+        spans = statement_spans(ast.walk(ast.parse(source)))
         assert spans == {1: (1, 4), 2: (1, 4),
                          3: (1, 4), 4: (1, 4)}
 
@@ -94,7 +94,7 @@ class TestStatementSpans:
                   "    y = 1\n"
                   "for i in r:\n"
                   "    z = 2\n")
-        assert statement_spans(ast.parse(source)) == {}
+        assert statement_spans(ast.walk(ast.parse(source))) == {}
 
     def test_suppression_on_continuation_line_covers_statement(self):
         source = ("import time\n"
