@@ -17,7 +17,8 @@ Entry points:
 
 Four rule families share one engine (and one registry,
 :mod:`repro.analysis.registry`): the per-file determinism rules
-(DET001..DET008, ARCHITECTURE.md §10), the interprocedural
+(DET001..DET008, DET006 retired into FPR002; ARCHITECTURE.md §10),
+the interprocedural
 schedule-race rules (SCH001..SCH003, §11), the effect-discipline
 rules (EFF001..EFF008, §15) that check durable I/O, queue
 transactions and RNG substream naming, and the fingerprint- and
@@ -29,7 +30,6 @@ use ``# detlint: ignore[DET00x] -- reason``.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.effect_rules import (
     all_effect_rules,
     effect_rule_ids,
@@ -58,7 +58,6 @@ from repro.analysis.reporters import (
 from repro.analysis.rules import Rule, all_rules, rule_ids
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "Rule",

@@ -5,9 +5,9 @@ both build their argument parser from :func:`add_arguments` and
 execute through :func:`run`, so flags and behaviour can never drift
 apart.
 
-Exit codes: 0 clean, 1 findings, 2 usage errors (argparse *and*
-unknown rule ids: a typo'd ``--select`` must read as a broken
-invocation in CI, never as a clean lint).
+Exit codes: 0 clean, 1 findings, 2 usage errors (argparse, unknown
+rule ids *and* an empty ``--select``: a typo'd ``--select`` must read
+as a broken invocation in CI, never as a clean lint).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import UnknownRuleError, lint_paths
 from repro.analysis.registry import family_summary
 from repro.analysis.reporters import (
@@ -49,13 +48,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="FILE",
                         help="also write the SARIF report to FILE "
                              "(the CI code-scanning upload)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="subtract the grandfathered findings "
-                             "recorded in FILE")
-    parser.add_argument("--write-baseline", default=None,
-                        metavar="FILE",
-                        help="record the current findings as the "
-                             "baseline FILE and exit 0")
     parser.add_argument("--select", type=_rule_list, default=None,
                         metavar="IDS",
                         help="comma-separated rule ids to run "
@@ -63,10 +55,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ignore", type=_rule_list, default=None,
                         metavar="IDS",
                         help="comma-separated rule ids to skip")
-    parser.add_argument("--no-unused-suppressions",
-                        action="store_true",
-                        help="do not report suppressions that "
-                             "silence nothing")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
 
@@ -76,34 +64,14 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         sys.stdout.write(render_rules_text())
         return 0
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as error:
-            raise SystemExit(
-                f"detlint: error: cannot read baseline "
-                f"{args.baseline!r}: {error}") from error
     try:
-        result = lint_paths(
-            args.paths,
-            select=args.select,
-            ignore=args.ignore,
-            baseline=baseline,
-            warn_suppressions=not args.no_unused_suppressions)
+        result = lint_paths(args.paths, select=args.select,
+                            ignore=args.ignore)
     except UnknownRuleError as error:
         print(f"detlint: error: {error}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as error:
         raise SystemExit(f"detlint: error: {error}") from error
-    if args.write_baseline is not None:
-        Baseline.from_findings(result.findings).save(
-            args.write_baseline)
-        print(f"detlint: wrote baseline with "
-              f"{len(result.findings)} entr"
-              f"{'y' if len(result.findings) == 1 else 'ies'} to "
-              f"{args.write_baseline}")
-        return 0
     if args.format == "json":
         report = render_json(result)
     elif args.format == "sarif":

@@ -70,8 +70,7 @@ from repro.analysis.schedule_rules import ProjectRule
 
 #: Modules holding durable-store state: writes here must be atomic
 #: (EFF001) and synced before publication (EFF002).
-_DURABLE_MODULES = ("repro.core.artifacts", "repro.core.queue",
-                    "repro.analysis.baseline")
+_DURABLE_MODULES = ("repro.core.artifacts", "repro.core.queue")
 
 #: Modules that own queue transactions (EFF003/EFF004/EFF005/EFF008).
 _QUEUE_MODULES = ("repro.core.queue",)
@@ -136,10 +135,10 @@ class DurableWriteRule(EffectRule):
         "A plain write into durable-store state can be interrupted "
         "by a crash, leaving a truncated file under the name readers "
         "trust.  Every durable write must flow through the temp+"
-        "os.replace helper pattern (ArtifactStore.put, "
-        "Baseline.save): write the temp file, fsync, rename into "
-        "place.  Non-durable output (a report dumped for a human) is "
-        "a one-line suppression with the reason written down.")
+        "os.replace helper pattern (ArtifactStore.put): write the "
+        "temp file, fsync, rename into place.  Non-durable output "
+        "(a report dumped for a human) is a one-line suppression "
+        "with the reason written down.")
 
     def check_project(self, project: ProjectContext
                       ) -> Iterator[Finding]:

@@ -5,12 +5,11 @@
 files/directories in sorted order, parses each Python file once,
 runs every selected per-file rule over the shared
 :class:`ModuleContext`, then runs the *project* rules (the SCH, EFF
-and FPR families) once over all parsed modules together, and finally filters
-everything through statement-level suppressions and the optional
-baseline.  The result is fully deterministic: findings are sorted by
-(path, line, column, rule) and paths are normalised to forward
-slashes, so the same tree always produces the same report bytes on
-every platform.
+and FPR families) once over all parsed modules together, and finally
+filters everything through statement-level suppressions.  The result
+is fully deterministic: findings are sorted by (path, line, column,
+rule) and paths are normalised to forward slashes, so the same tree
+always produces the same report bytes on every platform.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import dataclasses
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.registry import (
     expand_selection,
@@ -58,15 +56,13 @@ class UnknownRuleError(ValueError):
 class LintResult:
     """Everything one lint invocation produced."""
 
-    #: Findings that gate (new, unsuppressed), in report order.
+    #: Findings that gate (unsuppressed), in report order.
     findings: List[Finding]
-    #: Findings matched by the baseline (informational).
-    grandfathered: List[Finding]
     #: How many Python files were parsed and checked.
     files_checked: int
     #: Suppressions that silenced nothing (DET000 meta-findings with
-    #: file+line), reported separately so the JSON artifact stays
-    #: actionable even when they are configured not to gate.
+    #: file+line; they gate too), listed on their own in the JSON
+    #: artifact.
     unused_suppressions: List[Finding] = dataclasses.field(
         default_factory=list)
 
@@ -135,12 +131,19 @@ def _selected_rules(
     """(per-file rules, project rules) matching select/ignore.
 
     A bare family prefix ("FPR") in either list expands to every
-    rule of that family; unknown ids raise with the registry's
-    family summary.
+    rule of that family; unknown ids, and a *select* that names no
+    id at all, raise with the registry's family summary.
     """
     registered_project = registered_project_rules()
     known = set(registered_rule_ids())
-    chosen = expand_selection(list(select)) if select else set(known)
+    if select is None:
+        chosen = set(known)
+    else:
+        chosen = expand_selection(list(select))
+        if not chosen:
+            raise UnknownRuleError(
+                f"--select names no rule id; valid families are "
+                f"{family_summary()}")
     dropped = expand_selection(list(ignore)) if ignore else set()
     unknown = sorted((chosen | dropped) - known - {META_RULE})
     if unknown:
@@ -190,31 +193,27 @@ def _check_file(source: str, path: str,
 
 
 def _finalise(state: _FileState, extra: Sequence[Finding],
-              warn_suppressions: bool,
               active_rules: Optional[set] = None
               ) -> Tuple[List[Finding], List[Finding]]:
     """Apply suppressions to per-file plus project findings.
 
-    Returns ``(findings, unused)``: the gating findings (including
-    the unused-suppression meta-findings when they are configured to
-    gate) plus the unused-suppression findings on their own, so the
-    JSON report can list them with file+line either way.
+    Returns ``(findings, unused)``: the gating findings (the
+    unused-suppression meta-findings included) plus the
+    unused-suppression findings on their own, so the JSON report can
+    list them with file+line.
     """
     if state.ctx is None:
         return sorted(state.raw, key=Finding.sort_key), []
     kept, unused = apply_suppressions(
         state.raw + list(extra), state.suppressions, state.path,
         state.ctx.lines, state.ctx.nodes, active_rules)
-    findings = kept + state.problems
-    if warn_suppressions:
-        findings += unused
+    findings = kept + state.problems + unused
     return sorted(findings, key=Finding.sort_key), \
         sorted(unused, key=Finding.sort_key)
 
 
 def lint_source(source: str, path: str,
-                rules: Optional[Sequence[Rule]] = None,
-                warn_suppressions: bool = True,
+                rules: Optional[Sequence[Rule]] = None
                 ) -> List[Finding]:
     """Lint one in-memory source text (the unit-test entry point).
 
@@ -224,23 +223,20 @@ def lint_source(source: str, path: str,
     path = normalise_path(path)
     active = rules if rules is not None else all_rules()
     state = _check_file(source, path, active)
-    findings, _unused = _finalise(state, (), warn_suppressions,
+    findings, _unused = _finalise(state, (),
                                   {rule.rule_id for rule in active})
     return findings
 
 
 def lint_paths(paths: Sequence[str],
                select: Optional[Iterable[str]] = None,
-               ignore: Optional[Iterable[str]] = None,
-               baseline: Optional[Baseline] = None,
-               warn_suppressions: bool = True,
+               ignore: Optional[Iterable[str]] = None
                ) -> LintResult:
     """Lint every Python file under *paths*.
 
-    *select* / *ignore* narrow the rule set by id; *baseline*
-    subtracts grandfathered findings (they are still reported, as
-    informational).  Unknown rule ids raise
-    :class:`UnknownRuleError` naming the valid families.
+    *select* / *ignore* narrow the rule set by id.  Unknown rule ids
+    (and a *select* that names none) raise :class:`UnknownRuleError`
+    naming the valid families.
 
     Per-file rules run first, file by file; then the project rules
     (SCH, EFF and FPR families) run once over every successfully
@@ -263,17 +259,12 @@ def lint_paths(paths: Sequence[str],
     unused: List[Finding] = []
     for state in states:
         state_findings, state_unused = _finalise(
-            state, grouped.get(state.path, []), warn_suppressions,
-            active)
+            state, grouped.get(state.path, []), active)
         findings.extend(state_findings)
         unused.extend(state_unused)
     findings.sort(key=Finding.sort_key)
     unused.sort(key=Finding.sort_key)
-    grandfathered: List[Finding] = []
-    if baseline is not None:
-        findings, grandfathered = baseline.filter(findings)
     return LintResult(findings=findings,
-                      grandfathered=grandfathered,
                       files_checked=len(files),
                       unused_suppressions=unused)
 

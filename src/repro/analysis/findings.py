@@ -2,9 +2,10 @@
 
 A :class:`Finding` pins a rule violation to a file and line.  Its
 :meth:`fingerprint` deliberately excludes the line *number* (only the
-rule, the path and the offending source line's text are hashed) so a
-baseline entry survives unrelated edits that shift the file -- the
-same trade-off ruff's and mypy's baselines make.
+rule, the path and the offending source line's text are hashed) so
+the identity survives unrelated edits that shift the file: SARIF
+``partialFingerprints`` and the JSON report's ``fingerprint`` field
+carry it, and code scanning tracks a finding across rebases by it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class Finding:
     column: int
     message: str
     #: The stripped source text of the offending line (fingerprint
-    #: input; keeps baselines stable across line-number drift).
+    #: input; keeps the identity stable across line-number drift).
     snippet: str = ""
 
     def sort_key(self) -> Any:
@@ -32,7 +33,7 @@ class Finding:
         return (self.path, self.line, self.column, self.rule)
 
     def fingerprint(self) -> str:
-        """Line-number-insensitive identity used by baselines."""
+        """Line-number-insensitive identity (SARIF, JSON report)."""
         payload = f"{self.rule}|{self.path}|{self.snippet}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

@@ -17,10 +17,10 @@ is their dynamic cross-check.
 FPR001    frozen-config dataclass field missing from a handwritten
           ``to_dict``: serialization silently drops the field, so a
           round-tripped config is not the config that ran
-FPR002    ``from_dict`` drops or silently defaults a key that
-          ``to_dict`` always emits (asymmetric round-trip): a stale
-          or truncated payload is accepted as current instead of
-          rejected
+FPR002    asymmetric round-trip: a ``to_dict`` with no
+          ``from_dict`` (a one-way format), or a ``from_dict`` that
+          drops or silently defaults a key ``to_dict`` always emits
+          (a stale or truncated payload is accepted as current)
 FPR003    field read on an execution path but absent from the
           fingerprint payload: two configs differing only in that
           field share a cache key (the stale-cache hazard)
@@ -63,8 +63,7 @@ from repro.analysis.schedule_rules import ProjectRule
 
 #: Modules whose read paths face FPR007: the durable stores whose
 #: entries carry a format tag and an embedded digest.
-_DURABLE_MODULES = ("repro.core.artifacts", "repro.core.queue",
-                    "repro.analysis.baseline")
+_DURABLE_MODULES = ("repro.core.artifacts", "repro.core.queue")
 
 #: Field names that never change execution results: folding one into
 #: a fingerprint splits the cache without protecting anything
@@ -144,23 +143,34 @@ class FieldMissingFromToDictRule(FingerprintRule):
 
 
 class AsymmetricRoundTripRule(FingerprintRule):
-    """FPR002: from_dict drops or defaults a key to_dict emits."""
+    """FPR002: to_dict without from_dict, or a lossy from_dict."""
 
     rule_id = "FPR002"
-    title = "from_dict drops or defaults a key to_dict emits"
+    title = "to_dict without a from_dict that reads every key back"
     rationale = (
-        "to_dict and from_dict are one contract: every key the "
-        "writer always emits, the reader must require.  A key read "
-        "with a silent .get(key, default) accepts a payload from "
-        "*before* the field existed as if it were current -- the "
-        "exact shape of a stale-cache bug.  Read emitted keys "
-        "strictly (data[key]) so absence is an error, and reject "
-        "unknown keys so typos surface.")
+        "to_dict and from_dict are one contract: the run cache, the "
+        "fault matrix and the golden traces all round-trip through "
+        "it.  A type that can only serialise rots into a one-way "
+        "format nobody can validate, so every to_dict pairs a "
+        "from_dict.  Every key the writer always emits, the reader "
+        "must require: a key read with a silent .get(key, default) "
+        "accepts a payload from *before* the field existed as if it "
+        "were current -- the exact shape of a stale-cache bug.  "
+        "Read emitted keys strictly (data[key]) so absence is an "
+        "error, and reject unknown keys so typos surface.")
 
     def check_project(self, project: ProjectContext
                       ) -> Iterator[Finding]:
         for serial in _classes(project):
-            if serial.to_dict is None or serial.from_dict is None:
+            if serial.to_dict is None:
+                continue
+            if serial.from_dict is None:
+                yield self.at(
+                    project, serial.to_dict, serial.to_dict.node,
+                    f"class {serial.symbol.name} defines to_dict but "
+                    f"no from_dict; serialisable state must "
+                    f"round-trip (or the export-only intent must "
+                    f"be a written suppression)")
                 continue
             if serial.to_dict_dynamic or serial.from_dict_dynamic:
                 continue
@@ -402,8 +412,7 @@ class UnverifiedCacheReadRule(FingerprintRule):
             if not _module_in(symbol.module, _DURABLE_MODULES):
                 continue
             load = self._unverified_load(symbol)
-            if load is not None and \
-                    not self._delegates_verification(project, symbol):
+            if load is not None:
                 yield self.at(
                     project, symbol, load,
                     "cache read parses a durable entry without "
@@ -411,49 +420,6 @@ class UnverifiedCacheReadRule(FingerprintRule):
                     "digest: a stale or truncated entry is served "
                     "as a hit -- compare the format tag and sha256 "
                     "before trusting the body")
-
-    @staticmethod
-    def _delegates_verification(project: ProjectContext,
-                                symbol: FunctionSymbol) -> bool:
-        """Whether a direct same-module callee carries the checks.
-
-        ``Baseline.load`` opens and parses, then hands the payload to
-        ``from_dict`` which rejects a bad format tag: verification
-        one call away still counts (depth 1 only -- deeper and the
-        reader can no longer see the contract either).
-        """
-        functions = project.symbols.functions
-        for sub in ast.walk(symbol.node):
-            if not isinstance(sub, ast.Call):
-                continue
-            name = _call_name(sub)
-            if name is None:
-                continue
-            for qname in (f"{symbol.module}.{name}",
-                          f"{symbol.module}.{symbol.cls}.{name}"
-                          if symbol.cls else ""):
-                callee = functions.get(qname)
-                if callee is not None and \
-                        UnverifiedCacheReadRule._has_evidence(callee):
-                    return True
-        return False
-
-    @staticmethod
-    def _has_evidence(symbol: FunctionSymbol) -> bool:
-        for sub in ast.walk(symbol.node):
-            if isinstance(sub, ast.Name):
-                name = sub.id
-            elif isinstance(sub, ast.Attribute):
-                name = sub.attr
-            elif isinstance(sub, ast.Constant) and \
-                    isinstance(sub.value, str):
-                name = sub.value
-            else:
-                continue
-            if name.endswith("_FORMAT") or "digest" in name.lower() \
-                    or name in ("format", "sha256"):
-                return True
-        return False
 
     @staticmethod
     def _unverified_load(symbol: FunctionSymbol

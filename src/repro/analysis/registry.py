@@ -2,7 +2,7 @@
 
 Four rule families grew up in four modules; this registry is the one
 place that lists them, so ``--list-rules``, the ``UnknownRuleError``
-message, the suppression-grammar rule-id pattern, the SARIF ``rules``
+message, the ids a suppression may name, the SARIF ``rules``
 block and CONTRIBUTING's triage tables all derive from the same
 source.  Adding a fifth family is one entry in :data:`_FAMILIES` --
 everything downstream picks it up.
@@ -78,8 +78,7 @@ def rule_families() -> Tuple[RuleFamily, ...]:
     )
 
 
-#: The family prefixes, in registry order -- the suppression grammar
-#: accepts exactly these.
+#: The family prefixes, in registry order.
 FAMILY_PREFIXES: Tuple[str, ...] = tuple(
     family.prefix for family in rule_families())
 

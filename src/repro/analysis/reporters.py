@@ -20,17 +20,14 @@ from repro.analysis.registry import registered_rules
 #: Bump when the JSON report layout changes.
 #: v2: ``unused_suppressions`` section (file+line parity with the
 #: text reporter, so CI artifacts are actionable on their own).
-REPORT_FORMAT = 2
+#: v3: ``findings`` and ``unused_suppressions`` are the only finding
+#: lists.
+REPORT_FORMAT = 3
 
 #: The SARIF version GitHub code scanning consumes.
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
                 "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
-
-
-def _registered_rules() -> list:
-    """Every registered rule object, in id order (the registry)."""
-    return registered_rules()
 
 
 def render_text(result: LintResult) -> str:
@@ -39,9 +36,6 @@ def render_text(result: LintResult) -> str:
         f"{f.path}:{f.line}:{f.column}: {f.rule} {f.message}"
         for f in result.findings
     ]
-    if result.grandfathered:
-        lines.append(f"(baseline: {len(result.grandfathered)} "
-                     f"grandfathered finding(s) not shown)")
     if result.findings:
         by_rule = ", ".join(f"{rule} x{count}" for rule, count
                             in count_by_rule(result.findings))
@@ -60,8 +54,6 @@ def render_json(result: LintResult) -> str:
         "format": REPORT_FORMAT,
         "files_checked": result.files_checked,
         "findings": [f.to_dict() for f in result.findings],
-        "grandfathered": [f.to_dict()
-                          for f in result.grandfathered],
         "unused_suppressions": [
             {"path": f.path, "line": f.line, "message": f.message}
             for f in result.unused_suppressions
@@ -102,8 +94,6 @@ def render_sarif(result: LintResult) -> str:
 
     One run, one rule entry per registered rule (so annotations can
     link to the catalogue text), one result per gating finding.
-    Grandfathered findings are deliberately omitted -- SARIF is the
-    gate's view, and the baseline already accepted them.
     """
     rules: List[Dict[str, Any]] = [
         {
@@ -113,7 +103,7 @@ def render_sarif(result: LintResult) -> str:
             "fullDescription": {"text": rule.rationale or rule.title},
             "defaultConfiguration": {"level": "error"},
         }
-        for rule in _registered_rules()
+        for rule in registered_rules()
     ]
     payload: Dict[str, Any] = {
         "$schema": SARIF_SCHEMA,
@@ -134,7 +124,7 @@ def render_sarif(result: LintResult) -> str:
 def render_rules_text() -> str:
     """The rule catalogue (``--list-rules``)."""
     lines = []
-    for rule in _registered_rules():
+    for rule in registered_rules():
         lines.append(f"{rule.rule_id}  {rule.title}")
         for chunk in _wrap(rule.rationale, width=64):
             lines.append(f"        {chunk}")

@@ -21,7 +21,7 @@ DET004    no float ``+=`` accumulators in exactly-mergeable state
           (classes with a ``merge``); use ``Fraction``/int counts
 DET005    every ``obs``/fault seam use must be None-guarded
           (the no-op-when-unset pattern)
-DET006    every class with ``to_dict`` pairs a ``from_dict``
+DET006    retired -- folded into FPR002
 DET007    no locale-/environment-dependent formatting
           (``os.environ``, ``locale``, ``strftime``) in ``src/``
 DET008    process-pool boundaries: only module-level callables are
@@ -556,42 +556,6 @@ class SeamGuardRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# DET006 -- to_dict / from_dict pairing
-# ---------------------------------------------------------------------------
-
-
-class SerialisationPairRule(Rule):
-    """Serialisable types must round-trip."""
-
-    rule_id = "DET006"
-    title = "to_dict without a paired from_dict"
-    rationale = (
-        "The run cache, the fault matrix and the golden traces all "
-        "round-trip through to_dict; a type that can only "
-        "serialise rots into a one-way format nobody can validate. "
-        "Every to_dict pairs a from_dict classmethod with "
-        "canonical key handling (unknown keys rejected or "
-        "defaulted deliberately).")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ctx.nodes:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = {item.name for item in node.body
-                       if isinstance(item, ast.FunctionDef)}
-            if "to_dict" in methods and "from_dict" not in methods:
-                to_dict = next(item for item in node.body
-                               if isinstance(item, ast.FunctionDef)
-                               and item.name == "to_dict")
-                yield self.finding(
-                    ctx, to_dict,
-                    f"class {node.name} defines to_dict but no "
-                    f"from_dict; serialisable state must "
-                    f"round-trip (or the export-only intent must "
-                    f"be a written suppression)")
-
-
-# ---------------------------------------------------------------------------
 # DET007 -- locale/env-dependent formatting
 # ---------------------------------------------------------------------------
 
@@ -764,7 +728,6 @@ _ALL_RULES: Tuple[Rule, ...] = (
     UnsortedIterationRule(),
     FloatAccumulatorRule(),
     SeamGuardRule(),
-    SerialisationPairRule(),
     EnvFormattingRule(),
     PoolBoundaryRule(),
 )
@@ -779,10 +742,3 @@ def rule_ids() -> Tuple[str, ...]:
     """The registered rule ids, sorted."""
     return tuple(rule.rule_id for rule in all_rules())
 
-
-def get_rule(rule_id: str) -> Rule:
-    """The rule registered under *rule_id* (raises KeyError)."""
-    for rule in _ALL_RULES:
-        if rule.rule_id == rule_id:
-            return rule
-    raise KeyError(rule_id)

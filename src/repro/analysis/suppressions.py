@@ -24,7 +24,7 @@ import tokenize
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.registry import FAMILY_PREFIXES
+from repro.analysis.registry import registered_rule_ids
 
 #: The meta-rule id for malformed or unused suppressions.
 META_RULE = "DET000"
@@ -39,14 +39,10 @@ _SUPPRESS_RE = re.compile(
 #: would otherwise silently fail to suppress.
 _MENTION_RE = re.compile(r"#\s*detlint\b")
 
-#: Accepts exactly the registered family prefixes (DET/SCH/EFF/FPR),
-#: sourced from :mod:`repro.analysis.registry`.
-_RULE_ID_RE = re.compile(
-    r"^(?:" + "|".join(FAMILY_PREFIXES) + r")\d{3}$")
-
-#: "DET, SCH, EFF or FPR" for the malformed-suppression message.
-_PREFIX_PHRASE = ", ".join(FAMILY_PREFIXES[:-1]) + \
-    " or " + FAMILY_PREFIXES[-1]
+#: The ids a suppression may name: exactly the registered rules, so
+#: a comment naming a retired or misspelt id is reported instead of
+#: silently suppressing nothing.
+_KNOWN_RULE_IDS = frozenset(registered_rule_ids())
 
 #: Compound statements never define a suppression span: a comment
 #: inside an ``if`` body must not silence the whole block.
@@ -95,7 +91,7 @@ def parse_suppressions(
 
     Returns ``(by_line, problems)``: the valid suppressions keyed by
     physical line number (1-based), and DET000 findings for malformed
-    ones (missing reason, bad rule id, unparsable syntax).
+    ones (missing reason, unknown rule id, unparsable syntax).
     """
     by_line: Dict[int, Suppression] = {}
     problems: List[Finding] = []
@@ -115,14 +111,14 @@ def parse_suppressions(
         rules = tuple(r.strip() for r in
                       match.group("rules").split(",") if r.strip())
         reason = (match.group("reason") or "").strip()
-        bad = [r for r in rules if not _RULE_ID_RE.match(r)]
+        bad = [r for r in rules if r not in _KNOWN_RULE_IDS]
         if not rules or bad:
             problems.append(Finding(
                 rule=META_RULE, path=path, line=lineno,
                 column=column + 1,
                 message=(f"invalid rule id(s) {bad or ['(none)']} in "
-                         f"suppression; expected {_PREFIX_PHRASE} "
-                         f"followed by three digits"),
+                         f"suppression: unknown rule id (see "
+                         f"detlint --list-rules)"),
                 snippet=snippet))
             continue
         if not reason:

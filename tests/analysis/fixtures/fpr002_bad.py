@@ -1,8 +1,8 @@
 """FPR002 positive fixture: asymmetric to_dict/from_dict contracts.
 
-Two shapes: a key read behind a silent ``.get(key, default)`` (a
-payload from before the field existed is accepted as current), and a
-key the reader never touches at all (the round-trip drops it).
+Three shapes: a key read behind a silent ``.get(key, default)``, a
+key the reader never touches (the round-trip drops it), and a
+``to_dict`` with no ``from_dict`` at all (a one-way format).
 """
 
 
@@ -30,3 +30,11 @@ class TracePage:
     @classmethod
     def from_dict(cls, data):
         return cls(data["offset"], [])
+
+
+class Verdict:
+    def __init__(self, label):
+        self.label = label
+
+    def to_dict(self):
+        return {"label": self.label}

@@ -19,3 +19,15 @@ class WindowStats:
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
         return cls(data["count"], data["total"])
+
+
+class Verdict:
+    def __init__(self, label):
+        self.label = label
+
+    def to_dict(self):
+        return {"label": self.label}
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls(label=data["label"])

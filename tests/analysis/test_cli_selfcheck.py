@@ -24,25 +24,25 @@ class TestDetlintCli:
         assert "detlint: clean" in capsys.readouterr().out
 
     def test_bad_fixture_exits_one(self, capsys):
-        bad = os.path.join(FIXTURES, "det006_bad.py")
+        bad = os.path.join(FIXTURES, "det004_bad.py")
         assert detlint_main([bad]) == 1
         out = capsys.readouterr().out
-        assert "DET006" in out
+        assert "DET004" in out
         assert "1 finding(s)" in out
 
     def test_json_format(self, capsys):
-        bad = os.path.join(FIXTURES, "det006_bad.py")
+        bad = os.path.join(FIXTURES, "fpr002_bad.py")
         assert detlint_main([bad, "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["by_rule"] == {"DET006": 1}
+        assert payload["summary"]["by_rule"] == {"FPR002": 3}
 
     def test_output_artifact_is_always_json(self, tmp_path, capsys):
-        bad = os.path.join(FIXTURES, "det006_bad.py")
+        bad = os.path.join(FIXTURES, "det004_bad.py")
         artifact = tmp_path / "detlint.json"
         assert detlint_main([bad, "--output", str(artifact)]) == 1
         capsys.readouterr()
         payload = json.loads(artifact.read_text())
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         assert payload["summary"]["total"] == 1
         assert payload["unused_suppressions"] == []
 
@@ -68,17 +68,20 @@ class TestDetlintCli:
     def test_list_rules(self, capsys):
         assert detlint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for index in range(1, 9):
+        for index in (1, 2, 3, 4, 5, 7, 8):
             assert f"DET00{index}" in out
+        # DET006 is retired (folded into FPR002).
+        assert "DET006" not in out
 
 
 class TestExitCodeMatrix:
     """0 clean / 1 findings / 2 usage errors, across all families."""
 
     CLEAN = ("det001_good.py", "sch001_good.py", "eff003_good.py")
-    DIRTY = {"det006_bad.py": "DET006",
+    DIRTY = {"det004_bad.py": "DET004",
              "sch001_bad.py": "SCH001",
-             "eff004_bad.py": "EFF004"}
+             "eff004_bad.py": "EFF004",
+             "fpr002_bad.py": "FPR002"}
 
     def test_clean_fixture_from_each_family_exits_zero(self, capsys):
         for name in self.CLEAN:
@@ -91,27 +94,49 @@ class TestExitCodeMatrix:
             assert rule in capsys.readouterr().out
 
     def test_usage_errors_exit_two_for_each_family_typo(self, capsys):
-        for bogus in ("DET042", "SCH999", "EFF000x"):
+        # DET006 is retired (folded into FPR002).
+        for bogus in ("DET042", "SCH999", "EFF000x", "DET006"):
             assert detlint_main(
                 [FIXTURES, "--select", bogus]) == 2
-            capsys.readouterr()
+            assert "DET001..DET008" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", ["", ",", " , "])
+    def test_empty_select_is_usage_error(self, empty, capsys):
+        # These parse to no ids; running every rule instead would
+        # pass a broken invocation off as a full lint.
+        assert detlint_main([FIXTURES, "--select", empty]) == 2
+        captured = capsys.readouterr()
+        assert "--select names no rule id" in captured.err
+        assert "DET001..DET008" in captured.err
+        assert captured.out == ""
 
-class TestMultiFamilyBaseline:
-    def test_baseline_round_trip_grandfathers_all_families(
+    @pytest.mark.parametrize("flag", [
+        ["--baseline", "baseline.json"],
+        ["--write-baseline", "baseline.json"],
+        ["--no-unused-suppressions"],
+    ])
+    def test_removed_flag_is_usage_error(self, flag, capsys):
+        # A script still passing a grandfathering or opt-out flag must
+        # fail loudly, not lint with the flag silently dropped.
+        with pytest.raises(SystemExit) as excinfo:
+            detlint_main([FIXTURES] + flag)
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_unregistered_suppression_id_gates_under_select(
             self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
+        target = tmp_path / "retired.py"
+        target.write_text(
+            "def f():\n"
+            "    return 1  # detlint: ignore[DET006] -- retired id\n")
         assert detlint_main(
-            [FIXTURES, "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert detlint_main(
-            [FIXTURES, "--baseline", str(baseline),
-             "--format", "json"]) == 0
+            [str(target), "--select", "DET001", "--format",
+             "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"] == []
-        grandfathered = {f["rule"][:3]
-                         for f in payload["grandfathered"]}
-        assert {"DET", "SCH", "EFF"} <= grandfathered
+        (finding,) = payload["findings"]
+        assert finding["rule"] == "DET000"
+        assert finding["line"] == 2
+        assert "unknown rule id" in finding["message"]
 
 
 class TestUnusedSuppressionArtifact:
@@ -166,10 +191,9 @@ def src_selfcheck(tmp_path_factory):
 
 
 class TestSelfCheck:
-    def test_src_tree_is_clean_with_no_baseline(self, src_selfcheck):
+    def test_src_tree_is_clean(self, src_selfcheck):
         proc, report = src_selfcheck
         assert report["findings"] == []
-        assert report["grandfathered"] == []
         assert proc.returncode == 0
         assert report["files_checked"] > 90
 

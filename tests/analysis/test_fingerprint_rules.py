@@ -57,7 +57,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 EXPECTED = {
     "fpr001_bad.py": [("FPR001", 17)],
     "fpr001_good.py": [],
-    "fpr002_bad.py": [("FPR002", 19), ("FPR002", 31)],
+    "fpr002_bad.py": [("FPR002", 19), ("FPR002", 31),
+                      ("FPR002", 39)],
     "fpr002_good.py": [],
     "fpr003_bad.py": [("FPR003", 25)],
     "fpr003_good.py": [],
@@ -88,13 +89,16 @@ class TestFixturePairs:
         assert "'cs_latency'" in finding.message
         assert "dataclasses.asdict" in finding.message
 
-    def test_fpr002_messages_cover_both_shapes(self):
+    def test_fpr002_messages_cover_all_three_shapes(self):
         result = lint_paths([os.path.join(FIXTURES,
                                           "fpr002_bad.py")])
-        defaulted, dropped = result.findings
+        defaulted, dropped, one_way = result.findings
         assert "defaults key 'total'" in defaulted.message
         assert "data['total']" in defaulted.message
         assert "never reads key 'rows'" in dropped.message
+        assert "class Verdict defines to_dict but no from_dict" in \
+            one_way.message
+        assert one_way.column == 5
 
     def test_fpr004_reports_each_volatile_field(self):
         result = lint_paths([os.path.join(FIXTURES,
@@ -148,6 +152,60 @@ class TestFixturePairs:
         assert "path_loss_exponent" not in VOLATILE_FIELDS
 
 
+class TestOneWaySerialisation:
+    """FPR002's to_dict-without-from_dict case (formerly DET006)."""
+
+    def _lint(self, tmp_path, source):
+        target = tmp_path / "one_way.py"
+        target.write_text(source)
+        return lint_paths([str(target)], select=["FPR002"])
+
+    def test_to_dict_alone_fires_at_its_def(self, tmp_path):
+        result = self._lint(tmp_path,
+                            "class Row:\n"
+                            "    def __init__(self, n):\n"
+                            "        self.n = n\n"
+                            "\n"
+                            "    def to_dict(self):\n"
+                            "        return {'n': self.n}\n")
+        (finding,) = result.findings
+        assert (finding.rule, finding.line, finding.column) == \
+            ("FPR002", 5, 5)
+        assert "class Row defines to_dict but no from_dict" in \
+            finding.message
+
+    def test_from_dict_alone_is_not_flagged(self, tmp_path):
+        result = self._lint(tmp_path,
+                            "class Row:\n"
+                            "    def __init__(self, n):\n"
+                            "        self.n = n\n"
+                            "\n"
+                            "    @classmethod\n"
+                            "    def from_dict(cls, data):\n"
+                            "        return cls(data['n'])\n")
+        assert result.findings == []
+
+    def test_class_nested_in_a_function_is_not_indexed(self, tmp_path):
+        # The symbol table indexes module-level classes only; a class
+        # built inside a function is out of FPR002's reach.
+        result = self._lint(tmp_path,
+                            "def make():\n"
+                            "    class Row:\n"
+                            "        def to_dict(self):\n"
+                            "            return {}\n"
+                            "    return Row\n")
+        assert result.findings == []
+
+    def test_suppression_on_the_def_line_silences_it(self, tmp_path):
+        result = self._lint(tmp_path,
+                            "class Row:\n"
+                            "    def to_dict(self):"
+                            "  # detlint: ignore[FPR002] -- log only\n"
+                            "        return {}\n")
+        assert result.findings == []
+        assert result.unused_suppressions == []
+
+
 class TestRegistry:
     def test_families_in_fixed_order(self):
         assert FAMILY_PREFIXES == ("DET", "SCH", "EFF", "FPR")
@@ -158,7 +216,7 @@ class TestRegistry:
     def test_registered_ids_are_sorted_and_unique(self):
         ids = registered_rule_ids()
         assert list(ids) == sorted(set(ids))
-        assert len(ids) == 8 + 3 + 8 + 8
+        assert len(ids) == 7 + 3 + 8 + 8
 
     def test_project_rules_cover_sch_eff_fpr(self):
         prefixes = {rule.rule_id[:3]
@@ -169,7 +227,7 @@ class TestRegistry:
         assert expand_selection(["FPR"]) == set(
             fingerprint_rule_ids())
         assert expand_selection(["FPR003", "DET"]) == \
-            {"FPR003"} | {f"DET00{i}" for i in range(1, 9)}
+            {"FPR003"} | {f"DET00{i}" for i in (1, 2, 3, 4, 5, 7, 8)}
         # Unknown ids pass through for the engine to report.
         assert expand_selection(["XYZ999"]) == {"XYZ999"}
 
@@ -241,8 +299,7 @@ def _fpr_result() -> LintResult:
                 "helper",
                 snippet='"result_key": f"run-{seed}",'),
     ]
-    return LintResult(findings=findings, grandfathered=[],
-                      files_checked=2)
+    return LintResult(findings=findings, files_checked=2)
 
 
 GOLDEN_FPR_TEXT = (
@@ -278,8 +335,7 @@ instead of the canonical fingerprint helper",
       "snippet": "\\"result_key\\": f\\"run-{seed}\\","
     }
   ],
-  "format": 2,
-  "grandfathered": [],
+  "format": 3,
   "summary": {
     "by_rule": {
       "FPR003": 1,

@@ -30,19 +30,18 @@ def _result() -> LintResult:
         Finding(rule="DET002", path="src/pkg/a.py", line=3,
                 column=12, message="wall-clock call time.time()",
                 snippet="return time.time()"),
-        Finding(rule="DET006", path="src/pkg/b.py", line=10,
+        Finding(rule="FPR002", path="src/pkg/b.py", line=10,
                 column=1, message="class Row defines to_dict but "
                 "no from_dict", snippet="def to_dict(self):"),
     ]
-    return LintResult(findings=findings, grandfathered=[],
-                      files_checked=2)
+    return LintResult(findings=findings, files_checked=2)
 
 
 GOLDEN_TEXT = (
     "src/pkg/a.py:3:12: DET002 wall-clock call time.time()\n"
-    "src/pkg/b.py:10:1: DET006 class Row defines to_dict but no "
+    "src/pkg/b.py:10:1: FPR002 class Row defines to_dict but no "
     "from_dict\n"
-    "detlint: 2 finding(s) [DET002 x1, DET006 x1] in 2 file(s)\n"
+    "detlint: 2 finding(s) [DET002 x1, FPR002 x1] in 2 file(s)\n"
 )
 
 GOLDEN_CLEAN = "detlint: clean (7 file(s) checked)\n"
@@ -62,20 +61,19 @@ GOLDEN_JSON = """\
     },
     {
       "column": 1,
-      "fingerprint": "adb45098a55f0e39",
+      "fingerprint": "b3df9b957ea9c195",
       "line": 10,
       "message": "class Row defines to_dict but no from_dict",
       "path": "src/pkg/b.py",
-      "rule": "DET006",
+      "rule": "FPR002",
       "snippet": "def to_dict(self):"
     }
   ],
-  "format": 2,
-  "grandfathered": [],
+  "format": 3,
   "summary": {
     "by_rule": {
       "DET002": 1,
-      "DET006": 1
+      "FPR002": 1
     },
     "total": 2
   },
@@ -89,17 +87,8 @@ class TestTextReporter:
         assert render_text(_result()) == GOLDEN_TEXT
 
     def test_golden_clean_report(self):
-        clean = LintResult(findings=[], grandfathered=[],
-                           files_checked=7)
+        clean = LintResult(findings=[], files_checked=7)
         assert render_text(clean) == GOLDEN_CLEAN
-
-    def test_grandfathered_note(self):
-        result = _result()
-        result.grandfathered = result.findings[1:]
-        result.findings = result.findings[:1]
-        text = render_text(result)
-        assert "(baseline: 1 grandfathered finding(s) " \
-            "not shown)" in text
 
 
 class TestJsonReporter:
@@ -116,6 +105,26 @@ class TestJsonReporter:
     def test_rendering_is_deterministic(self):
         assert render_json(_result()) == render_json(_result())
         assert render_text(_result()) == render_text(_result())
+
+
+class TestFingerprint:
+    @staticmethod
+    def _finding(line=3, rule="DET002", path="pkg/mod.py",
+                 snippet="x = time.time()"):
+        return Finding(rule=rule, path=path, line=line, column=12,
+                       message="wall-clock call", snippet=snippet)
+
+    def test_fingerprint_survives_line_moves(self):
+        # Inserting unrelated lines above a finding must not change
+        # the id code scanning tracks it by.
+        assert self._finding(line=3).fingerprint() == \
+            self._finding(line=31).fingerprint()
+
+    def test_fingerprint_separates_rule_path_and_snippet(self):
+        base = self._finding().fingerprint()
+        assert self._finding(rule="DET003").fingerprint() != base
+        assert self._finding(path="pkg/other.py").fingerprint() != base
+        assert self._finding(snippet="y = 1").fingerprint() != base
 
 
 class TestFixtureReport:

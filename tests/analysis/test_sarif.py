@@ -25,8 +25,7 @@ def _result() -> LintResult:
                 column=5, message="rename without fsync",
                 snippet="os.replace(tmp, target)"),
     ]
-    return LintResult(findings=findings, grandfathered=[],
-                      files_checked=2)
+    return LintResult(findings=findings, files_checked=2)
 
 
 class TestSarifReporter:
@@ -49,6 +48,14 @@ class TestSarifReporter:
             assert rule["shortDescription"]["text"]
             assert rule["fullDescription"]["text"]
 
+    def test_rule_catalogue_omits_the_retired_det006(self):
+        payload = json.loads(render_sarif(_result()))
+        rules = {rule["id"]: rule for rule in
+                 payload["runs"][0]["tool"]["driver"]["rules"]}
+        assert "DET006" not in rules
+        # Its case lives on in FPR002's one-way round-trip check.
+        assert "from_dict" in rules["FPR002"]["shortDescription"]["text"]
+
     def test_results_carry_location_and_fingerprint(self):
         payload = json.loads(render_sarif(_result()))
         results = payload["runs"][0]["results"]
@@ -61,18 +68,10 @@ class TestSarifReporter:
             "%SRCROOT%"
         assert location["region"]["startLine"] == 3
         assert location["region"]["startColumn"] == 12
-        # The fingerprint is the line-move-tolerant baseline id, so
-        # code scanning tracks findings across rebases the same way
-        # the baseline does.
+        # The fingerprint is line-move tolerant, so code scanning
+        # tracks findings across rebases.
         assert first["partialFingerprints"]["detlint/v1"] == \
             _result().findings[0].fingerprint()
-
-    def test_grandfathered_findings_are_omitted(self):
-        result = _result()
-        result.grandfathered = result.findings[1:]
-        result.findings = result.findings[:1]
-        payload = json.loads(render_sarif(result))
-        assert len(payload["runs"][0]["results"]) == 1
 
     def test_rendering_is_deterministic(self):
         assert render_sarif(_result()) == render_sarif(_result())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.engine import lint_source
+from repro.analysis.engine import lint_paths, lint_source
 from repro.analysis.rules import all_rules
 from repro.analysis.suppressions import statement_spans
 
@@ -141,9 +141,41 @@ class TestUnused:
         assert [f.rule for f in findings] == ["DET000"]
         assert "unused suppression" in findings[0].message
 
-    def test_unused_reporting_can_be_disabled(self):
-        source = ("def f():\n"
-                  "    return 1"
-                  "  # detlint: ignore[DET002] -- stale\n")
-        assert lint_source(source, "x.py",
-                           warn_suppressions=False) == []
+    def test_unregistered_rule_id_is_det000_under_any_selection(self):
+        # A well-formed id that names no registered rule (DET006 was
+        # folded into FPR002) silences nothing; it is reported even
+        # when only other rules run, so it cannot rot unnoticed.
+        source = ("import time\n"
+                  "def stamp():\n"
+                  "    return time.time()"
+                  "  # detlint: ignore[DET006] -- retired id\n")
+        rules = [r for r in all_rules() if r.rule_id == "DET002"]
+        findings = sorted(lint_source(source, "x.py", rules=rules),
+                          key=lambda f: f.rule)
+        assert [f.rule for f in findings] == ["DET000", "DET002"]
+        assert "unknown rule id" in findings[0].message
+
+    def test_unregistered_id_voids_the_whole_comment(self):
+        # One unknown id in a multi-rule comment rejects the comment:
+        # the registered DET002 beside it silences nothing either.
+        source = ("import time\n"
+                  "def stamp():\n"
+                  "    return time.time()"
+                  "  # detlint: ignore[DET002,DET009] -- mixed\n")
+        findings = sorted(lint_source(source, "x.py"),
+                          key=lambda f: f.rule)
+        assert [f.rule for f in findings] == ["DET000", "DET002"]
+        assert "'DET009'" in findings[0].message
+        assert "'DET002'" not in findings[0].message
+
+    def test_lint_paths_always_reports_unused(self, tmp_path):
+        # There is no opt-out: a stale escape gates the run.
+        target = tmp_path / "stale.py"
+        target.write_text("def f():\n"
+                          "    return 1"
+                          "  # detlint: ignore[DET002] -- stale\n")
+        result = lint_paths([str(target)])
+        (unused,) = result.unused_suppressions
+        assert unused.line == 2
+        assert [f.rule for f in result.findings] == ["DET000"]
+        assert result.exit_code == 1

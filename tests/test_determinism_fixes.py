@@ -3,10 +3,11 @@
 The first ``detlint src/`` run surfaced real violations: float
 accumulator state in mergeable metrics (DET004), unsorted mapping
 iteration in canonical exporters (DET003) and ``to_dict`` classes
-without a ``from_dict`` (DET006).  Each fix here gets a regression
-proving the repaired code is *behaviour-preserving where it must be*
-(same exported values, same dict shapes) and *stronger where it was
-weak* (merge order can no longer change a bit of the output).
+without a ``from_dict`` (then DET006, now FPR002).  Each fix here
+gets a regression proving the repaired code is *behaviour-preserving
+where it must be* (same exported values, same dict shapes) and
+*stronger where it was weak* (merge order can no longer change a bit
+of the output).
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class TestExactSpanStats:
 
 
 # ----------------------------------------------------------------------
-# DET006: every to_dict has a from_dict that round-trips
+# FPR002 (was DET006): every to_dict has a from_dict that round-trips
 # ----------------------------------------------------------------------
 
 class TestObsRoundtrips:

@@ -1,11 +1,10 @@
-"""Regressions for the EFF002 fixes: fsync before every publish.
+"""Regressions for the EFF002 fix: fsync before every publish.
 
-The analyzer found two durable-store writers renaming data into
-place with no fsync (:class:`repro.core.artifacts.ArtifactStore` and
-:class:`repro.analysis.baseline.Baseline`): the rename publishes the
-*name* atomically, but without an fsync the bytes may still sit in
-the page cache when power is cut, leaving a zero-length file under a
-valid path.  These tests pin the ordering -- data synced to disk
+The analyzer found a durable-store writer renaming data into place
+with no fsync (:class:`repro.core.artifacts.ArtifactStore`): the
+rename publishes the *name* atomically, but without an fsync the
+bytes may still sit in the page cache when power is cut, leaving a
+zero-length file under a valid path.  These tests pin the ordering -- data synced to disk
 strictly before the rename -- and that the fix changed no stored
 bytes.
 """
@@ -17,8 +16,6 @@ import os
 
 import pytest
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.findings import Finding
 from repro.core.artifacts import ArtifactStore
 
 
@@ -80,27 +77,3 @@ class TestArtifactStoreDurability:
                      in os.walk(tmp_path) for name in files
                      if name.endswith(".tmp")]
         assert leftovers == []
-
-
-class TestBaselineDurability:
-    def _baseline(self):
-        return Baseline.from_findings([Finding(
-            rule="DET002", path="src/a.py", line=3, column=1,
-            message="wall-clock call", snippet="time.time()")])
-
-    def test_save_fsyncs_before_rename(self, tmp_path, monkeypatch):
-        events = _order_probe(monkeypatch)
-        self._baseline().save(str(tmp_path / "baseline.json"))
-        assert "fsync" in events and "replace" in events
-        assert events.index("fsync") < events.index("replace")
-
-    def test_saved_bytes_unchanged_by_fsync(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        baseline = self._baseline()
-        baseline.save(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            on_disk = handle.read()
-        assert on_disk == json.dumps(
-            baseline.to_dict(), indent=2, sort_keys=True) + "\n"
-        loaded = Baseline.load(path)
-        assert loaded.to_dict() == baseline.to_dict()
