@@ -36,6 +36,20 @@ class LocationTableEntry:
     last_sequence_number: Optional[int] = None
     packets_received: int = 0
 
+    def is_duplicate(self, sequence_number: int) -> bool:
+        """Duplicate-packet check; records the sequence number."""
+        seen = self.seen_sequence_numbers
+        if sequence_number in seen:
+            return True
+        seen.add(sequence_number)
+        self.last_sequence_number = sequence_number
+        if len(seen) > DUPLICATE_WINDOW:
+            # Forget the oldest half; sequence numbers are monotonic
+            # per source so dropping the smallest is safe.
+            keep = sorted(seen)[DUPLICATE_WINDOW // 2:]
+            self.seen_sequence_numbers = set(keep)
+        return False
+
 
 class LocationTable:
     """Per-router table of known stations."""
@@ -63,7 +77,8 @@ class LocationTable:
             )
             self._entries[address] = entry
         else:
-            if position_vector.is_fresher_than(entry.position_vector):
+            # PositionVector.is_fresher_than, inlined.
+            if position_vector.timestamp > entry.position_vector.timestamp:
                 entry.position_vector = position_vector
             entry.updated_at = self.sim.now
             entry.is_neighbour = entry.is_neighbour or is_neighbour
@@ -73,18 +88,7 @@ class LocationTable:
     def is_duplicate(self, gn_address: str, sequence_number: int) -> bool:
         """Duplicate-packet check; records the sequence number."""
         entry = self._entries.get(gn_address)
-        if entry is None:
-            return False
-        if sequence_number in entry.seen_sequence_numbers:
-            return True
-        entry.seen_sequence_numbers.add(sequence_number)
-        entry.last_sequence_number = sequence_number
-        if len(entry.seen_sequence_numbers) > DUPLICATE_WINDOW:
-            # Forget the oldest half; sequence numbers are monotonic
-            # per source so dropping the smallest is safe.
-            keep = sorted(entry.seen_sequence_numbers)[DUPLICATE_WINDOW // 2:]
-            entry.seen_sequence_numbers = set(keep)
-        return False
+        return entry is not None and entry.is_duplicate(sequence_number)
 
     def get(self, gn_address: str) -> Optional[LocationTableEntry]:
         """The live entry for *gn_address*, or None if absent/expired."""

@@ -16,6 +16,8 @@ from typing import Tuple
 #: Mean Earth radius (m).
 EARTH_RADIUS = 6_371_008.8
 
+_DEGREES_PER_RADIAN = 180.0 / math.pi
+
 
 @dataclasses.dataclass(frozen=True)
 class GeoPosition:
@@ -50,21 +52,30 @@ class LocalFrame:
     """
 
     origin: GeoPosition = GeoPosition(41.17867, -8.60782)
+    #: cos(lat0) and R cos(lat0), fixed at construction.
+    _cos_lat0: float = dataclasses.field(
+        init=False, repr=False, compare=False)
+    _r_cos_lat0: float = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cos_lat0 = math.cos(math.radians(self.origin.latitude))
+        object.__setattr__(self, "_cos_lat0", cos_lat0)
+        object.__setattr__(self, "_r_cos_lat0", EARTH_RADIUS * cos_lat0)
 
     def to_geo(self, x: float, y: float) -> GeoPosition:
         """Local metres -> geodetic degrees."""
-        lat0 = math.radians(self.origin.latitude)
-        d_lat = (y / EARTH_RADIUS) * (180.0 / math.pi)
-        d_lon = (x / (EARTH_RADIUS * math.cos(lat0))) * (180.0 / math.pi)
+        d_lat = (y / EARTH_RADIUS) * _DEGREES_PER_RADIAN
+        d_lon = (x / self._r_cos_lat0) * _DEGREES_PER_RADIAN
         return GeoPosition(self.origin.latitude + d_lat,
                            self.origin.longitude + d_lon)
 
     def to_local(self, position: GeoPosition) -> Tuple[float, float]:
         """Geodetic degrees -> local metres."""
-        lat0 = math.radians(self.origin.latitude)
-        d_lat = math.radians(position.latitude - self.origin.latitude)
-        d_lon = math.radians(position.longitude - self.origin.longitude)
-        return (d_lon * EARTH_RADIUS * math.cos(lat0),
+        origin = self.origin
+        d_lat = math.radians(position.latitude - origin.latitude)
+        d_lon = math.radians(position.longitude - origin.longitude)
+        return (d_lon * EARTH_RADIUS * self._cos_lat0,
                 d_lat * EARTH_RADIUS)
 
 

@@ -337,10 +337,9 @@ class GeoNetRouter:
             return  # our own rebroadcast echoed back
         # Heard directly iff the MAC-level sender is the GN source
         # (forwarded copies arrive from the forwarder's radio).
-        self.location_table.update(
+        entry = self.location_table.update(
             source, is_neighbour=(frame.source == source.gn_address))
-        if self.location_table.is_duplicate(source.gn_address,
-                                            packet.sequence_number):
+        if entry.is_duplicate(packet.sequence_number):
             self.packets_duplicate += 1
             return
         if packet.transport == "beacon":

@@ -16,24 +16,57 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict
+from typing import Dict, Tuple
 
 from scipy import special
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x)."""
-    return 0.5 * float(special.erfc(x / math.sqrt(2.0)))
+    return 0.5 * float(special.erfc(x / _SQRT2))
+
+
+#: Per modulation, the AWGN bit error rate ``factor * Q(sqrt(sinr /
+#: divisor))`` as ``(divisor, factor)``: BPSK Q(sqrt(2 sinr)), QPSK
+#: Q(sqrt(sinr)), 16-QAM 3/4 Q(sqrt(sinr / 5)), 64-QAM 7/12
+#: Q(sqrt(sinr / 21)).  Dividing by 0.5 or 1.0 and multiplying by 1.0
+#: are exact, so every modulation shares one expression.
+_BER_TERMS: Dict[str, Tuple[float, float]] = {
+    "bpsk": (0.5, 1.0),
+    "qpsk": (1.0, 1.0),
+    "qam16": (5.0, 0.75),
+    "qam64": (21.0, 7.0 / 12.0),
+}
 
 
 @dataclasses.dataclass(frozen=True)
 class Mcs:
-    """One modulation-and-coding scheme of the 10 MHz PHY."""
+    """One modulation-and-coding scheme of the 10 MHz PHY.
+
+    The coding gain and the modulation's BER terms are fixed at
+    construction; an unknown modulation is rejected there.
+    """
 
     data_rate_bps: float
     modulation: str          # bpsk | qpsk | qam16 | qam64
     coding_rate: float       # 1/2, 2/3, 3/4
     bits_per_symbol: int     # data bits per OFDM symbol
+    _coding_gain: float = dataclasses.field(
+        init=False, repr=False, compare=False)
+    _ber_terms: Tuple[float, float] = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        terms = _BER_TERMS.get(self.modulation)
+        if terms is None:
+            raise ValueError(f"unknown modulation {self.modulation!r}")
+        coding_gain_db = 5.0 * (1.0 - self.coding_rate) / 0.5
+        object.__setattr__(self, "_coding_gain",
+                           10.0 ** (coding_gain_db / 10.0))
+        object.__setattr__(self, "_ber_terms", terms)
 
     def bit_error_rate(self, sinr_linear: float) -> float:
         """Coded BER approximation for an AWGN channel at this MCS.
@@ -44,17 +77,9 @@ class Mcs:
         """
         if sinr_linear <= 0:
             return 0.5
-        coding_gain_db = 5.0 * (1.0 - self.coding_rate) / 0.5
-        sinr = sinr_linear * 10.0 ** (coding_gain_db / 10.0)
-        if self.modulation == "bpsk":
-            return q_function(math.sqrt(2.0 * sinr))
-        if self.modulation == "qpsk":
-            return q_function(math.sqrt(sinr))
-        if self.modulation == "qam16":
-            return 0.75 * q_function(math.sqrt(sinr / 5.0))
-        if self.modulation == "qam64":
-            return (7.0 / 12.0) * q_function(math.sqrt(sinr / 21.0))
-        raise ValueError(f"unknown modulation {self.modulation!r}")
+        divisor, factor = self._ber_terms
+        sinr = sinr_linear * self._coding_gain
+        return factor * q_function(math.sqrt(sinr / divisor))
 
     def packet_error_rate(self, sinr_linear: float, size_bytes: int) -> float:
         """Probability the whole frame fails at this SINR."""

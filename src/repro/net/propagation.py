@@ -103,13 +103,23 @@ class LogDistancePathLoss(PropagationModel):
     exponent: float = 2.2
     reference_distance: float = 1.0
     frequency_hz: float = ITS_G5_FREQUENCY_HZ
+    #: PL(d0) and 10 n, fixed at construction.
+    _reference_loss: float = dataclasses.field(
+        init=False, repr=False, compare=False)
+    _ten_n: float = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.reference_distance <= 0:
+            raise ValueError("reference_distance must be positive, got "
+                             f"{self.reference_distance}")
+        object.__setattr__(self, "_reference_loss", free_space_path_loss_db(
+            self.reference_distance, self.frequency_hz))
+        object.__setattr__(self, "_ten_n", 10.0 * self.exponent)
 
     def path_loss_db(self, distance: float) -> float:
-        d = max(distance, self.reference_distance)
-        reference_loss = free_space_path_loss_db(
-            self.reference_distance, self.frequency_hz)
-        return reference_loss + 10.0 * self.exponent * math.log10(
-            d / self.reference_distance)
+        d0 = self.reference_distance
+        return self._reference_loss + self._ten_n * math.log10(
+            max(distance, d0) / d0)
 
 
 @dataclasses.dataclass
@@ -162,10 +172,12 @@ class NakagamiFading:
 
     m: float = 3.0
 
-    def power_gain(self, rng: np.random.Generator) -> float:
-        """Draw a unit-mean power gain."""
+    def __post_init__(self) -> None:
         if self.m <= 0:
             raise ValueError(f"Nakagami m must be positive, got {self.m}")
+
+    def power_gain(self, rng: np.random.Generator) -> float:
+        """Draw a unit-mean power gain."""
         return float(rng.gamma(self.m, 1.0 / self.m))
 
 

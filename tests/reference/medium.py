@@ -8,7 +8,10 @@ half-duplex overlap, hashes its full order-free key, and recomputes
 the receiver's noise power and MCS.  The only departure is where the
 own-transmission log lives: the NIC no longer keeps one, so this
 medium keeps it per NIC, appended on every ``transmit`` exactly as
-``NetworkInterface.start_transmission`` used to.
+``NetworkInterface.start_transmission`` used to.  The link math --
+received power, dBm/mW conversions and the SINR -> PER chain of the
+NIC's data rate -- comes from :mod:`tests.reference.link`, so none of
+the fast code's constants feed this oracle.
 
 Used only by the differential test ``tests/test_medium_reference.py``.
 Do not optimise this file: its value is being the old,
@@ -26,8 +29,13 @@ import numpy as np
 
 from repro.net.frame import Frame
 from repro.net.medium import ChannelImpairment, ReceptionInfo
-from repro.net.propagation import LinkBudget, dbm_to_mw, mw_to_dbm
 from repro.sim.kernel import Simulator
+from tests.reference.link import (
+    MCS_TABLE,
+    ReferenceLinkBudget,
+    dbm_to_mw,
+    mw_to_dbm,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.nic import NetworkInterface
@@ -92,7 +100,7 @@ class ReferenceMedium:
         self,
         sim: Simulator,
         rng: np.random.Generator,
-        budget: Optional[LinkBudget] = None,
+        budget: Optional[ReferenceLinkBudget] = None,
         reception_draw: Optional[ReferenceReception] = None,
         cs_latency: float = 0.0,
     ):
@@ -100,7 +108,7 @@ class ReferenceMedium:
             raise ValueError(f"cs_latency must be >= 0, got {cs_latency}")
         self.sim = sim
         self.rng = rng
-        self.budget = budget or LinkBudget()
+        self.budget = budget or ReferenceLinkBudget()
         #: When set, packet-error draws come from this order-free hash
         #: instead of the shared rng (fleet scenarios; see class doc).
         self.reception_draw = reception_draw
@@ -336,7 +344,8 @@ class ReferenceMedium:
             interference_mw += self.impairment.extra_interference_mw(
                 nic.name, self.sim.now)
         sinr_linear = dbm_to_mw(rx_power_dbm) / (noise_mw + interference_mw)
-        per = nic.phy.mcs.packet_error_rate(sinr_linear, tx.frame.wire_size)
+        mcs = MCS_TABLE[nic.phy.data_rate_bps]
+        per = mcs.packet_error_rate(sinr_linear, tx.frame.wire_size)
         if self.reception_draw is not None:
             draw = self.reception_draw.uniform(
                 tx.sender.name, tx.sender_seq, nic.name)

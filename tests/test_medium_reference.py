@@ -3,13 +3,15 @@ its per-reception predecessor in :mod:`tests.reference.medium`.
 
 Two copies of one random channel -- same stations, phys, positions,
 link budget, sends, impairment and seeds -- run side by side, one on
-:class:`~repro.net.medium.WirelessMedium` and one on the reference.
+:class:`~repro.net.medium.WirelessMedium` and one on the reference,
+whose received power and PER come from :mod:`tests.reference.link`.
 They must agree on everything observable: the medium's counters, every
 delivery with its reception info, every loss with its reason, every
 busy/idle callback, and the state of every random generator afterwards.
 """
 
 from typing import Any, Dict, List, Tuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,6 +30,11 @@ from repro.net.propagation import (
     ShadowingModel,
 )
 from repro.sim import Simulator
+from tests.reference.link import (
+    ReferenceLinkBudget,
+    ReferenceLogDistance,
+    ReferenceMcs,
+)
 from tests.reference.medium import ReferenceMedium, ReferenceReception
 
 Window = Tuple[str, float, float]
@@ -78,10 +85,13 @@ def channels(draw: Any) -> Dict[str, Any]:
     """One random channel: stations, link budget, sends, impairment."""
     n = draw(st.integers(2, 12))
     names = [f"s{i}" for i in range(n)]
+    # A compact channel has receivers whose PER is exactly 0.0 or
+    # below 2**-64; a wide one has lossy ones.
+    extent = draw(st.sampled_from([30.0, 120.0, 400.0]))
     stations = [{
         "name": name,
-        "position": (draw(st.floats(0.0, 400.0)),
-                     draw(st.floats(0.0, 400.0))),
+        "position": (draw(st.floats(0.0, extent)),
+                     draw(st.floats(0.0, extent))),
         "tx_power_dbm": draw(st.sampled_from([0.0, 18.0])),
         # 40 dBm: carrier sense never fires, so the station transmits
         # over frames on the air (half-duplex and collision losses).
@@ -111,6 +121,13 @@ def channels(draw: Any) -> Dict[str, Any]:
             "jam_mw": draw(st.sampled_from([1e-12, 1e-9, 1e-6])),
         },
     }
+
+
+def _per_class(per: float) -> str:
+    """Which reception branch a packet-error rate takes."""
+    if per == 0.0:
+        return "zero"
+    return "tiny" if per < 2.0 ** -64 else "lossy"
 
 
 def seeded_channel(seed: int) -> Dict[str, Any]:
@@ -150,16 +167,21 @@ def seeded_channel(seed: int) -> Dict[str, Any]:
 def run_channel(spec: Dict[str, Any], reference: bool) -> Dict[str, Any]:
     """Run *spec* on one medium; everything observable, in order."""
     sim = Simulator()
-    budget = LinkBudget(
-        path_loss=LogDistancePathLoss(exponent=spec["exponent"]),
-        shadowing=(ShadowingModel(sigma_db=spec["shadowing_db"])
-                   if spec["shadowing_db"] else None),
-        fading=NakagamiFading(m=1.0) if spec["fading"] else None)
+    shadowing = (ShadowingModel(sigma_db=spec["shadowing_db"])
+                 if spec["shadowing_db"] else None)
+    fading = NakagamiFading(m=1.0) if spec["fading"] else None
     seed = spec["seed"]
+    budget: Any
     if reference:
         medium_cls, draw_cls = ReferenceMedium, ReferenceReception
+        budget = ReferenceLinkBudget(
+            path_loss=ReferenceLogDistance(exponent=spec["exponent"]),
+            shadowing=shadowing, fading=fading)
     else:
         medium_cls, draw_cls = WirelessMedium, OrderFreeReception
+        budget = LinkBudget(
+            path_loss=LogDistancePathLoss(exponent=spec["exponent"]),
+            shadowing=shadowing, fading=fading)
     medium = medium_cls(
         sim, np.random.default_rng(seed), budget,
         reception_draw=draw_cls(seed) if spec["order_free"] else None,
@@ -234,16 +256,32 @@ class TestReceptionMatchesReference:
 
     def test_every_outcome_is_exercised(self):
         # The random channels reach every branch of reception: a fixed
-        # sample of them loses frames to every cause and delivers some.
+        # sample of them loses frames to every cause and delivers some,
+        # and under both draw modes has receivers whose PER is exactly
+        # 0.0 (no order-free draw), in (0, 2**-64) and larger.
         totals: Dict[str, int] = {}
         reasons = set()
+        per_classes = set()
+        original_per = ReferenceMcs.packet_error_rate
         for seed in range(30):
             spec = seeded_channel(seed)
             out = run_channel(spec, reference=False)
-            assert out == run_channel(spec, reference=True)
+
+            def classify(mcs, sinr_linear, size_bytes,
+                         order_free=spec["order_free"]):
+                per = original_per(mcs, sinr_linear, size_bytes)
+                per_classes.add((order_free, _per_class(per)))
+                return per
+
+            with mock.patch.object(ReferenceMcs, "packet_error_rate",
+                                   classify):
+                assert out == run_channel(spec, reference=True)
             for key, value in out["stats"].items():
                 totals[key] = totals.get(key, 0) + value
             reasons.update(reason for losses in out["lost"].values()
                            for _payload, reason in losses)
         assert all(value > 0 for value in totals.values()), totals
         assert reasons == {"fault", "half-duplex", "collision", "noise"}
+        assert per_classes == {(order_free, kind)
+                               for order_free in (False, True)
+                               for kind in ("zero", "tiny", "lossy")}

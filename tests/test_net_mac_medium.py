@@ -265,3 +265,42 @@ class TestHalfDuplex:
         assert losses == ["half-duplex"]
         assert b.frames_received == 0
         assert got_a == []
+
+
+class TestReattach:
+    def test_reattach_mid_frame_takes_no_part_in_that_frame(self):
+        # b is detached and re-attached while a's first frame is on
+        # the air.  The new attachment did not span that frame: b must
+        # not decode it, and its completion must not drive b's
+        # carrier-sense count below zero, which would leave b deaf to
+        # a's next frame.
+        sim, medium, a, b = build_pair()
+        got = []
+        b.on_receive(lambda f, info: got.append(f.payload))
+        busy_during_second = []
+        sim.schedule(0.001, lambda: a.send(make_frame(size=400)))
+        sim.schedule(0.0012, lambda: (medium.detach(b), medium.attach(b)))
+        sim.schedule(0.005, lambda: a.send(Frame(
+            payload=b"second", size=400, source="",
+            category=AccessCategory.AC_VO)))
+        # AIFS (58 us) + 632 us of airtime: the second frame is on the
+        # air over [5.058, 5.690] ms.
+        sim.schedule(0.0053, lambda: busy_during_second.append(
+            (medium.active_count, medium.is_busy_for(b))))
+        sim.run()
+        assert busy_during_second == [(1, True)]
+        assert got == [b"second"]
+        assert b.frames_received == 1
+        assert not medium.is_busy_for(b)
+
+    def test_detached_station_is_never_busy(self):
+        sim, medium, a, b = build_pair()
+        medium.detach(b)
+        sim.schedule(0.001, lambda: a.send(make_frame(size=400)))
+        seen = []
+        sim.schedule(0.0013, lambda: seen.append(
+            (medium.active_count, medium.is_busy_for(a),
+             medium.is_busy_for(b))))
+        sim.run()
+        assert seen == [(1, True, False)]
+        assert b.frames_received == 0

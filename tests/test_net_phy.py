@@ -41,9 +41,10 @@ class TestBer:
         assert qam64 > qpsk
 
     def test_unknown_modulation_rejected(self):
-        bad = Mcs(1e6, "qam1024", 0.5, 10)
-        with pytest.raises(ValueError):
-            bad.bit_error_rate(1.0)
+        # At construction, not at the first bit_error_rate (which an
+        # SINR <= 0 would never reach).
+        with pytest.raises(ValueError, match="unknown modulation 'qam1024'"):
+            Mcs(1e6, "qam1024", 0.5, 10)
 
 
 class TestPer:

@@ -64,6 +64,13 @@ class TestLogDistance:
             d1, d2 = d2, d1
         assert model.path_loss_db(d1) <= model.path_loss_db(d2)
 
+    @pytest.mark.parametrize("d0", [0.0, -1.0])
+    def test_non_positive_reference_distance_rejected(self, d0):
+        # At construction, not as a ZeroDivisionError or math domain
+        # error at the first reception.
+        with pytest.raises(ValueError, match="reference_distance"):
+            LogDistancePathLoss(reference_distance=d0)
+
 
 class TestShadowing:
     def test_disabled_when_sigma_zero(self):
@@ -112,6 +119,11 @@ class TestNakagami:
     def test_invalid_m_rejected(self):
         with pytest.raises(ValueError):
             NakagamiFading(m=0.0).power_gain(np.random.default_rng(1))
+
+    @pytest.mark.parametrize("m", [0.0, -2.0])
+    def test_invalid_m_rejected_at_construction(self, m):
+        with pytest.raises(ValueError, match="Nakagami m must be positive"):
+            NakagamiFading(m=m)
 
 
 class TestLinkBudget:
