@@ -265,7 +265,7 @@ class BlindCornerTestbed:
         self.obu = OnBoardUnit(
             self.sim, self.medium, self.streams, name="obu",
             station_id=101, station_type=StationType.PASSENGER_CAR,
-            position=lambda: self.frame.to_geo(*self.protagonist.position),
+            position=self.frame.anchor(lambda: self.protagonist.position),
             dynamics=lambda: (self.protagonist.speed,
                               self.protagonist.heading_degrees),
             local_frame=self.frame,
@@ -273,7 +273,7 @@ class BlindCornerTestbed:
         self.rsu = RoadSideUnit(
             self.sim, self.medium, self.streams, name="rsu",
             station_id=900, station_type=StationType.ROAD_SIDE_UNIT,
-            position=lambda: self.frame.to_geo(1.0, 1.0),
+            position=self.frame.anchor(lambda: (1.0, 1.0)),
             is_rsu=True, local_frame=self.frame,
         )
         if sc.warning == "cpm":
@@ -338,7 +338,7 @@ class BlindCornerTestbed:
         self.rsu_cp = CpService(
             self.sim, self.rsu.station.router, self.rsu.station.ldm,
             station_id=900, station_type=StationType.ROAD_SIDE_UNIT,
-            position=lambda: self.frame.to_geo(*rsu_position),
+            position=self.frame.anchor(lambda: rsu_position),
             its_time=self.rsu.station.its_time,
             local_frame=self.frame,
             provider=provider,
@@ -346,8 +346,7 @@ class BlindCornerTestbed:
         self._vehicle_cp = CpService(
             self.sim, self.obu.station.router, self.obu.station.ldm,
             station_id=101, station_type=StationType.PASSENGER_CAR,
-            position=lambda: self.frame.to_geo(
-                *self.protagonist.position),
+            position=self.frame.anchor(lambda: self.protagonist.position),
             its_time=self.obu.station.its_time,
             local_frame=self.frame)
         self.sim.schedule(0.05, self._collision_monitor)

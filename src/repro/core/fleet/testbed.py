@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.fleet.result import FleetRunResult
 from repro.core.fleet.scenario import FleetScenario
 from repro.core.platoon import PlatoonMember, PlatoonScenario
 from repro.facilities.ca_service import CaConfig
 from repro.facilities.den_service import DenConfig
-from repro.geonet.position import LocalFrame
+from repro.geonet.position import FramePosition, LocalFrame
 from repro.geonet.router import FORWARD_JITTER, GnPacket
 from repro.messages.common import StationType
 from repro.net.dcc import DccGatekeeper, DccParameters
@@ -168,7 +168,7 @@ class FleetTestbed:
                 name=f"rsu-{index}",
                 station_id=900 + index,
                 station_type=StationType.ROAD_SIDE_UNIT,
-                position=lambda x=x: self.frame.to_geo(x, 4.0),
+                position=self.frame.anchor(lambda x=x: (x, 4.0)),
                 phy=self._phy, is_rsu=True, local_frame=self.frame,
                 ca_config=self._ca_config(phases),
                 den_config=self._den_config)
@@ -201,7 +201,7 @@ class FleetTestbed:
                     first_tick=PlatoonMember.DT * (0.1 + 0.8 * tick_u))
                 predecessor = member
                 self.members.append(member)
-                position = self._member_position(member)
+                position = self.frame.anchor(member.position)
                 dynamics = self._member_dynamics(member)
             else:
                 x0 = sc.road_length * float(self._offsets.uniform())
@@ -234,12 +234,6 @@ class FleetTestbed:
                 self.handlers.append(handler)
             self.obus.append(unit)
 
-    def _member_position(self, member: PlatoonMember,
-                         ) -> Callable[[], Any]:
-        def position() -> Any:
-            return self.frame.to_geo(*member.position())
-        return position
-
     def _member_dynamics(self, member: PlatoonMember,
                          ) -> Callable[[], tuple]:
         def dynamics() -> tuple:
@@ -247,11 +241,11 @@ class FleetTestbed:
         return dynamics
 
     def _background_position(self, x0: float, direction: float,
-                             lane_y: float) -> Callable[[], Any]:
-        def position() -> Any:
+                             lane_y: float) -> FramePosition:
+        def local() -> Tuple[float, float]:
             x = x0 + direction * self.scenario.speed * self.sim.now
-            return self.frame.to_geo(x, lane_y)
-        return position
+            return (x, lane_y)
+        return self.frame.anchor(local)
 
     def _background_dynamics(self, heading: float,
                              ) -> Callable[[], tuple]:

@@ -225,7 +225,7 @@ class PlatoonTestbed:
         self.rsu = RoadSideUnit(
             self.sim, self.medium, self.streams, name="rsu",
             station_id=900, station_type=StationType.ROAD_SIDE_UNIT,
-            position=lambda: self.frame.to_geo(0.0, 1.0),
+            position=self.frame.anchor(lambda: (0.0, 1.0)),
             phy=phy, is_rsu=True, local_frame=self.frame,
             den_config=den_config)
 
@@ -242,7 +242,7 @@ class PlatoonTestbed:
                 name=f"obu-{index}",
                 station_id=101 + index,
                 station_type=StationType.PASSENGER_CAR,
-                position=lambda m=member: self.frame.to_geo(*m.position()),
+                position=self.frame.anchor(member.position),
                 dynamics=lambda m=member: (m.speed, 270.0),
                 phy=phy,
                 local_frame=self.frame,

@@ -96,7 +96,7 @@ class ScaleTestbed:
             name="obu",
             station_id=OBU_STATION_ID,
             station_type=StationType.PASSENGER_CAR,
-            position=lambda: self.frame.to_geo(*self.vehicle.position),
+            position=self.frame.anchor(lambda: self.vehicle.position),
             dynamics=lambda: (self.vehicle.speed,
                               self.vehicle.heading_degrees),
             ntp=sc.ntp,
@@ -112,7 +112,7 @@ class ScaleTestbed:
             name="rsu",
             station_id=RSU_STATION_ID,
             station_type=StationType.ROAD_SIDE_UNIT,
-            position=lambda: self.frame.to_geo(0.0, 0.5),
+            position=self.frame.anchor(lambda: (0.0, 0.5)),
             ntp=sc.ntp,
             http_config=sc.rsu_http,
             stack_config=sc.stack,

@@ -11,13 +11,19 @@ Implements the adaptive CAM generation rules: a check runs every
   locks to the triggering interval, relaxing back to 1 s).
 
 Received CAMs are decoded, inserted in the LDM as VEHICLE objects and
-handed to application callbacks.
+handed to application callbacks.  One broadcast CAM reaches every
+station in range with the same payload, so the receive side memoises
+its view of a payload -- the decoded :class:`Cam`, its ``cam:<id>`` LDM
+key and its frozen :class:`GeoPosition` -- in a bounded module-level
+memo, as :meth:`Cam.decode` memoises the decode itself.  A payload that
+fails to decode raises on every reception: exceptions are not cached.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+import functools
+from typing import Callable, List, Optional, Tuple
 
 from repro.facilities.ldm import Ldm, LdmObject, ObjectKind
 from repro.geonet.btp import BtpPort
@@ -68,6 +74,17 @@ class CaConfig:
 
 CamCallback = Callable[[Cam], None]
 
+#: Looked up once: reading an enum member off its class is not free.
+_VEHICLE = ObjectKind.VEHICLE
+
+
+@functools.lru_cache(maxsize=4096)
+def _received_view(payload: bytes) -> Tuple[Cam, str, GeoPosition]:
+    """``(cam, LDM key, position)`` of a received CAM payload."""
+    cam = Cam.decode(payload)
+    return (cam, f"cam:{cam.station_id}",
+            GeoPosition(cam.position.latitude, cam.position.longitude))
+
 
 class CaBasicService:
     """One station's CA service (transmit and receive sides)."""
@@ -105,6 +122,7 @@ class CaBasicService:
         self._t_gen_cam = self.config.t_gen_cam_max
         self._consecutive_dynamic = 0
         self._callbacks: List[CamCallback] = []
+        self._ldm_lifetime = self.config.ldm_lifetime
         self.cams_sent = 0
         self.cams_received = 0
         router.btp.register(BtpPort.CAM, self._on_payload)
@@ -218,24 +236,18 @@ class CaBasicService:
         self._callbacks.append(callback)
 
     def _on_payload(self, payload: bytes, _context: object) -> None:
-        cam = Cam.decode(payload)
-        obs = self.sim.obs
+        cam, key, position = _received_view(payload)
+        sim = self.sim
+        obs = sim.obs
         if obs is not None:
             obs.count("ca.cams_received", device=str(self.station_id))
         self.cams_received += 1
+        now = sim.now
+        # Positional, in LdmObject's field order: keyword arguments
+        # double the cost of this construction, paid once per reception.
         self.ldm.put(LdmObject(
-            key=f"cam:{cam.station_id}",
-            kind=ObjectKind.VEHICLE,
-            position=GeoPosition(cam.position.latitude,
-                                 cam.position.longitude),
-            timestamp=self.sim.now,
-            valid_until=self.sim.now + self.config.ldm_lifetime,
-            data=cam,
-            source="cam",
-            station_id=cam.station_id,
-            speed=cam.speed,
-            heading=cam.heading,
-        ))
+            key, _VEHICLE, position, now, now + self._ldm_lifetime, cam,
+            "cam", cam.station_id, cam.speed, cam.heading))
         for callback in self._callbacks:
             callback(cam)
 

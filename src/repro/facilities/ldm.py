@@ -9,6 +9,14 @@ potential collision from consulting the LDM".
 
 OpenC2X persists its LDM in sqlite; here the store is in-memory with
 the same observable behaviour (insert/update/query/expire).
+
+A fleet station puts tens of thousands of received CAMs per run and
+usually has no subscriber, so :meth:`Ldm.put` skips notification
+outright when nothing subscribes.  Otherwise it
+notifies from a snapshot of the subscription list: every subscriber
+registered when the put began sees it, even if a callback unsubscribes
+during the notification.  Subscriptions compare by identity, so an
+unsubscribe function only ever removes its own subscription.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class LdmObject:
 Subscriber = Callable[[LdmObject], None]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class _Subscription:
     kinds: Optional[frozenset]
     area: Optional[CircularArea]
@@ -94,14 +102,17 @@ class Ldm:
         """Insert or update *obj* (keyed by ``obj.key``), notifying
         matching subscribers."""
         obj.revision = next(self._revisions)
-        if obj.key in self._objects:
+        objects = self._objects
+        key = obj.key
+        if key in objects:
             self.updates += 1
         else:
             self.inserts += 1
-        self._objects[obj.key] = obj
-        for sub in self._subscriptions:
-            if self._matches(sub, obj):
-                sub.callback(obj)
+        objects[key] = obj
+        if self._subscriptions:
+            for sub in list(self._subscriptions):
+                if self._matches(sub, obj):
+                    sub.callback(obj)
         return obj
 
     def remove(self, key: str) -> bool:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple
 from repro.facilities.ca_service import CaBasicService, CaConfig, StationState
 from repro.facilities.den_service import DenBasicService, DenConfig
 from repro.facilities.ldm import Ldm
-from repro.geonet.position import GeoPosition
+from repro.geonet.position import FramePosition, GeoPosition
 from repro.geonet.router import GeoNetRouter
 from repro.messages.common import its_timestamp
 from repro.net.medium import WirelessMedium
@@ -41,6 +41,8 @@ class ItsStation:
         station_type: DE_StationType value.
         position: callable returning the current :class:`GeoPosition`;
             mobile stations pass a closure over their vehicle state.
+            A :class:`FramePosition` on ``local_frame`` also gives the
+            NIC its antenna metres without a geodetic round trip.
         dynamics: callable returning (speed m/s, heading degrees).
         state_provider: full state snapshot for the CA service; when
             None, one is synthesised from ``position`` + ``dynamics``.
@@ -79,9 +81,13 @@ class ItsStation:
         self.clock = DeviceClock(
             sim, scoped.get("clock"), ntp or NtpModel.lan_default(),
             name=f"{name}.clock")
+        antenna = (position.antenna
+                   if isinstance(position, FramePosition)
+                   and position.frame == local_frame
+                   else self._antenna_position)
         self.nic = NetworkInterface(
             sim, medium, name,
-            position=self._antenna_position,
+            position=antenna,
             phy=phy, rng=scoped.get("mac"))
         self.security = security
         self.router = GeoNetRouter(

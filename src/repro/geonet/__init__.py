@@ -14,6 +14,7 @@ layer and the facilities:
 """
 
 from repro.geonet.position import (
+    FramePosition,
     GeoPosition,
     LocalFrame,
     PositionVector,
@@ -27,6 +28,7 @@ __all__ = [
     "BtpMux",
     "BtpPort",
     "CircularArea",
+    "FramePosition",
     "GeoNetRouter",
     "GeoPosition",
     "GnPacket",

@@ -64,15 +64,18 @@ class LocationTable:
         """Insert or refresh the entry for the vector's sender.
 
         Set *is_neighbour* when the packet was heard directly from the
-        station (not through a forwarder).
+        station (not through a forwarder).  An entry past its lifetime
+        is replaced by a fresh one, so neither its neighbour flag nor
+        its duplicate window outlives it.
         """
         address = position_vector.gn_address
+        now = self.sim.now
         entry = self._entries.get(address)
-        if entry is None:
+        if entry is None or now - entry.updated_at > self.lifetime:
             entry = LocationTableEntry(
                 gn_address=address,
                 position_vector=position_vector,
-                updated_at=self.sim.now,
+                updated_at=now,
                 is_neighbour=is_neighbour,
             )
             self._entries[address] = entry
@@ -80,8 +83,9 @@ class LocationTable:
             # PositionVector.is_fresher_than, inlined.
             if position_vector.timestamp > entry.position_vector.timestamp:
                 entry.position_vector = position_vector
-            entry.updated_at = self.sim.now
-            entry.is_neighbour = entry.is_neighbour or is_neighbour
+            entry.updated_at = now
+            if is_neighbour:
+                entry.is_neighbour = True
         entry.packets_received += 1
         return entry
 

@@ -5,13 +5,23 @@ ETSI ITS messages carry WGS-84 coordinates.  :class:`LocalFrame`
 anchors a flat local (x, y) frame at a reference geodetic point (the
 lab's location) using an equirectangular approximation, exact to
 millimetres over tens of metres.
+
+:meth:`LocalFrame.anchor` turns a callable of local metres into a
+:class:`FramePosition`: calling it gives the station's
+:class:`GeoPosition` as ``frame.to_geo`` would, and its
+:meth:`~FramePosition.antenna` gives the medium the same local metres
+as ``frame.to_local(frame.to_geo(x, y))`` -- bit for bit, with the same
+float operations in the same order -- without building a
+:class:`GeoPosition`.  Every frame-anchored station position in the
+scenarios is one, so the per-frame antenna lookups of a fleet run skip
+the geodetic round trip's allocation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Tuple
+from typing import Callable, Tuple
 
 #: Mean Earth radius (m).
 EARTH_RADIUS = 6_371_008.8
@@ -77,6 +87,48 @@ class LocalFrame:
         d_lon = math.radians(position.longitude - origin.longitude)
         return (d_lon * EARTH_RADIUS * self._cos_lat0,
                 d_lat * EARTH_RADIUS)
+
+    def anchor(self, local: Callable[[], Tuple[float, float]],
+               ) -> "FramePosition":
+        """A position callable over *local*, which returns (x, y) m."""
+        return FramePosition(self, local)
+
+
+class FramePosition:
+    """A station position given in a :class:`LocalFrame`'s metres.
+
+    Calling it returns ``frame.to_geo(*local())``.  :meth:`antenna`
+    returns ``frame.to_local(frame.to_geo(*local()))`` computed inline:
+    the same operations in the same order, so the same floats bit for
+    bit, with no :class:`GeoPosition` built.
+    """
+
+    __slots__ = ("frame", "local", "_lat0", "_lon0", "_cos_lat0",
+                 "_r_cos_lat0")
+
+    def __init__(self, frame: LocalFrame,
+                 local: Callable[[], Tuple[float, float]]):
+        self.frame = frame
+        self.local = local
+        self._lat0 = frame.origin.latitude
+        self._lon0 = frame.origin.longitude
+        self._cos_lat0 = frame._cos_lat0
+        self._r_cos_lat0 = frame._r_cos_lat0
+
+    def __call__(self) -> GeoPosition:
+        return self.frame.to_geo(*self.local())
+
+    def antenna(self) -> Tuple[float, float]:
+        """The local (x, y) metres after the geodetic round trip."""
+        x, y = self.local()
+        lat0 = self._lat0
+        lon0 = self._lon0
+        # LocalFrame.to_geo, then LocalFrame.to_local, inlined.
+        latitude = lat0 + (y / EARTH_RADIUS) * _DEGREES_PER_RADIAN
+        longitude = lon0 + (x / self._r_cos_lat0) * _DEGREES_PER_RADIAN
+        return (math.radians(longitude - lon0) * EARTH_RADIUS
+                * self._cos_lat0,
+                math.radians(latitude - lat0) * EARTH_RADIUS)
 
 
 @dataclasses.dataclass(frozen=True)

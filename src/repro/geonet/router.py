@@ -333,23 +333,25 @@ class GeoNetRouter:
         if not isinstance(packet, GnPacket):
             return
         source = packet.source_position_vector
-        if source.gn_address == self.gn_address:
+        source_address = source.gn_address
+        if source_address == self.gn_address:
             return  # our own rebroadcast echoed back
         # Heard directly iff the MAC-level sender is the GN source
         # (forwarded copies arrive from the forwarder's radio).
         entry = self.location_table.update(
-            source, is_neighbour=(frame.source == source.gn_address))
+            source, is_neighbour=(frame.source == source_address))
         if entry.is_duplicate(packet.sequence_number):
             self.packets_duplicate += 1
             return
-        if packet.transport == "beacon":
+        transport = packet.transport
+        if transport == "shb":
+            self._deliver_up(packet, info)
+            return
+        if transport == "beacon":
             # Location-table maintenance only; nothing to deliver.
             self.beacons_received += 1
             return
-        if packet.transport == "shb":
-            self._deliver_up(packet, info)
-            return
-        if packet.transport == "guc":
+        if transport == "guc":
             self._handle_guc(packet, info)
             return
         # GBC: deliver if inside the area; forward while hops remain.

@@ -155,3 +155,35 @@ class TestSubscriptions:
         unsubscribe = ldm.subscribe(lambda obj: None)
         unsubscribe()
         unsubscribe()
+
+    def test_unsubscribe_removes_only_its_own_subscription(self):
+        # The same callback subscribed twice: calling the first
+        # unsubscribe function again must not remove the second.
+        sim = Simulator()
+        ldm = Ldm(sim, run_purge_process=False)
+        got = []
+
+        def callback(obj):
+            got.append(obj.key)
+
+        first = ldm.subscribe(callback)
+        ldm.subscribe(callback)
+        first()
+        first()
+        ldm.put(make_object("a"))
+        assert got == ["a"]
+
+    def test_unsubscribe_during_notification_skips_no_one(self):
+        sim = Simulator()
+        ldm = Ldm(sim, run_purge_process=False)
+        got = []
+
+        def once(obj):
+            got.append(("once", obj.key))
+            unsubscribe_once()
+
+        unsubscribe_once = ldm.subscribe(once)
+        ldm.subscribe(lambda obj: got.append(("always", obj.key)))
+        ldm.put(make_object("a"))
+        ldm.put(make_object("b"))
+        assert got == [("once", "a"), ("always", "a"), ("always", "b")]

@@ -135,6 +135,27 @@ class TestLocationTable:
         sim.run_until(2.0)
         assert table.purge_expired() == 2
 
+    def test_expired_entry_is_replaced_not_revived(self):
+        # Heard directly at t=0, then only through a forwarder after
+        # the entry expired: it is no longer a one-hop neighbour, and
+        # its old duplicate window is gone with it.
+        sim, table = self.make()
+        table.update(self.vector(t=0.0), is_neighbour=True)
+        assert not table.is_duplicate("a", 7)
+        sim.run_until(25.0)
+        entry = table.update(self.vector(t=25.0), is_neighbour=False)
+        assert not entry.is_neighbour
+        assert entry.packets_received == 1
+        assert not table.is_duplicate("a", 7)
+
+    def test_live_entry_keeps_neighbour_flag(self):
+        sim, table = self.make()
+        table.update(self.vector(t=0.0), is_neighbour=True)
+        sim.run_until(10.0)
+        entry = table.update(self.vector(t=10.0), is_neighbour=False)
+        assert entry.is_neighbour
+        assert entry.packets_received == 2
+
 
 # ---------------------------------------------------------------------------
 # BTP

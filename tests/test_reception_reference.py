@@ -1,0 +1,385 @@
+"""Differential tests: the CAM receive chain against its predecessor in
+:mod:`tests.reference.reception`, and frame-anchored antenna positions
+against the geodetic round trip they replace.
+
+The same random frame sequence -- CAMs from several senders, repeated
+and forwarded copies, stale position vectors, beacons, GeoBroadcasts
+inside and outside their area, echoes of the station's own packets --
+is delivered to two identical stations, one of them built and run with
+the reference receive steps patched in.  They must agree on every LDM
+object field (revision included), every counter of the LDM, location
+table, router, BTP mux, CA service and NIC, every location-table entry,
+the observer's counters, and the order of every callback.
+"""
+
+import contextlib
+import dataclasses
+import math
+import struct
+from typing import Any, Callable, Dict, List, Tuple
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.asn1 import Asn1Error
+from repro.facilities import ItsStation
+from repro.facilities.ldm import LdmObject, ObjectKind
+from repro.geonet import CircularArea, GeoPosition, LocalFrame
+from repro.geonet.btp import BtpPort
+from repro.geonet.position import (
+    EARTH_RADIUS,
+    FramePosition,
+    PositionVector,
+)
+from repro.geonet.router import GnPacket
+from repro.messages.cam import Cam
+from repro.messages.common import ReferencePosition, StationType
+from repro.net import AccessCategory, Frame, WirelessMedium
+from repro.net.medium import ReceptionInfo
+from repro.net.propagation import LinkBudget, LogDistancePathLoss
+from repro.obs import ObsContext
+from repro.sim import Simulator
+from repro.sim.randomness import RandomStreams
+from tests.reference.reception import PATCHES
+
+FRAME = LocalFrame()
+
+#: The receiving station's GN address and local position (m).
+RECEIVER = "rx"
+RECEIVER_XY = (0.0, 0.0)
+
+#: Remote senders: GN address -> station id.
+SENDERS = {"s1": 201, "s2": 202, "s3": 203}
+
+#: A forwarder's radio: packets it relays are not heard directly.
+FORWARDER = "fwd"
+
+#: A BTP port with a recording handler (no facilities service on it).
+TEST_PORT = 4000
+
+#: Frames arrive on a 1 ms grid over 4 s, inside the 20 s lifetime.
+TICK = 1e-3
+
+
+def cam_payload(station_id: int, x: float, y: float, speed: float,
+                heading: float, gdt: int) -> bytes:
+    geo = FRAME.to_geo(x, y)
+    return Cam(
+        station_id=station_id,
+        station_type=StationType.PASSENGER_CAR,
+        generation_delta_time=gdt,
+        position=ReferencePosition(geo.latitude, geo.longitude),
+        heading=heading,
+        speed=speed,
+    ).encode()
+
+
+@st.composite
+def deliveries(draw: Any) -> List[Tuple[int, Frame]]:
+    """``(tick, frame)`` pairs; several may share a tick."""
+    cams = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(SENDERS)),
+                  st.integers(-30, 30), st.integers(-30, 30),
+                  st.integers(0, 40), st.integers(0, 359),
+                  st.integers(0, 65535)),
+        min_size=1, max_size=6))
+    payloads = [cam_payload(SENDERS[name], x, y, speed / 4.0,
+                            float(heading), gdt)
+                for name, x, y, speed, heading, gdt in cams]
+    sequence: Dict[str, int] = {}
+    sent: List[GnPacket] = []
+    out: List[Tuple[int, Frame]] = []
+    for _ in range(draw(st.integers(1, 40))):
+        tick = draw(st.integers(0, 4000))
+        kind = draw(st.sampled_from(
+            ["cam", "cam", "cam", "repeat", "beacon", "gbc", "echo",
+             "opaque"]))
+        if kind == "opaque":
+            out.append((tick, Frame(payload=b"\x00", size=1,
+                                    source="s1")))
+            continue
+        if kind == "repeat" and sent:
+            packet = draw(st.sampled_from(sent))
+            mac_source = draw(st.sampled_from(
+                [packet.source_position_vector.gn_address, FORWARDER]))
+            out.append((tick, Frame(payload=packet,
+                                    size=packet.wire_size,
+                                    source=mac_source)))
+            continue
+        sender = RECEIVER if kind == "echo" else draw(
+            st.sampled_from(sorted(SENDERS)))
+        sequence[sender] = sequence.get(sender, 0) + 1
+        source = PositionVector(
+            gn_address=sender,
+            # Some vectors are older than what the table already holds.
+            timestamp=draw(st.integers(0, 4000)) * TICK,
+            position=FRAME.to_geo(draw(st.integers(-30, 30)),
+                                  draw(st.integers(-30, 30))),
+            speed=float(draw(st.integers(0, 5))),
+            heading=float(draw(st.integers(0, 359))),
+        )
+        if kind == "beacon":
+            packet = GnPacket(transport="beacon",
+                              source_position_vector=source,
+                              sequence_number=sequence[sender],
+                              btp_port=0, payload=b"")
+        elif kind == "gbc":
+            centre = (draw(st.integers(-40, 40)), 0.0)
+            packet = GnPacket(
+                transport="gbc", source_position_vector=source,
+                sequence_number=sequence[sender],
+                btp_port=draw(st.sampled_from(
+                    [BtpPort.CAM, TEST_PORT, BtpPort.SPAT])),
+                payload=draw(st.sampled_from(payloads)),
+                hop_limit=draw(st.integers(1, 3)),
+                area=CircularArea(FRAME.to_geo(*centre), 20.0),
+                traffic_class=AccessCategory.AC_VO)
+        else:
+            packet = GnPacket(
+                transport="shb", source_position_vector=source,
+                sequence_number=sequence[sender],
+                btp_port=draw(st.sampled_from(
+                    [BtpPort.CAM, BtpPort.CAM, TEST_PORT])),
+                payload=draw(st.sampled_from(payloads)),
+                traffic_class=AccessCategory.AC_VI)
+        sent.append(packet)
+        forwarded = kind != "echo" and draw(st.booleans())
+        out.append((tick, Frame(
+            payload=packet, size=packet.wire_size,
+            source=FORWARDER if forwarded else sender,
+            category=packet.traffic_class)))
+    return out
+
+
+def ldm_fields(obj: LdmObject) -> Tuple[Any, ...]:
+    return tuple(getattr(obj, field.name)
+                 for field in dataclasses.fields(LdmObject))
+
+
+def run_station(frames: List[Tuple[int, Frame]], observed: bool,
+                ) -> Dict[str, Any]:
+    """Deliver *frames* to a fresh receiver; everything observable."""
+    sim = Simulator()
+    obs = ObsContext().bind(sim) if observed else None
+    streams = RandomStreams(seed=7)
+    medium = WirelessMedium(sim, streams.get("medium"),
+                            LinkBudget(path_loss=LogDistancePathLoss()))
+    station = ItsStation(
+        sim, medium, streams, name=RECEIVER, station_id=100,
+        station_type=StationType.ROAD_SIDE_UNIT,
+        position=FRAME.anchor(lambda: RECEIVER_XY),
+        enable_cam=False, local_frame=FRAME)
+    log: List[Tuple[Any, ...]] = []
+    station.ca.on_cam(lambda cam: log.append(
+        ("cam", cam.station_id, cam.generation_delta_time)))
+    station.ca.on_cam(lambda cam: log.append(("cam2", cam.station_id)))
+    station.ldm.subscribe(lambda obj: log.append(
+        ("ldm", obj.key, obj.revision, obj.timestamp)))
+    station.ldm.subscribe(
+        lambda obj: log.append(("near", obj.key, obj.revision)),
+        kinds=[ObjectKind.VEHICLE],
+        area=CircularArea(FRAME.to_geo(*RECEIVER_XY), 15.0))
+    station.ldm.subscribe(lambda obj: log.append(("event", obj.key)),
+                          kinds=[ObjectKind.EVENT])
+    station.router.btp.register(TEST_PORT, lambda payload, info: log.append(
+        ("btp", payload, info.started_at)))
+    for tick, frame in frames:
+        info = ReceptionInfo(rx_power_dbm=-70.0, sinr_db=20.0,
+                             started_at=tick * TICK, ended_at=tick * TICK)
+        sim.schedule_at(tick * TICK, lambda frame=frame, info=info:
+                        station.nic.deliver(frame, info))
+    sim.run_until(5.0)
+    router, ldm, ca = station.router, station.ldm, station.ca
+    table = router.location_table
+    return {
+        "log": log,
+        "objects": [ldm_fields(obj) for obj in ldm._objects.values()],
+        "ldm": (ldm.inserts, ldm.updates, ldm.expired),
+        "ca": (ca.cams_received, ca.cams_sent),
+        "router": (router.packets_sent, router.packets_delivered_up,
+                   router.packets_forwarded, router.packets_duplicate,
+                   router.packets_outside_area,
+                   router.packets_rejected_security,
+                   router.packets_no_route, router.beacons_sent,
+                   router.beacons_received),
+        "btp": (router.btp.delivered, router.btp.no_handler),
+        "nic": (station.nic.frames_received, medium.frames_sent),
+        "table": [(entry.gn_address, entry.position_vector,
+                   entry.updated_at, entry.is_neighbour,
+                   sorted(entry.seen_sequence_numbers),
+                   entry.last_sequence_number, entry.packets_received)
+                  for entry in table._entries.values()],
+        "obs": obs.to_dict() if obs is not None else None,
+    }
+
+
+@contextlib.contextmanager
+def reference_receive_chain():
+    with contextlib.ExitStack() as stack:
+        for cls, name, function in PATCHES:
+            stack.enter_context(mock.patch.object(cls, name, function))
+        yield
+
+
+class TestReceiveChainMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=deliveries(), observed=st.booleans())
+    def test_same_observable_state(self, frames, observed):
+        fast = run_station(frames, observed)
+        with reference_receive_chain():
+            reference = run_station(frames, observed)
+        assert fast == reference
+
+    def test_sequence_exercises_every_branch(self):
+        # A fixed sequence through every receive branch, so the
+        # comparison above cannot pass vacuously.
+        payload = cam_payload(201, 3.0, 4.0, 1.0, 90.0, 7)
+        source = PositionVector("s1", 0.0, FRAME.to_geo(3.0, 4.0))
+        shb = GnPacket(transport="shb", source_position_vector=source,
+                       sequence_number=1, btp_port=BtpPort.CAM,
+                       payload=payload)
+        beacon = GnPacket(transport="beacon",
+                          source_position_vector=dataclasses.replace(
+                              source, gn_address="s2"),
+                          sequence_number=1, btp_port=0, payload=b"")
+        gbc_in = GnPacket(transport="gbc", source_position_vector=source,
+                          sequence_number=2, btp_port=BtpPort.CAM,
+                          payload=payload, hop_limit=2,
+                          area=CircularArea(FRAME.to_geo(0, 0), 10.0))
+        gbc_out = dataclasses.replace(
+            gbc_in, sequence_number=3,
+            area=CircularArea(FRAME.to_geo(100, 0), 10.0))
+        frames = [(tick, Frame(payload=packet, size=packet.wire_size,
+                               source=source_name))
+                  for tick, packet, source_name in [
+                      (1, shb, "s1"), (2, shb, FORWARDER),
+                      (3, beacon, "s2"), (4, gbc_in, FORWARDER),
+                      (5, gbc_out, "s1")]]
+        fast = run_station(frames, observed=True)
+        with reference_receive_chain():
+            reference = run_station(frames, observed=True)
+        assert fast == reference
+        # sent, up, forwarded, duplicate, outside, rejected, no route,
+        # beacons sent, beacons received
+        assert fast["router"] == (0, 2, 1, 1, 1, 0, 0, 0, 1)
+        assert fast["ldm"] == (1, 1, 1)  # inserted, updated, expired
+        assert [entry[0] for entry in fast["log"]] == [
+            "ldm", "near", "cam", "cam2", "ldm", "near", "cam", "cam2"]
+
+    def test_undecodable_payload_raises_every_time(self):
+        def deliver_garbage() -> List[str]:
+            frames = [(tick, Frame(
+                payload=GnPacket(
+                    transport="shb",
+                    source_position_vector=PositionVector(
+                        "s1", 0.0, FRAME.to_geo(0, 0)),
+                    sequence_number=tick, btp_port=BtpPort.CAM,
+                    payload=b"\xff"),
+                size=50, source="s1")) for tick in (1, 2)]
+            errors = []
+            for prefix in (frames[:1], frames):
+                with pytest.raises(Asn1Error) as raised:
+                    run_station(prefix, observed=False)
+                errors.append(str(raised.value))
+            return errors
+
+        fast = deliver_garbage()
+        with reference_receive_chain():
+            reference = deliver_garbage()
+        assert fast == reference
+        assert fast[0] == fast[1]
+
+
+# ---------------------------------------------------------------------------
+# Frame-anchored antenna positions
+# ---------------------------------------------------------------------------
+
+
+def bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def round_trip(frame: LocalFrame, x: float, y: float,
+               ) -> Tuple[float, float]:
+    return frame.to_local(frame.to_geo(x, y))
+
+
+def mismatches(antenna: Callable[[FramePosition], Tuple[float, float]],
+               points: List[Tuple[LocalFrame, float, float]]) -> int:
+    """Points where *antenna* differs from the round trip in any bit."""
+    count = 0
+    for frame, x, y in points:
+        got = antenna(frame.anchor(lambda x=x, y=y: (x, y)))
+        want = round_trip(frame, x, y)
+        if (bits(got[0]), bits(got[1])) != (bits(want[0]), bits(want[1])):
+            count += 1
+    return count
+
+
+ORIGINS = [LocalFrame(), LocalFrame(GeoPosition(0.0, 0.0)),
+           LocalFrame(GeoPosition(-33.8688, 151.2093)),
+           LocalFrame(GeoPosition(64.1466, -21.9426)),
+           LocalFrame(GeoPosition(-77.85, 166.67))]
+
+#: A fixed grid: lab-scale points and wide ones, at every origin.
+GRID = [(frame, x * scale / 7.0, y * scale / 3.0)
+        for frame in ORIGINS
+        for scale in (0.37, 11.0, 2.5e3, 4.1e5)
+        for x in range(-7, 8) for y in range(-3, 4)]
+
+
+def reordered_antenna(position: FramePosition) -> Tuple[float, float]:
+    """A planted bug: ``R * cos(lat0)`` folded into one factor."""
+    x, y = position.local()
+    frame = position.frame
+    lat0, lon0 = frame.origin.latitude, frame.origin.longitude
+    latitude = lat0 + (y / EARTH_RADIUS) * (180.0 / math.pi)
+    longitude = lon0 + (x / frame._r_cos_lat0) * (180.0 / math.pi)
+    return (math.radians(longitude - lon0) * frame._r_cos_lat0,
+            math.radians(latitude - lat0) * EARTH_RADIUS)
+
+
+class TestFramePosition:
+    def test_call_is_to_geo(self):
+        position = FRAME.anchor(lambda: (1.25, -3.5))
+        assert position() == FRAME.to_geo(1.25, -3.5)
+
+    def test_antenna_bitwise_on_grid(self):
+        assert mismatches(FramePosition.antenna, GRID) == 0
+
+    @given(lat=st.floats(-85, 85), lon=st.floats(-180, 180),
+           x=st.one_of(st.floats(-50, 50), st.floats(-1e6, 1e6)),
+           y=st.one_of(st.floats(-50, 50), st.floats(-1e6, 1e6)))
+    def test_antenna_bitwise(self, lat, lon, x, y):
+        frame = LocalFrame(GeoPosition(lat, lon))
+        assert mismatches(FramePosition.antenna, [(frame, x, y)]) == 0
+
+    def test_planted_reordering_is_caught(self):
+        assert mismatches(reordered_antenna, GRID) > 0
+
+    def test_station_antenna_uses_frame_position(self):
+        def build(position: Callable[[], GeoPosition],
+                  frame: LocalFrame) -> ItsStation:
+            sim = Simulator()
+            streams = RandomStreams(seed=1)
+            medium = WirelessMedium(
+                sim, streams.get("medium"),
+                LinkBudget(path_loss=LogDistancePathLoss()))
+            return ItsStation(sim, medium, streams, name="a",
+                              station_id=1, station_type=5,
+                              position=position, enable_cam=False,
+                              local_frame=frame)
+
+        anchored = FRAME.anchor(lambda: (2.0, 3.0))
+        station = build(anchored, FRAME)
+        assert station.nic.position == anchored.antenna
+        # A position on another frame, or a plain GeoPosition callable,
+        # keeps the station's own projection.
+        other = build(LocalFrame(GeoPosition(0.0, 0.0)).anchor(
+            lambda: (2.0, 3.0)), FRAME)
+        assert other.nic.position == other._antenna_position
+        plain = build(lambda: FRAME.to_geo(2.0, 3.0), FRAME)
+        assert plain.nic.position == plain._antenna_position
+        assert station.nic.position() == plain.nic.position()
