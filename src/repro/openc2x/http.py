@@ -20,7 +20,7 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 
 Handler = Callable[[Dict[str, Any]], Tuple[int, Dict[str, Any]]]
 
@@ -157,29 +157,33 @@ class HttpClient:
              body: Optional[Dict[str, Any]] = None,
              callback: Optional[Callable[[HttpResponse], None]] = None,
              timeout: Optional[float] = None,
-             ) -> Event:
+             ) -> None:
         """POST *body* to *path* on *server*.
 
-        Returns an :class:`Event` that succeeds with the
-        :class:`HttpResponse`; a callback may be attached directly.
-        With *timeout* set, a lost request/response resolves after
-        *timeout* seconds with ``status == TIMEOUT_STATUS`` instead of
-        hanging forever.
+        *callback*, if given, receives the :class:`HttpResponse` in its
+        own zero-delay event once the response arrives.  With *timeout*
+        set, a lost request/response resolves after *timeout* seconds
+        with ``status == TIMEOUT_STATUS`` instead of hanging forever;
+        whichever of response and timeout comes first wins, once.
         """
         body = body or {}
-        done = self.sim.event()
         requested_at = self.sim.now
         self.requests_sent += 1
+        resolved = False
 
         def finish(status: int, response_body: Dict[str, Any]) -> None:
-            if done.triggered:
+            nonlocal resolved
+            if resolved:
                 return  # timeout already fired (or duplicate)
-            done.succeed(HttpResponse(
-                status=status,
-                body=response_body,
-                requested_at=requested_at,
-                responded_at=self.sim.now,
-            ))
+            resolved = True
+            if callback is not None:
+                response = HttpResponse(
+                    status=status,
+                    body=response_body,
+                    requested_at=requested_at,
+                    responded_at=self.sim.now,
+                )
+                self.sim.schedule(0.0, lambda: callback(response))
 
         def respond(status: int, response_body: Dict[str, Any]) -> None:
             if self._dropped(server):
@@ -197,9 +201,6 @@ class HttpClient:
             self.sim.schedule(
                 timeout, lambda: finish(self.TIMEOUT_STATUS,
                                         {"error": "timeout"}))
-        if callback is not None:
-            done.add_callback(lambda ev: callback(ev.value))
-        return done
 
     def _dropped(self, server: HttpServer) -> bool:
         probability = server.config.drop_probability

@@ -4,9 +4,8 @@ This package replaces the physical time base of the original testbed
 (four NTP-synchronised devices) with a deterministic discrete-event
 simulator.  It provides:
 
-* :class:`~repro.sim.kernel.Simulator` -- the event loop;
-* :class:`~repro.sim.process.Process` -- generator-based simulated
-  processes (a small simpy-like facility);
+* :class:`~repro.sim.kernel.Simulator` -- the event loop; simulated
+  components are plain callbacks scheduled on it;
 * :class:`~repro.sim.clock.DeviceClock` -- per-device clocks with offset,
   drift and NTP discipline, so that cross-device timestamping exhibits
   the same artefacts as the paper's measurement setup;
@@ -16,32 +15,21 @@ simulator.  It provides:
 
 from repro.sim.kernel import (
     TIE_BREAK_POLICIES,
-    Event,
     EventQueue,
     SimulationError,
     Simulator,
 )
-from repro.sim.process import Process, Timeout, Waiter, AllOf, AnyOf
 from repro.sim.clock import DeviceClock, NtpModel
 from repro.sim.randomness import RandomStreams
-from repro.sim.resources import Resource, Store
 from repro.sim.tie_audit import TieAudit
 
 __all__ = [
     "TIE_BREAK_POLICIES",
-    "Event",
     "EventQueue",
     "Simulator",
     "SimulationError",
     "TieAudit",
-    "Process",
-    "Timeout",
-    "Waiter",
-    "AllOf",
-    "AnyOf",
     "DeviceClock",
     "NtpModel",
     "RandomStreams",
-    "Resource",
-    "Store",
 ]

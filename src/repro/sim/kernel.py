@@ -167,82 +167,6 @@ def build_simulator(tie_break: str = "fifo",
     return Simulator(tie_break=tie_break, tie_rng=rng)
 
 
-class Event:
-    """A one-shot occurrence that callbacks and processes can wait on.
-
-    An :class:`Event` starts *pending*; it is either *succeeded* (with an
-    optional value) or *failed* (with an exception).  Callbacks attached
-    via :meth:`add_callback` run when the event fires.  Events are the
-    synchronisation primitive used by :mod:`repro.sim.process`.
-    """
-
-    __slots__ = ("sim", "_callbacks", "_ok", "_value", "_defused")
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self._callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._ok: Optional[bool] = None
-        self._value: Any = None
-        self._defused = False
-
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has fired (successfully or not)."""
-        return self._ok is not None
-
-    @property
-    def ok(self) -> bool:
-        """Whether the event fired successfully.  False while pending."""
-        return bool(self._ok)
-
-    @property
-    def value(self) -> Any:
-        """The event's value (or exception, if it failed)."""
-        return self._value
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Attach *callback*; runs immediately if the event already fired."""
-        if self._callbacks is None:
-            # Already dispatched: run on next kernel step to preserve
-            # event ordering guarantees.
-            self.sim.schedule(0.0, lambda: callback(self))
-        else:
-            self._callbacks.append(callback)
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Fire the event successfully, delivering *value* to waiters."""
-        if self._ok is not None:
-            raise SimulationError("event already triggered")
-        self._ok = True
-        self._value = value
-        self._dispatch()
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Fire the event with *exception*; waiters will see it raised."""
-        if self._ok is not None:
-            raise SimulationError("event already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self._dispatch()
-        return self
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the kernel will not re-raise."""
-        self._defused = True
-
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            self.sim.schedule(0.0, lambda cb=callback: cb(self))
-        if self._ok is False and not callbacks and not self._defused:
-            # Nobody is listening for the failure: surface it.
-            self.sim._pending_failures.append(self._value)
-
-
 class Simulator:
     """The discrete-event loop.
 
@@ -264,7 +188,6 @@ class Simulator:
         self._now = 0.0
         self._queue = EventQueue(tie_break, tie_rng)
         self._running = False
-        self._pending_failures: List[BaseException] = []
         self._stopped = False
         #: Observability seam (:class:`repro.obs.ObsContext`).  None by
         #: default; every instrumented subsystem checks this before
@@ -305,16 +228,6 @@ class Simulator:
             site = _caller_site()
         self._queue.push(when, callback, site)
 
-    def event(self) -> Event:
-        """Create a fresh pending :class:`Event` bound to this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds after *delay* seconds."""
-        ev = Event(self)
-        self.schedule(delay, lambda: ev.succeed(value))
-        return ev
-
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
         self._stopped = True
@@ -334,10 +247,6 @@ class Simulator:
         callback()
         if obs is not None:
             obs.kernel_step()
-        if self._pending_failures:
-            failure = self._pending_failures.pop(0)
-            self._pending_failures.clear()
-            raise failure
         return True
 
     def run(self, max_events: int = 10_000_000) -> None:

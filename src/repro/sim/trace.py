@@ -1,21 +1,16 @@
 """Structured event tracing.
 
 A :class:`Tracer` collects timestamped records from any subsystem
-(``tracer.log("mac", "tx_start", frame=7)``), keeps them in a bounded
-ring buffer, and exports CSV/JSONL for offline analysis -- the
-simulation counterpart of the log files the paper's devices produced.
-
-Categories can be filtered at runtime so a hot path (e.g. per-frame
-MAC events) only pays the cost when someone asked for it.
+(``tracer.log("steps", "denm_sent", run_id=1)``) and renders them as
+canonical JSON lines -- the simulation counterpart of the log files
+the paper's devices produced, and the format of the golden traces.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro.sim.kernel import Simulator
 
@@ -30,7 +25,7 @@ class TraceRecord:
     fields: Dict[str, Any]
 
     def as_flat_dict(self) -> Dict[str, Any]:
-        """Record flattened for CSV export."""
+        """Record flattened to one mapping (fields beside the header)."""
         out: Dict[str, Any] = {
             "time": self.time,
             "category": self.category,
@@ -41,94 +36,25 @@ class TraceRecord:
 
 
 class Tracer:
-    """A bounded, filterable event log on the simulation clock."""
+    """An unbounded event log on the simulation clock."""
 
-    def __init__(self, sim: Simulator, capacity: int = 100_000,
-                 categories: Optional[Iterable[str]] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
-        self._categories: Optional[Set[str]] = (
-            set(categories) if categories is not None else None)
-        self.dropped = 0
-        self.logged = 0
-
-    def wants(self, category: str) -> bool:
-        """Whether *category* is currently recorded."""
-        return self._categories is None or category in self._categories
-
-    def enable(self, category: str) -> None:
-        """Start recording *category* (switches to explicit filtering)."""
-        if self._categories is None:
-            self._categories = set()
-        self._categories.add(category)
-
-    def disable(self, category: str) -> None:
-        """Stop recording *category*."""
-        if self._categories is None:
-            # Everything was enabled: keep everything except this one
-            # by materialising the current categories seen so far.
-            self._categories = {r.category for r in self._records}
-        self._categories.discard(category)
+        self._records: List[TraceRecord] = []
 
     def log(self, category: str, event: str, **fields: Any) -> None:
         """Record one event at the current simulated time."""
-        if not self.wants(category):
-            self.dropped += 1
-            return
-        self.logged += 1
         self._records.append(TraceRecord(
             time=self.sim.now, category=category, event=event,
             fields=fields))
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-
-    def records(self, category: Optional[str] = None,
-                event: Optional[str] = None,
-                since: float = 0.0) -> List[TraceRecord]:
-        """Records matching the filters, in time order."""
-        out = []
-        for record in self._records:
-            if record.time < since:
-                continue
-            if category is not None and record.category != category:
-                continue
-            if event is not None and record.event != event:
-                continue
-            out.append(record)
-        return out
+    def records(self, category: Optional[str] = None) -> List[TraceRecord]:
+        """Records of *category* (all when None), in time order."""
+        return [record for record in self._records
+                if category is None or record.category == category]
 
     def __len__(self) -> int:
         return len(self._records)
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def to_csv(self, path: str) -> int:
-        """Write all records as CSV; returns the row count."""
-        rows = [record.as_flat_dict() for record in self._records]
-        field_names: List[str] = ["time", "category", "event"]
-        for row in rows:
-            for key in row:
-                if key not in field_names:
-                    field_names.append(key)
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=field_names)
-            writer.writeheader()
-            writer.writerows(rows)
-        return len(rows)
-
-    def to_jsonl(self, path: str) -> int:
-        """Write all records as JSON lines; returns the row count."""
-        count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._records:
-                handle.write(json.dumps(record.as_flat_dict(),
-                                        default=str) + "\n")
-                count += 1
-        return count
 
     def to_canonical_jsonl_text(self) -> str:
         """All records as canonical JSON lines.

@@ -1,8 +1,5 @@
 """Tests for the CLI and the trace facility."""
 
-import csv
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -23,66 +20,84 @@ class TestTracer:
         assert records[1].fields == {"value": 5}
         assert records[1].time == 2.0
 
-    def test_category_filter_on_read(self):
+    def test_category_filter(self):
         sim = Simulator()
         tracer = Tracer(sim)
         tracer.log("mac", "tx")
         tracer.log("app", "stop")
+        tracer.log("mac", "rx")
         assert [r.event for r in tracer.records("app")] == ["stop"]
-        assert [r.event for r in tracer.records(event="tx")] == ["tx"]
+        assert [r.event for r in tracer.records("mac")] == ["tx", "rx"]
+        assert tracer.records("none") == []
+        assert len(tracer.records()) == 3
 
-    def test_since_filter(self):
+    def test_len_counts_every_record(self):
         sim = Simulator()
         tracer = Tracer(sim)
-        tracer.log("a", "early")
-        sim.schedule(5.0, lambda: tracer.log("a", "late"))
-        sim.run()
-        assert [r.event for r in tracer.records(since=1.0)] == ["late"]
+        assert len(tracer) == 0
+        for index in range(7):
+            tracer.log(f"c{index % 3}", "e")
+        assert len(tracer) == 7
 
-    def test_capacity_bounded(self):
+    def test_unbounded_keeps_oldest_records(self):
         sim = Simulator()
-        tracer = Tracer(sim, capacity=10)
-        for index in range(25):
+        tracer = Tracer(sim)
+        for index in range(5000):
             tracer.log("a", f"e{index}")
-        assert len(tracer) == 10
-        assert tracer.records()[0].event == "e15"
+        assert len(tracer) == 5000
+        assert tracer.records()[0].event == "e0"
+        assert tracer.records()[-1].event == "e4999"
 
-    def test_category_enable_disable(self):
+    def test_records_returns_a_copy(self):
         sim = Simulator()
-        tracer = Tracer(sim, categories=["keep"])
-        tracer.log("keep", "yes")
-        tracer.log("drop", "no")
+        tracer = Tracer(sim)
+        tracer.log("a", "e")
+        tracer.records().clear()
+        tracer.records("a").clear()
         assert len(tracer) == 1
-        assert tracer.dropped == 1
-        tracer.enable("drop")
-        tracer.log("drop", "now")
-        assert len(tracer) == 2
-        tracer.disable("drop")
-        tracer.log("drop", "again")
-        assert len(tracer) == 2
 
-    def test_csv_export(self, tmp_path):
+    def test_flat_dict_puts_fields_beside_header(self):
         sim = Simulator()
         tracer = Tracer(sim)
-        tracer.log("a", "e1", x=1)
-        tracer.log("a", "e2", y="z")
-        path = tmp_path / "trace.csv"
-        assert tracer.to_csv(str(path)) == 2
-        with open(path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows[0]["event"] == "e1"
-        assert rows[0]["x"] == "1"
-        assert rows[1]["y"] == "z"
+        tracer.log("steps", "denm_sent", run_id=1, station=7)
+        assert tracer.records()[0].as_flat_dict() == {
+            "time": 0.0, "category": "steps", "event": "denm_sent",
+            "run_id": 1, "station": 7}
 
-    def test_jsonl_export(self, tmp_path):
+    def test_canonical_jsonl_is_sorted_and_compact(self):
         sim = Simulator()
         tracer = Tracer(sim)
-        tracer.log("a", "e1", x=1)
-        path = tmp_path / "trace.jsonl"
-        assert tracer.to_jsonl(str(path)) == 1
-        record = json.loads(path.read_text().strip())
-        assert record["event"] == "e1"
-        assert record["x"] == 1
+        tracer.log("b", "first", zeta=1, alpha="x")
+        sim.schedule(0.1 + 0.2, lambda: tracer.log("a", "second"))
+        sim.run()
+        assert tracer.to_canonical_jsonl_text() == (
+            '{"alpha":"x","category":"b","event":"first","time":0.0,'
+            '"zeta":1}\n'
+            '{"category":"a","event":"second",'
+            '"time":0.30000000000000004}\n')
+
+    def test_canonical_jsonl_of_empty_tracer_is_empty(self):
+        tracer = Tracer(Simulator())
+        assert tracer.to_canonical_jsonl_text() == ""
+
+    def test_canonical_jsonl_stringifies_non_json_values(self):
+        tracer = Tracer(Simulator())
+        tracer.log("a", "e", where=(1, 2), what={3})
+        assert tracer.to_canonical_jsonl_text() == (
+            '{"category":"a","event":"e","time":0.0,'
+            '"what":"{3}","where":[1,2]}\n')
+
+    def test_canonical_jsonl_is_repeatable(self):
+        def render():
+            sim = Simulator()
+            tracer = Tracer(sim)
+            for index in range(4):
+                sim.schedule(index * 0.1,
+                             lambda i=index: tracer.log("a", "tick", i=i))
+            sim.run()
+            return tracer.to_canonical_jsonl_text()
+
+        assert render() == render()
 
     def test_testbed_trace_integration(self):
         testbed = ScaleTestbed(EmergencyBrakeScenario(seed=2),

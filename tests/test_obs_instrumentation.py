@@ -195,6 +195,30 @@ class TestSimDigestPins:
         assert aggregate.sim_digest() == (
             "86967966be2490d976307ff7f5318df1dbb5b02150db4540a9caec5eb02f7cff")
 
+    #: The OBU poll loop's timeout/backoff schedule under each policy.
+    #: Measurements are tie-invariant, so the result digest is one
+    #: literal; the obs digest also counts kernel events and MAC
+    #: spans, which legitimately differ between policies.
+    DEGRADED_RESULT = (
+        "595c4bdb194312b256d33d6a90a8ea413a695d6a6d70c6b3dc4a325939b1df13")
+    DEGRADED_OBS = {
+        "fifo": "f7ca009c437976eeda73004a7e4b6e62845267c32108c2627a11768f952e2bb1",
+        "lifo": "214f25bd79806fefea33e58731903d92d11ec49b5718cc847accfa774aaf16aa",
+        "seeded": "56b04daf7bd42b8086a380da8fbc0ddf66a6efe69aebca1a9e5b48944292f6fb",
+    }
+
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "seeded"])
+    def test_obu_http_degraded_campaign_pinned(self, policy):
+        from repro.faults.catalogue import plans_by_name
+
+        aggregate = ObsAggregate()
+        result = run_campaign_parallel(
+            EmergencyBrakeScenario(tie_break=policy), runs=2, base_seed=1,
+            workers=1, fault_plan=plans_by_name()["obu_http_degraded"],
+            obs=aggregate)
+        assert result.digest() == self.DEGRADED_RESULT
+        assert aggregate.sim_digest() == self.DEGRADED_OBS[policy]
+
     def test_body_with_wall_profile_still_folds(self):
         # An observed body as earlier versions stored it in run caches
         # and queue artifacts: the context carries a "wall" profile and

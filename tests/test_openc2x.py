@@ -14,7 +14,7 @@ from repro.openc2x import (
     OnBoardUnit,
     RoadSideUnit,
 )
-from repro.sim import NtpModel, Process, RandomStreams, Simulator
+from repro.sim import NtpModel, RandomStreams, Simulator
 
 FRAME = LocalFrame()
 
@@ -87,19 +87,6 @@ class TestHttp:
         assert order == ["a", "b"]
         # Second request waits for the first's service time.
         assert finish[1][1] == pytest.approx(10e-3, abs=1e-9)
-
-    def test_post_awaitable_from_process(self):
-        sim, server, client = self.build()
-        server.route("/x", lambda body: (200, {"v": 7}))
-        got = []
-
-        def proc():
-            response = yield client.post(server, "/x")
-            got.append(response.body["v"])
-
-        Process(sim, proc())
-        sim.run()
-        assert got == [7]
 
 
 # ---------------------------------------------------------------------------

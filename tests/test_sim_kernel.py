@@ -131,71 +131,6 @@ def test_livelock_guard():
         sim.run(max_events=100)
 
 
-def test_event_succeed_delivers_value():
-    sim = Simulator()
-    got = []
-    ev = sim.event()
-    ev.add_callback(lambda e: got.append(e.value))
-    sim.schedule(1.0, lambda: ev.succeed(42))
-    sim.run()
-    assert got == [42]
-
-
-def test_event_double_trigger_rejected():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed(1)
-    with pytest.raises(SimulationError):
-        ev.succeed(2)
-    sim.run()
-
-
-def test_event_fail_requires_exception():
-    sim = Simulator()
-    ev = sim.event()
-    with pytest.raises(TypeError):
-        ev.fail("not an exception")
-
-
-def test_unhandled_event_failure_surfaces():
-    sim = Simulator()
-    ev = sim.event()
-    sim.schedule(1.0, lambda: ev.fail(RuntimeError("boom")))
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run()
-
-
-def test_defused_failure_does_not_surface():
-    sim = Simulator()
-    ev = sim.event()
-
-    def fail_it():
-        ev.defuse()
-        ev.fail(RuntimeError("boom"))
-
-    sim.schedule(1.0, fail_it)
-    sim.run()  # should not raise
-
-
-def test_callback_added_after_trigger_still_runs():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("late")
-    got = []
-    ev.add_callback(lambda e: got.append(e.value))
-    sim.run()
-    assert got == ["late"]
-
-
-def test_timeout_event_value():
-    sim = Simulator()
-    got = []
-    ev = sim.timeout(2.0, value="done")
-    ev.add_callback(lambda e: got.append((sim.now, e.value)))
-    sim.run()
-    assert got == [(2.0, "done")]
-
-
 def test_determinism_across_instances():
     def build_and_run():
         sim = Simulator()

@@ -313,6 +313,33 @@ class TestMessageHandler:
         sim.run_until(1.0)
         assert handler.polls == polls
 
+    def test_restart_within_one_cycle_keeps_one_loop(self):
+        # stop() then start() before the in-flight cycle ends must not
+        # leave a second poll loop running beside the first.
+        sim, server, pending, planner, handler = self.build()
+        sim.run_until(1.0)
+        steady = handler.polls
+        sim, server, pending, planner, handler = self.build()
+        sim.schedule_at(0.101, handler.stop)
+        sim.schedule_at(0.102, handler.start)
+        sim.run_until(1.0)
+        assert handler.polls == steady
+
+    def test_exception_in_poll_callback_propagates(self):
+        class PlannerFault(Exception):
+            pass
+
+        sim, server, pending, planner, handler = self.build()
+
+        def broken_stop(reason="denm"):
+            raise PlannerFault(reason)
+
+        planner.emergency_stop = broken_stop
+        sim.schedule(0.5, lambda: pending.append({"termination": None}))
+        with pytest.raises(PlannerFault):
+            sim.run(max_events=100_000)
+        assert 0.5 < sim.now < 0.6
+
     def test_poll_latency_bounds_reaction(self):
         # Reaction to a queued DENM is bounded by poll interval + RTT.
         sim, server, pending, planner, handler = self.build(
