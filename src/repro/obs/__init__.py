@@ -6,12 +6,16 @@ the reproduction needs a first-class measurement layer rather than ad
 hoc prints.  This package provides two cooperating pieces:
 
 * :mod:`repro.obs.metrics` -- a registry of counters, gauges and
-  fixed-bucket histograms with *exact* mergeable state (histogram sums
-  accumulate as rationals, so merging per-run registries is
+  fixed-bucket histograms with *exact* mergeable state (counter
+  values and histogram sums are plain ``int`` s: a whole part plus a
+  count of 2**-1074 units, so merging per-run registries is
   associative and commutative bit for bit);
 * :mod:`repro.obs.spans` -- sim-time spans (``span("phy.tx") ...
   end()``) recorded per device as structured events, aggregated into
-  per-stage statistics.
+  per-stage statistics whose totals are exact in the same way.
+
+Floats appear only at the export edge (``value``, ``sum``, ``mean``,
+``total``, ``to_dict``), correctly rounded from the exact sums.
 
 Host wall time is not deterministic; apart from one duration per run
 (for runs/sec) it is not recorded here.  The outside-in benchmark

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import (
     Span,
     SpanEvent,
@@ -36,6 +36,9 @@ class ObsContext:
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder()
+        #: ``kernel.events``, looked up at the first executed event so
+        #: an idle run exports no such counter.
+        self._kernel_events: Optional[Counter] = None
 
     def bind(self, sim: Any) -> "ObsContext":
         """Attach to *sim*: spans read ``sim.now``, seams light up."""
@@ -50,14 +53,14 @@ class ObsContext:
     def count(self, name: str, amount: float = 1.0,
               **labels: Any) -> None:
         """Increment the counter *name*."""
-        self.metrics.counter(name, **labels).inc(amount)
+        self.metrics._get("counter", name, labels).inc(amount)
 
     def observe(self, name: str, value: float,
                 buckets: Optional[Iterable[float]] = None,
                 **labels: Any) -> None:
         """Observe *value* into the histogram *name*."""
-        self.metrics.histogram(name, buckets=buckets,
-                               **labels).observe(value)
+        self.metrics._get("histogram", name, labels,
+                          buckets).observe(value)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         """Set the gauge *name*."""
@@ -74,7 +77,11 @@ class ObsContext:
 
     def kernel_step(self) -> None:
         """Kernel hook: one executed event."""
-        self.metrics.counter("kernel.events").inc()
+        counter = self._kernel_events
+        if counter is None:
+            counter = self._kernel_events = self.metrics.counter(
+                "kernel.events")
+        counter.inc()
 
     # ------------------------------------------------------------------
     # Export

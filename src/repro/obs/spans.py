@@ -19,13 +19,17 @@ Two recording styles:
 
 Everything here is pure bookkeeping on ``sim.now``: no RNG, no event
 scheduling, so recording spans can never perturb a simulation.
+Per-name totals are exact integer state, like the metrics' sums (see
+:mod:`repro.obs.metrics`): floats appear only at the export edge.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
+import math
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.obs.metrics import _read_sum, _to_float, _units
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,42 +74,53 @@ class SpanEvent:
 class SpanStats:
     """Aggregated statistics for one span name.
 
-    Durations accumulate as exact rationals (like histogram sums),
-    so folding per-run stats into a campaign aggregate is
-    associative and commutative bit for bit whatever the merge
-    order -- the DET004 contract.  Floats only appear at the export
-    edge (:attr:`total`, :attr:`mean`, :meth:`to_dict`).
+    Durations accumulate exactly, like histogram sums (a whole
+    ``int`` plus an ``int`` count of 2**-1074 units), so folding
+    per-run stats into a campaign aggregate is associative and
+    commutative bit for bit whatever the merge order -- the DET004
+    contract.  Floats only appear at the export edge (:attr:`total`,
+    :attr:`mean`, :meth:`to_dict`).
     """
 
-    __slots__ = ("count", "_total", "minimum", "maximum")
+    __slots__ = ("count", "_whole", "_units", "minimum", "maximum")
 
     def __init__(self) -> None:
         self.count = 0
-        self._total = Fraction(0)
+        self._whole = 0
+        self._units = 0
         self.minimum = float("inf")
         self.maximum = float("-inf")
 
     @property
     def total(self) -> float:
         """Summed duration (s), as a float."""
-        return float(self._total)
+        return _to_float(self._whole, self._units)
 
     @property
     def mean(self) -> float:
         """Mean duration, or NaN when empty."""
         if not self.count:
             return float("nan")
-        return float(self._total / self.count)
+        return _to_float(self._whole, self._units, self.count)
 
     def add(self, duration: float) -> None:
+        """Add one duration (finite; state is untouched if not)."""
+        if not math.isfinite(duration):
+            raise ValueError(f"span duration must be finite, "
+                             f"got {duration!r}")
+        whole = int(duration)
+        if whole == duration:
+            self._whole += whole
+        else:
+            self._units += _units(duration, "span duration")
         self.count += 1
-        self._total += Fraction(duration)
         self.minimum = min(self.minimum, duration)
         self.maximum = max(self.maximum, duration)
 
     def merge(self, other: "SpanStats") -> None:
         self.count += other.count
-        self._total += other._total
+        self._whole += other._whole
+        self._units += other._units
         self.minimum = min(self.minimum, other.minimum)
         self.maximum = max(self.maximum, other.maximum)
 
@@ -119,7 +134,7 @@ class SpanStats:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SpanStats":  # detlint: ignore[FPR002] -- 'mean_s' is derived (exact Fraction total / count) and recomputed by the mean property; persisting it is for humans reading the JSON, not for state
+    def from_dict(cls, data: Dict[str, Any]) -> "SpanStats":  # detlint: ignore[FPR002] -- 'mean_s' is derived (exact total / count) and recomputed by the mean property; persisting it is for humans reading the JSON, not for state
         """Rebuild stats serialised by :meth:`to_dict`.
 
         The float ``total_s`` is re-read exactly, so a round-trip
@@ -128,7 +143,8 @@ class SpanStats:
         """
         stats = cls()
         stats.count = int(data["count"])
-        stats._total = Fraction(float(data["total_s"]))
+        stats._whole, stats._units = _read_sum(float(data["total_s"]),
+                                               "total_s")
         if stats.count:
             stats.minimum = float(data["min_s"])
             stats.maximum = float(data["max_s"])

@@ -4,7 +4,7 @@ The coverage model answers *which regions of the space were explored,
 and what happened there*: per-axis bin occupancy, per-region verdict
 counts, a latency-bucket histogram and fault-class counts.  All state
 lives in a :class:`~repro.obs.metrics.MetricsRegistry` -- integer
-bucket counts plus exact :class:`~fractions.Fraction` sums -- so
+bucket counts plus exact integer sums -- so
 merging two models is associative and commutative **bit for bit**,
 exactly like campaign observability folds: shard a campaign over any
 worker count, fold the per-shard coverage in any order, and the final

@@ -195,6 +195,21 @@ class TestSimDigestPins:
         assert aggregate.sim_digest() == (
             "86967966be2490d976307ff7f5318df1dbb5b02150db4540a9caec5eb02f7cff")
 
+    def test_fleet_observed_workload_pinned(self):
+        # The unit of bench/'s fleet_observed workload at seed 1: its
+        # per-run observations go through to_dict/from_dict and fold.
+        from repro.core.fleet import FleetScenario, run_fleet_campaign
+
+        aggregate = ObsAggregate()
+        result = run_fleet_campaign(
+            FleetScenario(workload="convoy", n_obus=32, n_rsus=2,
+                          duration=3.0),
+            runs=2, base_seed=1, workers=1, obs=aggregate)
+        assert result.digest() == (
+            "b2afe4ad77a10e9736d5c885b3814324f686538ca56a5403882646e48dbade7c")
+        assert aggregate.sim_digest() == (
+            "1e3a3748022a942d03f7309b975d4cbe7b1cab0145ac573b395adde845cd0c3f")
+
     #: The OBU poll loop's timeout/backoff schedule under each policy.
     #: Measurements are tie-invariant, so the result digest is one
     #: literal; the obs digest also counts kernel events and MAC

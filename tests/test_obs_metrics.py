@@ -44,6 +44,25 @@ class TestCounter:
         counter.inc(11)
         assert Counter.from_dict(counter.to_dict()).value == 11.0
 
+    @pytest.mark.parametrize("amount", [math.nan, math.inf])
+    def test_rejects_non_finite_increment_untouched(self, amount):
+        counter = Counter()
+        counter.inc(0.5)
+        with pytest.raises(ValueError, match="finite"):
+            counter.inc(amount)
+        assert counter.to_dict() == {"value": 0.5}
+
+    def test_rejects_amount_no_float_sum_gives(self):
+        counter = Counter()
+        with pytest.raises(ValueError, match="not a multiple of 2"):
+            counter.inc(Fraction(1, 3))
+        assert counter.value == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_dict_rejects_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="^value: "):
+            Counter.from_dict({"value": value})
+
 
 class TestGauge:
     def test_set_and_adjust(self):
@@ -81,6 +100,27 @@ class TestHistogram:
     def test_rejects_nan_observation(self):
         with pytest.raises(ValueError, match="NaN"):
             Histogram().observe(float("nan"))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_observation_untouched(self, value):
+        histogram = Histogram((1.0,))
+        histogram.observe(0.5)
+        before = histogram.to_dict()
+        with pytest.raises(ValueError, match="cannot observe"):
+            histogram.observe(value)
+        assert histogram.to_dict() == before
+
+    @pytest.mark.parametrize("stored", [
+        "1/3",                  # not dyadic: no sum of floats
+        f"1/{2 ** 1075}",       # finer than the smallest subnormal
+        "nan",
+        math.inf,
+    ], ids=["non-dyadic", "below-2**-1074", "nan", "inf"])
+    def test_from_dict_refuses_sums_no_floats_add_to(self, stored):
+        data = {"bounds": [1.0], "bucket_counts": [1, 0], "count": 1,
+                "sum": stored}
+        with pytest.raises(ValueError, match="^sum: "):
+            Histogram.from_dict(data)
 
     def test_bucket_placement_upper_bound_inclusive(self):
         histogram = Histogram((1.0, 2.0))
@@ -138,6 +178,20 @@ class TestMetricsRegistry:
         assert registry.counter("phy.frames_sent",
                                 device="rsu").value == 2.0
         assert len(registry) == 2
+
+    def test_equal_label_values_of_other_types_stay_apart(self):
+        # 1, 1.0 and True are equal dict keys but distinct labels; an
+        # unhashable value still resolves through its str form.
+        registry = MetricsRegistry()
+        for value in (1, True, 1.0, "1", 1, ["x"], ["x"]):
+            registry.counter("c", device=value).inc()
+        assert {name: entry["value"] for name, entry
+                in registry.to_dict().items()} == {
+            'c{device="1"}': 3.0,
+            'c{device="1.0"}': 1.0,
+            'c{device="True"}': 1.0,
+            "c{device=\"['x']\"}": 2.0,
+        }
 
     def test_kind_clash_rejected(self):
         registry = MetricsRegistry()

@@ -93,6 +93,22 @@ class TestSpanStats:
         assert (a.count, a.total, a.minimum, a.maximum) == \
             (2, 6.0, 1.0, 5.0)
 
+    @pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_duration_untouched(self, duration):
+        stats = SpanStats()
+        stats.add(0.25)
+        before = stats.to_dict()
+        with pytest.raises(ValueError, match="finite"):
+            stats.add(duration)
+        assert stats.to_dict() == before
+
+    @pytest.mark.parametrize("total", [math.inf, math.nan])
+    def test_from_dict_rejects_non_finite_total(self, total):
+        data = {"count": 1, "total_s": total, "min_s": 0.5,
+                "max_s": 0.5, "mean_s": 0.5}
+        with pytest.raises(ValueError, match="^total_s: "):
+            SpanStats.from_dict(data)
+
     def test_merge_span_stats_by_name(self):
         into = {"x": SpanStats()}
         into["x"].add(1.0)

@@ -102,6 +102,17 @@ class TestFleetCampaign:
         for point in refined:
             assert set(point.parents) <= parent_keys
 
+    def test_adaptive_report_digest_pinned(self):
+        # The coverage model keeps its counts and its latency
+        # histogram (with an exact sum) in a MetricsRegistry, so this
+        # digest also pins the registry's exports.
+        result = run_variation_campaign(
+            blind_corner_demo(), sampler="adaptive", points=8,
+            base_seed=1, refine_budget=3)
+        assert result.report()["coverage"]["latency_buckets"]["count"]
+        assert result.digest() == (
+            "3f967ed005efdacd5725c39bfac2411bf80c7d7c06e691cf7f930ff730152f40")
+
     def test_report_round_trip_preserves_digest(self):
         spec = blind_corner_demo()
         result = run_variation_campaign(spec, **FAST)

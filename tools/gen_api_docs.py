@@ -14,7 +14,12 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 import sys
+
+#: The memory address in a default value's repr (``<object object at
+#: 0x7f...>``): it changes every run, so it is dropped.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
 def first_paragraph(doc: str | None) -> str:
@@ -49,12 +54,13 @@ def public_members(module):
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (ValueError, TypeError):
         return "(...)"
 
 
-def main() -> None:
+def render() -> str:
+    """The markdown text of ``docs/API.md``."""
     import repro
 
     out = ["# API reference", "",
@@ -93,11 +99,15 @@ def main() -> None:
                         + (f" — {method_summary}" if method_summary
                            else ""))
                 out.append("")
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
+    text = render()
     target = pathlib.Path(__file__).parent.parent / "docs" / "API.md"
     target.parent.mkdir(exist_ok=True)
-    target.write_text("\n".join(out) + "\n", encoding="utf-8")
-    print(f"wrote {target} ({len(out)} lines, "
-          f"{len(modules)} modules)")
+    target.write_text(text, encoding="utf-8")
+    print(f"wrote {target} ({len(text.splitlines())} lines)")
 
 
 if __name__ == "__main__":
