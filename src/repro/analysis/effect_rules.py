@@ -500,7 +500,7 @@ class SwallowedDeadLetterRule(EffectRule):
             call_targets = {id(call): target
                             for call, target in fx.calls}
             db_nodes = {id(call.node) for call in fx.db_calls}
-            for node in ast.walk(fx.symbol.node):
+            for node in fx.scope.nodes:
                 if not isinstance(node, ast.Try):
                     continue
                 reason = self._guarded_reason(

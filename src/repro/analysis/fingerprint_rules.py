@@ -301,16 +301,13 @@ class NonCanonicalSerializationRule(FingerprintRule):
 
     @staticmethod
     def _feeds_hash(symbol: FunctionSymbol) -> bool:
-        for sub in ast.walk(symbol.node):
-            if isinstance(sub, ast.Call) and \
-                    _call_name(sub) in _HASH_SINKS:
-                return True
-        return False
+        return any(isinstance(sub, ast.Call) and
+                   _call_name(sub) in _HASH_SINKS for sub in symbol.nodes)
 
     def _violations(self, symbol: FunctionSymbol
                     ) -> Iterator[Tuple[ast.AST, str]]:
         iters: List[ast.expr] = []
-        for sub in ast.walk(symbol.node):
+        for sub in symbol.nodes:
             if isinstance(sub, (ast.For, ast.AsyncFor)):
                 iters.append(sub.iter)
             elif isinstance(sub, (ast.ListComp, ast.SetComp,
@@ -427,7 +424,7 @@ class UnverifiedCacheReadRule(FingerprintRule):
         opens_for_read = False
         load: Optional[ast.Call] = None
         verified = False
-        for sub in ast.walk(symbol.node):
+        for sub in symbol.nodes:
             if isinstance(sub, ast.Call):
                 dotted = _dotted(sub.func)
                 if dotted == "open":
@@ -499,7 +496,7 @@ class AdHocStoreKeyRule(FingerprintRule):
     @staticmethod
     def _key_sites(symbol: FunctionSymbol
                    ) -> Iterator[Tuple[ast.AST, ast.expr, str]]:
-        for sub in ast.walk(symbol.node):
+        for sub in symbol.nodes:
             if isinstance(sub, ast.Dict):
                 for key, value in zip(sub.keys, sub.values):
                     if isinstance(key, ast.Constant) and \

@@ -9,18 +9,19 @@ components -- needs a project-wide view.
 once per lint invocation, in this order:
 
 ``symbols``
-    A project symbol table: every function, class (with methods and
-    literal class-level constants) and module-level numeric constant,
-    keyed by dotted qualified name.
+    A project symbol table: every def of the scope partition, closures
+    included (``pkg.mod.f.<locals>.inner``), every class (with methods
+    and literal class-level constants) and module-level numeric
+    constant, keyed by dotted qualified name.
 
 scopes (``callgraph.build_scopes``)
-    One :class:`~repro.analysis.interproc.callgraph.Scope` per
-    function and per module body (``pkg.mod.<module>``): its resolver
-    and its body nodes in source order.  The resolver types receivers
-    through annotated parameters, local constructor assignments and
-    ``self.attr`` constructor assignments, the last computed once per
-    class.  The call graph, the sites and the effects all read these
-    scopes; nothing below builds a resolver or walks a body again.
+    One :class:`~repro.analysis.interproc.callgraph.Scope` per body of
+    the partition, module bodies (``pkg.mod.<module>``) included.  It
+    types receivers through annotated parameters, local constructor
+    assignments and ``self.attr`` constructor assignments (once per
+    class); a closure keeps its class and its enclosing def's local
+    types, and a bare name bound to a nested def resolves to it.  Its
+    nodes are the partition's own list: no pass walks a body again.
 
 ``callgraph``
     A call graph over the scopes.  Direct calls resolve through the

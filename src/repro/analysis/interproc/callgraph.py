@@ -73,57 +73,65 @@ class CallGraph:
         return seen
 
 
-class _FunctionResolver:
-    """Resolves call/reference targets inside one function body."""
+class Scope:
+    """One body of the scope partition, resolved once per project.
+
+    A scope resolves call and reference targets inside its body; the
+    call graph, the schedule sites, the effect pass and the delay
+    dataflow all read the same scope, so no pass builds a resolver or
+    walks a body again.
+    """
 
     def __init__(self, table: SymbolTable, ctx: ModuleContext,
                  symbol: FunctionSymbol,
-                 class_attrs: Mapping[str, Dict[str, str]]):
+                 class_attrs: Mapping[str, Dict[str, str]],
+                 enclosing: Optional["Scope"] = None):
         self.table = table
         self.ctx = ctx
+        #: The def (closures included), or the ``pkg.mod.<module>``
+        #: pseudo-symbol whose node is the module tree.
         self.symbol = symbol
         self.cls: Optional[ClassSymbol] = None
         if symbol.cls is not None:
             self.cls = table.classes.get(f"{ctx.module}.{symbol.cls}")
-        #: local name -> class qname (annotated params, local ctors).
-        self.local_types: Dict[str, str] = {}
+        #: local name -> class qname (annotated params, local ctors);
+        #: a closure starts from its enclosing def's free names.
+        self.local_types: Dict[str, str] = dict(
+            enclosing.local_types) if enclosing is not None else {}
         #: ``self.attr`` -> class qname, one map shared by every
         #: method of the class (see :func:`_class_attr_types`).
         self.attr_types: Dict[str, str] = (
             class_attrs[self.cls.qname] if self.cls is not None else {})
         self._seed_types()
 
-    # -- type seeding --------------------------------------------------
+    @property
+    def nodes(self) -> List[ast.AST]:
+        """The body's own nodes in source order, never a nested def's.
+
+        The scope partition's list itself (see
+        :class:`~repro.analysis.rules.Body`), not a copy.
+        """
+        return self.symbol.nodes
 
     def _seed_types(self) -> None:
         node = self.symbol.node
         module = self.ctx.module
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for arg in (list(node.args.args)
-                        + list(node.args.kwonlyargs)):
+        statements: List[ast.AST] = self.nodes
+        if isinstance(node, ast.Module):
+            # Top-level constructor assignments type module globals.
+            statements = list(node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for arg in node.args.args + node.args.kwonlyargs:
                 cls = _annotation_class(self.table, module,
                                         arg.annotation)
                 if cls is not None:
                     self.local_types[arg.arg] = cls.qname
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Assign) and \
-                        len(sub.targets) == 1 and \
-                        isinstance(sub.targets[0], ast.Name):
-                    cls = _constructed_class(self.table, module,
-                                             sub.value)
-                    if cls is not None:
-                        self.local_types[sub.targets[0].id] = cls.qname
-        elif isinstance(node, ast.Module):
-            # Module-level code: constructor assignments at the top
-            # level type the module globals.
-            for item in node.body:
-                if isinstance(item, ast.Assign) and \
-                        len(item.targets) == 1 and \
-                        isinstance(item.targets[0], ast.Name):
-                    cls = _constructed_class(self.table, module,
-                                             item.value)
-                    if cls is not None:
-                        self.local_types[item.targets[0].id] = cls.qname
+        for sub in statements:
+            if isinstance(sub, ast.Assign) and len(sub.targets) == 1 \
+                    and isinstance(sub.targets[0], ast.Name):
+                cls = _constructed_class(self.table, module, sub.value)
+                if cls is not None:
+                    self.local_types[sub.targets[0].id] = cls.qname
 
     # -- receiver typing ----------------------------------------------
 
@@ -152,6 +160,9 @@ class _FunctionResolver:
     def resolve_callable(self, node: ast.expr) -> Optional[str]:
         """The qname a callable expression refers to, if resolvable."""
         if isinstance(node, ast.Name):
+            nested = self.symbol.local_def(node.id, node.lineno)
+            if nested is not None:
+                return f"{self.ctx.module}.{nested.qualname}"
             local = f"{self.ctx.module}.{node.id}"
             if local in self.table.functions:
                 return local
@@ -240,14 +251,14 @@ def _class_attr_types(table: SymbolTable,
                       cls: ClassSymbol) -> Dict[str, str]:
     """``self.attr`` -> class qname over every method of *cls*.
 
-    The first constructor assignment or annotation of an attribute
-    wins, in method order then ``ast.walk`` order.
+    Methods and their closures count alike.  The first constructor
+    assignment or annotation of an attribute wins, in source order.
     """
     out: Dict[str, str] = {}
-    for item in cls.node.body:
-        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for body in table.modules[cls.module].bodies:
+        if body.cls != cls.name:
             continue
-        for sub in ast.walk(item):
+        for sub in body.nodes:
             if isinstance(sub, ast.Assign) and \
                     len(sub.targets) == 1 and \
                     _is_self_attr(sub.targets[0]):
@@ -265,66 +276,26 @@ def _class_attr_types(table: SymbolTable,
     return out
 
 
-@dataclasses.dataclass(eq=False)
-class Scope:
-    """One function body or module body, resolved once per project.
-
-    The call graph, the schedule sites and the effect pass all read
-    the same scope: one resolver and one node list per body.
-    """
-
-    #: The function, or the ``pkg.mod.<module>`` pseudo-symbol whose
-    #: node is the module tree.
-    symbol: FunctionSymbol
-    ctx: ModuleContext
-    resolver: _FunctionResolver
-    #: The body's own nodes in source (line, column) order.  A
-    #: function's nested defs are excluded (they are scopes of their
-    #: own); a module body is every top-level statement but its defs
-    #: and classes, walked whole.
-    nodes: List[ast.AST]
-
-
 def build_scopes(table: SymbolTable) -> Dict[str, Scope]:
     """qname -> :class:`Scope`, functions then module bodies, sorted.
 
     Each class's ``self.attr`` types are computed once here and
-    shared by the resolvers of all its methods.
+    shared by the scopes of all its methods.  A closure's qname
+    sorts after its enclosing def's, whose local types it inherits.
     """
     class_attrs = {qname: _class_attr_types(table, cls)
                    for qname, cls in table.classes.items()}
-    bodies: List[Tuple[FunctionSymbol, ModuleContext]] = [
-        (symbol, table.modules[symbol.module])
-        for _qname, symbol in sorted(table.functions.items())]
-    for module, ctx in sorted(table.modules.items()):
-        bodies.append((FunctionSymbol(
-            qname=f"{module}.<module>", module=module, name="<module>",
-            cls=None, node=ctx.tree, path=ctx.path), ctx))
-    return {symbol.qname: Scope(
-        symbol=symbol, ctx=ctx,
-        resolver=_FunctionResolver(table, ctx, symbol, class_attrs),
-        nodes=_scope_nodes(symbol.node))
-        for symbol, ctx in bodies}
-
-
-def _scope_nodes(node: ast.AST) -> List[ast.AST]:
-    """The nodes :attr:`Scope.nodes` documents, in source order."""
-    out: List[ast.AST] = []
-    if isinstance(node, ast.Module):
-        for item in node.body:
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                out.extend(ast.walk(item))
-    else:
-        stack: List[ast.AST] = list(getattr(node, "body", []))
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            out.append(sub)
-            stack.extend(ast.iter_child_nodes(sub))
-    return sorted(out, key=lambda n: (getattr(n, "lineno", 0),
-                                      getattr(n, "col_offset", 0)))
+    symbols = [table.functions[qname] for qname in sorted(table.functions)]
+    symbols += [table.modules[module].bodies[0]
+                for module in sorted(table.modules)]
+    scopes: Dict[str, Scope] = {}
+    for symbol in symbols:
+        parent = symbol.parent
+        enclosing = scopes[parent.qname] \
+            if parent is not None and parent.parent is not None else None
+        scopes[symbol.qname] = Scope(table, table.modules[symbol.module],
+                                     symbol, class_attrs, enclosing)
+    return scopes
 
 
 def build_call_graph(scopes: Mapping[str, Scope]) -> CallGraph:
@@ -335,18 +306,18 @@ def build_call_graph(scopes: Mapping[str, Scope]) -> CallGraph:
     edges: Dict[str, Tuple[str, ...]] = {}
     callback_targets: Set[str] = set()
     for qname in sorted(scopes):
-        resolver = scopes[qname].resolver
+        scope = scopes[qname]
         out: Set[str] = set()
-        for node in scopes[qname].nodes:
+        for node in scope.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            target = resolver.resolve_callable(node.func)
+            target = scope.resolve_callable(node.func)
             if target is not None:
                 out.add(target)
             # Bare callables passed as arguments are references.
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 if isinstance(arg, (ast.Name, ast.Attribute)):
-                    target = resolver.resolve_callable(arg)
+                    target = scope.resolve_callable(arg)
                     if target is not None:
                         out.add(target)
                         callback_targets.add(target)

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.analysis.interproc.symbols import SymbolTable, _dotted
 from repro.analysis.rules import ModuleContext, resolve_target
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.interproc.callgraph import (
-        CallGraph,
-        _FunctionResolver,
-    )
+    from repro.analysis.interproc.callgraph import CallGraph, Scope
 
 #: Wall-clock and global-randomness call targets that taint a value.
 #: ``time.perf_counter`` is deliberately absent: the campaign executor
@@ -76,9 +73,10 @@ class DelayValue:
             and self.value is not None
 
 
-def direct_taint(ctx: ModuleContext, node: ast.AST) -> Optional[str]:
-    """The taint reason when *node* contains a banned call."""
-    for sub in ast.walk(node):
+def direct_taint(ctx: ModuleContext,
+                 nodes: Iterable[ast.AST]) -> Optional[str]:
+    """The taint reason when *nodes* hold a banned call."""
+    for sub in nodes:
         if not isinstance(sub, ast.Call):
             continue
         target = resolve_target(ctx, sub.func)
@@ -109,7 +107,7 @@ def tainted_functions(table: SymbolTable,
         ctx = table.modules.get(symbol.module)
         if ctx is None:
             continue
-        reason = direct_taint(ctx, symbol.node)
+        reason = direct_taint(ctx, symbol.nodes)
         if reason is not None:
             taints[qname] = reason
     # Propagate caller <- callee to fixpoint (deterministic order).
@@ -127,12 +125,12 @@ def tainted_functions(table: SymbolTable,
     return taints
 
 
-def evaluate_delay(resolver: "_FunctionResolver",
+def evaluate_delay(resolver: Scope,
                    expr: Optional[ast.expr]) -> DelayValue:
     """Fold one delay expression in *resolver*'s scope."""
     if expr is None:
         return DelayValue(kind="unknown")
-    reason = direct_taint(resolver.ctx, expr)
+    reason = direct_taint(resolver.ctx, ast.walk(expr))
     if reason is not None:
         return DelayValue(kind="tainted", origin=reason)
     folded = _fold(resolver, expr)
@@ -142,7 +140,7 @@ def evaluate_delay(resolver: "_FunctionResolver",
     return DelayValue(kind="unknown")
 
 
-def _fold(resolver: "_FunctionResolver", expr: ast.expr
+def _fold(resolver: Scope, expr: ast.expr
           ) -> Optional[Tuple[str, float, str]]:
     """(kind, value, origin) for foldable expressions, else None."""
     if isinstance(expr, ast.Constant) and \
@@ -188,17 +186,19 @@ def _apply(op: ast.operator, left: float,
     return None
 
 
-def _fold_name(resolver: "_FunctionResolver", name: str
+def _fold_name(resolver: Scope, name: str
                ) -> Optional[Tuple[str, float, str]]:
     table = resolver.table
-    # Local assignment of a foldable value inside this function.
-    for sub in ast.walk(resolver.symbol.node):
-        if isinstance(sub, ast.Assign) and len(sub.targets) == 1 and \
-                isinstance(sub.targets[0], ast.Name) and \
-                sub.targets[0].id == name:
-            folded = _fold(resolver, sub.value)
-            if folded is not None:
-                return folded
+    # Local assignment of a foldable value in this body or, for a
+    # closure, in the defs enclosing it.
+    for body in resolver.symbol.chain():
+        for sub in body.nodes:
+            if isinstance(sub, ast.Assign) and len(sub.targets) == 1 \
+                    and isinstance(sub.targets[0], ast.Name) and \
+                    sub.targets[0].id == name:
+                folded = _fold(resolver, sub.value)
+                if folded is not None:
+                    return folded
     # Module-level constant, local or imported.
     qname = f"{resolver.ctx.module}.{name}"
     if qname in table.constants:
@@ -209,7 +209,7 @@ def _fold_name(resolver: "_FunctionResolver", name: str
     return None
 
 
-def _fold_attribute(resolver: "_FunctionResolver", expr: ast.Attribute
+def _fold_attribute(resolver: Scope, expr: ast.Attribute
                     ) -> Optional[Tuple[str, float, str]]:
     # self.dt / self.WATCH_PERIOD: class constants and defaulted
     # __init__ parameters of the enclosing class.

@@ -26,11 +26,7 @@ import dataclasses
 import re
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.interproc.callgraph import (
-    SIM_CONSTRUCTORS,
-    Scope,
-    _FunctionResolver,
-)
+from repro.analysis.interproc.callgraph import SIM_CONSTRUCTORS, Scope
 from repro.analysis.interproc.symbols import FunctionSymbol
 from repro.analysis.rules import resolve_target
 
@@ -269,7 +265,7 @@ def _is_write_mode(mode: Optional[str]) -> bool:
     return mode is not None and any(c in mode for c in "wax+")
 
 
-def resolve_strict(resolver: _FunctionResolver,
+def resolve_strict(resolver: Scope,
                    node: ast.expr) -> Optional[str]:
     """Resolve a callable without the single-owner method fallback.
 
@@ -308,7 +304,7 @@ def _extract_function(scope: Scope) -> FunctionEffects:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_target(ctx, node.func)
-        qname = resolve_strict(scope.resolver, node.func)
+        qname = resolve_strict(scope, node.func)
         fx.calls.append((node, qname))
         if qname in WORK_QNAMES or target in WORK_QNAMES:
             fx.direct.add(WORK)
@@ -431,24 +427,27 @@ def leading_literal(scope: Scope,
     if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
         return leading_literal(scope, expr.left, depth + 1)
     if isinstance(expr, ast.Name):
-        for node in scope.nodes:
-            if isinstance(node, ast.Assign) and \
-                    len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name) and \
-                    node.targets[0].id == expr.id:
-                return leading_literal(scope, node.value, depth + 1)
+        produced = local_producer(scope, expr.id)
+        if produced is not None:
+            return leading_literal(scope, produced, depth + 1)
     return None
 
 
 def local_producer(scope: Scope, name: str) -> Optional[ast.expr]:
-    """The expression last assigned to local *name*, if any."""
-    found: Optional[ast.expr] = None
-    for node in scope.nodes:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and node.targets[0].id == name:
-            found = node.value
-    return found
+    """The expression last assigned to local *name*, if any.
+
+    A closure also sees the locals of the defs enclosing it.
+    """
+    for body in scope.symbol.chain():
+        found: Optional[ast.expr] = None
+        for node in body.nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name) \
+                    and node.targets[0].id == name:
+                found = node.value
+        if found is not None:
+            return found
+    return None
 
 
 def is_stream_get(call: ast.Call) -> bool:

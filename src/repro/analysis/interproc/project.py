@@ -32,7 +32,7 @@ class ProjectContext:
 
     contexts: List[ModuleContext]
     symbols: SymbolTable
-    #: qname -> the one resolver and body-node list of every function
+    #: qname -> the scope (resolver plus body nodes) of every def
     #: and module body (``pkg.mod.<module>``), shared by the passes.
     scopes: Dict[str, Scope]
     callgraph: CallGraph

@@ -183,17 +183,18 @@ def _literal_key(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _returned_dict_names(fn: ast.AST) -> Set[str]:
+def _returned_dict_names(fn: FunctionSymbol) -> Set[str]:
     """Local names the function returns (``return data``)."""
     out: Set[str] = set()
-    for sub in ast.walk(fn):
+    for sub in fn.nodes:
         if isinstance(sub, ast.Return) and \
                 isinstance(sub.value, ast.Name):
             out.add(sub.value.id)
     return out
 
 
-def _collect_emits(fn: ast.AST) -> Tuple[Set[str], Set[str], bool]:
+def _collect_emits(fn: FunctionSymbol
+                   ) -> Tuple[Set[str], Set[str], bool]:
     """(always, conditional, dynamic) emitted keys of a to_dict.
 
     Only the *top-level* payload counts: keys of a returned dict
@@ -217,6 +218,8 @@ def _collect_emits(fn: ast.AST) -> Tuple[Set[str], Set[str], bool]:
 
     def _visit(stmt: ast.stmt, in_conditional: bool) -> None:
         bucket = conditional if in_conditional else always
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return  # a nested def's returns are not the payload
         if isinstance(stmt, ast.Return) and stmt.value is not None:
             bucket |= _keys_of(stmt.value)
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -242,9 +245,9 @@ def _collect_emits(fn: ast.AST) -> Tuple[Set[str], Set[str], bool]:
             for child in handler.body:
                 _visit(child, True)
 
-    for stmt in getattr(fn, "body", []):
+    for stmt in getattr(fn.node, "body", []):
         _visit(stmt, False)
-    for sub in ast.walk(fn):
+    for sub in fn.nodes:
         if isinstance(sub, ast.Call):
             dotted = _dotted(sub.func)
             if dotted in ("asdict", "dataclasses.asdict",
@@ -272,21 +275,21 @@ _PAYLOAD_COERCIONS = frozenset((
 ))
 
 
-def _collect_reads(fn: ast.AST) -> Tuple[Set[str],
-                                         Dict[str, ast.Call], bool]:
+def _collect_reads(fn: FunctionSymbol
+                   ) -> Tuple[Set[str], Dict[str, ast.Call], bool]:
     """(strict, defaulted, dynamic) keys a from_dict reads.
 
     The payload escaping into a user helper (``_check_keys(data)``)
     flips *dynamic*: the helper may read any key, so the rule must
     not claim one is unread.
     """
-    param = _data_param(fn)
+    param = _data_param(fn.node)
     strict: Set[str] = set()
     defaulted: Dict[str, ast.Call] = {}
     dynamic = False
     if param is None:
         return strict, defaulted, dynamic
-    for sub in ast.walk(fn):
+    for sub in fn.nodes:
         if isinstance(sub, ast.Subscript) and \
                 isinstance(sub.value, ast.Name) and \
                 sub.value.id == param:
@@ -366,10 +369,14 @@ def _annotation_class(table: SymbolTable, module: str,
     return None
 
 
-def instance_vars(table: SymbolTable,
-                  symbol: FunctionSymbol) -> Dict[str, str]:
-    """Local/parameter name -> class qname, where statically known."""
-    out: Dict[str, str] = {}
+def instance_vars(table: SymbolTable, symbol: FunctionSymbol,
+                  enclosing: Optional[Mapping[str, str]] = None
+                  ) -> Dict[str, str]:
+    """Local/parameter name -> class qname, where statically known.
+
+    A closure starts from *enclosing*, its enclosing def's map.
+    """
+    out: Dict[str, str] = dict(enclosing or {})
     if symbol.cls is not None:
         cls_qname = f"{symbol.module}.{symbol.cls}"
         if cls_qname in table.classes:
@@ -383,7 +390,7 @@ def instance_vars(table: SymbolTable,
                                       arg.annotation)
             if found is not None:
                 out[arg.arg] = found.qname
-    for sub in ast.walk(fn):
+    for sub in symbol.nodes:
         target: Optional[str] = None
         value: Optional[ast.expr] = None
         if isinstance(sub, ast.Assign) and len(sub.targets) == 1 \
@@ -537,7 +544,7 @@ def build_serialization_map(table: SymbolTable,
         if to_dict_q is not None:
             serial.to_dict = table.functions[to_dict_q]
             always, conditional, dynamic = _collect_emits(
-                serial.to_dict.node)
+                serial.to_dict)
             serial.emits_always = tuple(sorted(always))
             serial.emits_conditional = tuple(sorted(conditional))
             serial.to_dict_dynamic = dynamic
@@ -545,7 +552,7 @@ def build_serialization_map(table: SymbolTable,
         if from_dict_q is not None:
             serial.from_dict = table.functions[from_dict_q]
             strict, defaulted, dynamic = _collect_reads(
-                serial.from_dict.node)
+                serial.from_dict)
             serial.reads_strict = tuple(sorted(strict))
             serial.reads_defaulted = defaulted
             serial.from_dict_dynamic = dynamic
@@ -554,10 +561,12 @@ def build_serialization_map(table: SymbolTable,
     fingerprints: List[FingerprintUse] = []
     streams: List[StreamSite] = []
     reads: Dict[str, Set[str]] = {qname: set() for qname in classes}
+    varmaps: Dict[str, Dict[str, str]] = {}
     for fq in sorted(table.functions):
         symbol = table.functions[fq]
-        varmap = instance_vars(table, symbol)
-        for sub in ast.walk(symbol.node):
+        varmap = varmaps[fq] = instance_vars(table, symbol, varmaps.get(
+            symbol.parent.qname) if symbol.parent else None)
+        for sub in symbol.nodes:
             if not isinstance(sub, ast.Call):
                 if isinstance(sub, ast.Attribute) and \
                         isinstance(sub.ctx, ast.Load) and \

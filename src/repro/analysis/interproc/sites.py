@@ -13,13 +13,8 @@ import ast
 import dataclasses
 from typing import List, Mapping, Optional, Tuple
 
-from repro.analysis.interproc.callgraph import (
-    SIMULATOR_QNAME,
-    Scope,
-    _FunctionResolver,
-)
+from repro.analysis.interproc.callgraph import SIMULATOR_QNAME, Scope
 from repro.analysis.interproc.dataflow import DelayValue, evaluate_delay
-from repro.analysis.interproc.symbols import FunctionSymbol
 
 #: Scheduling entry points on the kernel seam.
 SCHEDULE_METHODS = ("schedule", "schedule_at")
@@ -65,12 +60,12 @@ def collect_schedule_sites(scopes: Mapping[str, Scope]
     for scope in scopes.values():
         for node in scope.nodes:
             if isinstance(node, ast.Call) and \
-                    _is_schedule_target(scope.resolver, node) is not None:
+                    _is_schedule_target(scope, node) is not None:
                 sites.append(_build_site(scope, node))
     return sorted(sites, key=ScheduleSite.sort_key)
 
 
-def _is_schedule_target(resolver: _FunctionResolver,
+def _is_schedule_target(resolver: Scope,
                         call: ast.Call) -> Optional[str]:
     """The schedule method name, when *call* targets the kernel."""
     func = call.func
@@ -95,7 +90,6 @@ def _is_schedule_target(resolver: _FunctionResolver,
 
 
 def _build_site(scope: Scope, call: ast.Call) -> ScheduleSite:
-    resolver = scope.resolver
     symbol = scope.symbol
     method = call.func.attr if isinstance(call.func, ast.Attribute) \
         else "schedule"
@@ -109,41 +103,20 @@ def _build_site(scope: Scope, call: ast.Call) -> ScheduleSite:
     callback: Optional[str] = None
     if callback_expr is not None and \
             isinstance(callback_expr, (ast.Name, ast.Attribute)):
-        callback = resolver.resolve_callable(callback_expr)
-    delay = evaluate_delay(resolver, delay_expr)
+        callback = scope.resolve_callable(callback_expr)
+    delay = evaluate_delay(scope, delay_expr)
     delay_calls: List[str] = []
     if delay_expr is not None:
         for sub in ast.walk(delay_expr):
             if isinstance(sub, ast.Call):
-                resolved = resolver.resolve_callable(sub.func)
+                resolved = scope.resolve_callable(sub.func)
                 if resolved is not None:
                     delay_calls.append(resolved)
-    periodic = _is_periodic(symbol, callback)
     return ScheduleSite(
         site_id=f"{symbol.path}:{call.lineno}",
         path=symbol.path, line=call.lineno,
         column=call.col_offset + 1, module=symbol.module,
         caller=symbol.qname, method=method, callback=callback,
         delay=delay, delay_calls=tuple(sorted(set(delay_calls))),
-        periodic=periodic)
-
-
-def _is_periodic(symbol: FunctionSymbol,
-                 callback: Optional[str]) -> bool:
-    """A site is periodic when its callback re-arms the same site.
-
-    The universal idiom is the self-rescheduling callback: the call
-    sits *inside* the very function it schedules (``def _tick():
-    ...; sim.schedule(dt, self._tick)``).  Constructor-armed first
-    shots (``__init__`` scheduling ``self._tick``) are the loop's
-    entry edge; they count as periodic too because the armed
-    callback immediately joins the loop.
-    """
-    if callback is None:
-        return False
-    if callback == symbol.qname:
-        return True
-    # Entry edge: arming a sibling method that re-arms itself is
-    # resolved by the rule layer (it has the full site list); here we
-    # only classify the direct self-loop.
-    return False
+        # The self-rescheduling callback is the periodic idiom.
+        periodic=callback == symbol.qname)

@@ -12,25 +12,12 @@ import ast
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.rules import ModuleContext
+from repro.analysis.rules import Body, ModuleContext
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class FunctionSymbol:
-    """One function or method definition."""
-
-    #: Fully qualified dotted name (``pkg.mod.Class.method``).
-    qname: str
-    #: Dotted module the definition lives in.
-    module: str
-    #: Bare function name.
-    name: str
-    #: Enclosing class name, or None for module-level functions.
-    cls: Optional[str]
-    #: The definition node (FunctionDef / AsyncFunctionDef).
-    node: ast.AST
-    #: Source path of the defining file.
-    path: str
+#: A def's symbol is its body in the scope partition: qname, module,
+#: path, class and node, plus its own nodes.
+FunctionSymbol = Body
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -143,26 +130,26 @@ def _numeric_literal(node: ast.expr) -> Optional[float]:
     return None
 
 
-def _class_constants(node: ast.ClassDef) -> List[Tuple[str, float]]:
-    """Literal numeric class attributes and dataclass field defaults."""
+def _literal_bindings(statements: Sequence[ast.stmt]
+                      ) -> List[Tuple[str, float]]:
+    """``name = <numeric literal>`` (annotated or not), in order."""
     out: List[Tuple[str, float]] = []
-    for item in node.body:
-        target: Optional[str] = None
-        value: Optional[ast.expr] = None
-        if isinstance(item, ast.Assign) and len(item.targets) == 1 \
-                and isinstance(item.targets[0], ast.Name):
-            target = item.targets[0].id
-            value = item.value
-        elif isinstance(item, ast.AnnAssign) and \
-                isinstance(item.target, ast.Name) and \
-                item.value is not None:
-            target = item.target.id
-            value = item.value
-        if target is None or value is None:
+    for item in statements:
+        if isinstance(item, ast.Assign) and len(item.targets) == 1:
+            target, value = item.targets[0], item.value
+        elif isinstance(item, ast.AnnAssign) and item.value is not None:
+            target, value = item.target, item.value
+        else:
             continue
         literal = _numeric_literal(value)
-        if literal is not None:
-            out.append((target, literal))
+        if isinstance(target, ast.Name) and literal is not None:
+            out.append((target.id, literal))
+    return out
+
+
+def _class_constants(node: ast.ClassDef) -> List[Tuple[str, float]]:
+    """Literal numeric class attributes and dataclass field defaults."""
+    out = _literal_bindings(node.body)
     # __init__ keyword defaults (``dt: float = 2e-3``) double as
     # per-instance constants when never reassigned elsewhere; record
     # ``param`` defaults for the common self.param = param idiom.
@@ -182,49 +169,36 @@ def _class_constants(node: ast.ClassDef) -> List[Tuple[str, float]]:
 
 
 def build_symbol_table(contexts: Sequence[ModuleContext]) -> SymbolTable:
-    """Index every definition in *contexts* (sorted, deterministic)."""
+    """Index every definition in *contexts* (sorted, deterministic).
+
+    Every def of the scope partition gets a symbol, closures
+    included; classes and constants come from the module's top level.
+    """
     table = SymbolTable(modules={}, functions={}, classes={},
                         constants={}, methods_by_name={})
     for ctx in sorted(contexts, key=lambda c: c.path):
         table.modules[ctx.module] = ctx
+        methods: Dict[str, List[Tuple[str, str]]] = {}
+        for body in ctx.bodies[1:]:
+            table.functions[body.qname] = body
+            if body.qualname == f"{body.cls}.{body.name}":
+                methods.setdefault(body.cls or "", []).append(
+                    (body.name, body.qname))
+                table.methods_by_name.setdefault(body.name, []).append(
+                    body.qname)
         for item in ctx.tree.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qname = f"{ctx.module}.{item.name}"
-                table.functions[qname] = FunctionSymbol(
-                    qname=qname, module=ctx.module, name=item.name,
-                    cls=None, node=item, path=ctx.path)
-            elif isinstance(item, ast.ClassDef):
-                _index_class(table, ctx, item)
-            elif isinstance(item, ast.Assign) and \
-                    len(item.targets) == 1 and \
-                    isinstance(item.targets[0], ast.Name):
-                literal = _numeric_literal(item.value)
-                if literal is not None:
-                    name = item.targets[0].id
-                    table.constants[f"{ctx.module}.{name}"] = literal
-            elif isinstance(item, ast.AnnAssign) and \
-                    isinstance(item.target, ast.Name) and \
-                    item.value is not None:
-                literal = _numeric_literal(item.value)
-                if literal is not None:
-                    name = item.target.id
-                    table.constants[f"{ctx.module}.{name}"] = literal
+            if isinstance(item, ast.ClassDef):
+                _index_class(table, ctx, item,
+                             methods.get(item.name, []))
+        for name, value in _literal_bindings(ctx.tree.body):
+            table.constants[f"{ctx.module}.{name}"] = value
     return table
 
 
 def _index_class(table: SymbolTable, ctx: ModuleContext,
-                 node: ast.ClassDef) -> None:
+                 node: ast.ClassDef,
+                 methods: List[Tuple[str, str]]) -> None:
     cls_qname = f"{ctx.module}.{node.name}"
-    methods: List[Tuple[str, str]] = []
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qname = f"{cls_qname}.{item.name}"
-            symbol = FunctionSymbol(
-                qname=qname, module=ctx.module, name=item.name,
-                cls=node.name, node=item, path=ctx.path)
-            table.functions[qname] = symbol
-            methods.append((item.name, qname))
-            table.methods_by_name.setdefault(item.name, []).append(qname)
     bases: List[str] = []
     for base in node.bases:
         dotted = _dotted(base)

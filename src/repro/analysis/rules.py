@@ -39,6 +39,113 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.analysis.findings import Finding
 
 
+@dataclasses.dataclass(eq=False)
+class Body:
+    """One part of a module's scope partition, and its symbol.
+
+    Each module is walked once into its module body plus one body per
+    ``def`` at any depth: functions, methods and closures alike.  A
+    def's body holds every node below the def (decorators, defaults
+    and annotations included) except the nested defs, which are
+    bodies of their own; the nested ``FunctionDef`` node itself stays
+    with its parent, where it binds a name.  Class bodies belong to
+    the body the class statement sits in.  So every node but the
+    ``Module`` itself sits in exactly one body.
+    """
+
+    #: The ``FunctionDef``/``AsyncFunctionDef``, or the ``Module``.
+    node: ast.AST
+    #: Dotted module and source path of the defining file.
+    module: str
+    path: str
+    #: ``__qualname__`` spelling (``f``, ``Cls.meth``,
+    #: ``Cls.meth.<locals>.inner``); ``""`` for the module body.  A
+    #: later def reusing a qualname gets ``@<line>`` appended.
+    qualname: str
+    #: Qualname of the class whose method this is, kept by the
+    #: method's closures; None outside classes.
+    cls: Optional[str]
+    #: The enclosing body; None for the module body.
+    parent: Optional["Body"]
+    #: The body's own nodes in source (line, column) order.
+    nodes: List[ast.AST] = dataclasses.field(default_factory=list)
+    #: The bodies of the defs nested directly in this one.
+    children: List["Body"] = dataclasses.field(default_factory=list)
+
+    @property
+    def qname(self) -> str:
+        """``pkg.mod.<qualname>``, or ``pkg.mod.<module>``."""
+        return f"{self.module}.{self.qualname or '<module>'}"
+
+    @property
+    def name(self) -> str:
+        """Bare def name (``<module>`` for the module body)."""
+        return str(getattr(self.node, "name", "<module>"))
+
+    def chain(self) -> Iterator["Body"]:
+        """This body, then the defs enclosing it, innermost first.
+
+        The bodies whose names a def sees, as Python resolves a free
+        name; the module body only starts a chain of its own.
+        """
+        body = self
+        yield body
+        while body.parent is not None and body.parent.parent is not None:
+            body = body.parent
+            yield body
+
+    def local_def(self, name: str, line: int) -> Optional["Body"]:
+        """The def bound to *name* at *line*, along :meth:`chain`.
+
+        Methods bind in their class, not in the body around it.  Of
+        two defs with one name in one body, the latest above *line*
+        wins.
+        """
+        for body in self.chain():
+            found = [child for child in body.children
+                     if child.name == name and child.cls == body.cls]
+            if found:
+                above = [child for child in found
+                         if getattr(child.node, "lineno", 0) <= line]
+                return (above or found)[-1]
+        return None
+
+
+def _partition(tree: ast.Module, module: str, path: str) -> List[Body]:
+    """The module body, then every def body in source order."""
+    top = Body(node=tree, module=module, path=path, qualname="",
+               cls=None, parent=None)
+    bodies = [top]
+    seen: Set[str] = set()
+    # (node, owning body, qualname prefix for defs, enclosing class)
+    stack: List[Tuple[ast.AST, Body, str, Optional[str]]] = [
+        (child, top, "", None)
+        for child in reversed(list(ast.iter_child_nodes(tree)))]
+    while stack:
+        node, body, prefix, cls = stack.pop()
+        body.nodes.append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + node.name
+            if qualname in seen:
+                qualname += f"@{node.lineno}"
+            seen.add(qualname)
+            inner = Body(node=node, module=module, path=path,
+                         qualname=qualname, cls=cls, parent=body)
+            body.children.append(inner)
+            bodies.append(inner)
+            body = inner
+            prefix = qualname + ".<locals>."
+        elif isinstance(node, ast.ClassDef):
+            cls = prefix + node.name
+            prefix = cls + "."
+        for child in reversed(list(ast.iter_child_nodes(node))):
+            stack.append((child, body, prefix, cls))
+    for body in bodies:
+        body.nodes.sort(key=lambda n: (getattr(n, "lineno", 0),
+                                       getattr(n, "col_offset", 0)))
+    return bodies
+
+
 @dataclasses.dataclass
 class ModuleContext:
     """One parsed source file, as seen by every rule."""
@@ -51,33 +158,43 @@ class ModuleContext:
     #: local name -> dotted origin (``np`` -> ``numpy``,
     #: ``perf_counter`` -> ``time.perf_counter``).
     imports: Dict[str, str]
-    #: Every node of *tree*, in ``ast.walk`` order, walked once for
-    #: every per-file rule and the suppression spans.
-    nodes: List[ast.AST]
+    #: The scope partition, walked once per module: the module body
+    #: first, then one :class:`Body` per def in source order.  Every
+    #: rule family and the suppression spans read it.
+    bodies: List[Body]
+
+    @property
+    def nodes(self) -> Iterator[ast.AST]:
+        """Every node of *tree* but the Module, body by body."""
+        for body in self.bodies:
+            yield from body.nodes
+
+    def body_of(self, node: ast.AST) -> Body:
+        """The partition body of the def *node*."""
+        return next(body for body in self.bodies if body.node is node)
 
 
 def build_context(path: str, module: str, source: str,
                   tree: ast.Module) -> ModuleContext:
     """Assemble the :class:`ModuleContext` for one file."""
-    nodes = list(ast.walk(tree))
-    imports: Dict[str, str] = {}
-    for node in nodes:
+    ctx = ModuleContext(path=path, module=module, source=source,
+                        tree=tree, lines=source.splitlines(), imports={},
+                        bodies=_partition(tree, module, path))
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
                 origin = alias.asname and alias.name or \
                     alias.name.split(".")[0]
-                imports[local] = origin
+                ctx.imports[local] = origin
         elif isinstance(node, ast.ImportFrom) and node.level == 0 \
                 and node.module:
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
-                imports[local] = f"{node.module}.{alias.name}"
-    return ModuleContext(path=path, module=module, source=source,
-                         tree=tree, lines=source.splitlines(),
-                         imports=imports, nodes=nodes)
+                ctx.imports[local] = f"{node.module}.{alias.name}"
+    return ctx
 
 
 def resolve_target(ctx: ModuleContext,
@@ -140,24 +257,6 @@ class Rule:
             message=message, snippet=_snippet(ctx, node))
 
 
-def _enclosing_functions(tree: ast.Module
-                         ) -> Dict[ast.AST, Optional[ast.AST]]:
-    """node -> nearest enclosing function def (or None)."""
-    out: Dict[ast.AST, Optional[ast.AST]] = {}
-
-    def visit(node: ast.AST, current: Optional[ast.AST]) -> None:
-        for child in ast.iter_child_nodes(node):
-            out[child] = current
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                visit(child, child)
-            else:
-                visit(child, current)
-
-    visit(tree, None)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # DET001 -- unseeded / module-level randomness
 # ---------------------------------------------------------------------------
@@ -187,50 +286,50 @@ class UnseededRandomRule(Rule):
     }
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        enclosing = _enclosing_functions(ctx.tree)
-        for node in ctx.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_target(ctx, node.func)
-            if target is None:
-                continue
-            at_module_level = enclosing.get(node) is None
-            if target.startswith("random."):
-                if target == "random.Random" and \
-                        (node.args or node.keywords):
-                    if at_module_level:
-                        yield self.finding(
-                            ctx, node,
-                            "module-level random.Random instance is "
-                            "shared state across runs; create it "
-                            "per run from the seed")
+        for body in ctx.bodies:
+            at_module_level = body.parent is None
+            for node in body.nodes:
+                if not isinstance(node, ast.Call):
                     continue
-                yield self.finding(
-                    ctx, node,
-                    f"call to {target} uses the global (unseeded) "
-                    f"random state; draw from a "
-                    f"repro.sim.randomness substream")
-            elif target.startswith("numpy.random."):
-                if target in self._SEEDED_CONSTRUCTORS:
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx, node,
-                            f"{target}() without a seed is "
-                            f"entropy-seeded and unreproducible; "
-                            f"pass an explicit seed")
-                    elif at_module_level:
-                        yield self.finding(
-                            ctx, node,
-                            f"module-level {target}(...) is RNG "
-                            f"state shared across runs; create "
-                            f"generators per run from the scenario "
-                            f"seed")
+                target = resolve_target(ctx, node.func)
+                if target is None:
                     continue
-                yield self.finding(
-                    ctx, node,
-                    f"call to {target} uses numpy's global random "
-                    f"state; use a Generator from a "
-                    f"repro.sim.randomness substream")
+                if target.startswith("random."):
+                    if target == "random.Random" and \
+                            (node.args or node.keywords):
+                        if at_module_level:
+                            yield self.finding(
+                                ctx, node,
+                                "module-level random.Random instance is "
+                                "shared state across runs; create it "
+                                "per run from the seed")
+                        continue
+                    yield self.finding(
+                        ctx, node,
+                        f"call to {target} uses the global (unseeded) "
+                        f"random state; draw from a "
+                        f"repro.sim.randomness substream")
+                elif target.startswith("numpy.random."):
+                    if target in self._SEEDED_CONSTRUCTORS:
+                        if not node.args and not node.keywords:
+                            yield self.finding(
+                                ctx, node,
+                                f"{target}() without a seed is "
+                                f"entropy-seeded and unreproducible; "
+                                f"pass an explicit seed")
+                        elif at_module_level:
+                            yield self.finding(
+                                ctx, node,
+                                f"module-level {target}(...) is RNG "
+                                f"state shared across runs; create "
+                                f"generators per run from the scenario "
+                                f"seed")
+                        continue
+                    yield self.finding(
+                        ctx, node,
+                        f"call to {target} uses numpy's global random "
+                        f"state; use a Generator from a "
+                        f"repro.sim.randomness substream")
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +403,19 @@ class UnsortedIterationRule(Rule):
         "iterate in sorted order to be byte-stable.")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        enclosing = _enclosing_functions(ctx.tree)
-        for node in ctx.nodes:
-            iters: List[ast.expr] = []
-            if isinstance(node, ast.For):
-                iters = [node.iter]
-            elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                   ast.DictComp, ast.GeneratorExp)):
-                iters = [gen.iter for gen in node.generators]
-            for it in iters:
-                yield from self._check_iterable(ctx, node, it,
-                                                enclosing)
+        for body in ctx.bodies:
+            for node in body.nodes:
+                iters: List[ast.expr] = []
+                if isinstance(node, ast.For):
+                    iters = [node.iter]
+                elif isinstance(node, (ast.ListComp, ast.SetComp,
+                                       ast.DictComp, ast.GeneratorExp)):
+                    iters = [gen.iter for gen in node.generators]
+                for it in iters:
+                    yield from self._check_iterable(ctx, it, body)
 
-    def _check_iterable(self, ctx: ModuleContext, node: ast.AST,
-                        it: ast.expr,
-                        enclosing: Dict[ast.AST, Optional[ast.AST]]
-                        ) -> Iterator[Finding]:
+    def _check_iterable(self, ctx: ModuleContext, it: ast.expr,
+                        body: Body) -> Iterator[Finding]:
         if self._is_order_blessed(it):
             return
         if self._is_set_expr(it):
@@ -329,17 +425,14 @@ class UnsortedIterationRule(Rule):
                 "wrap the iterable in sorted(...)")
             return
         view = self._mapping_view(it)
-        if view is not None:
-            function = enclosing.get(node)
-            name = getattr(function, "name", "")
-            if function is not None and \
-                    _CANONICAL_NAME_RE.search(name):
-                yield self.finding(
-                    ctx, it,
-                    f"iteration over .{view}() inside canonical "
-                    f"function {name}() relies on insertion order; "
-                    f"wrap it in sorted(...) so the output is "
-                    f"byte-stable")
+        if view is not None and body.parent is not None and \
+                _CANONICAL_NAME_RE.search(body.name):
+            yield self.finding(
+                ctx, it,
+                f"iteration over .{view}() inside canonical "
+                f"function {body.name}() relies on insertion order; "
+                f"wrap it in sorted(...) so the output is "
+                f"byte-stable")
 
     @staticmethod
     def _is_set_expr(node: ast.expr) -> bool:
@@ -404,8 +497,8 @@ class FloatAccumulatorRule(Rule):
                       and item.name == "merge"), None)
         if merge is None:
             return
-        float_attrs = self._float_initialised_attrs(cls)
-        for node in ast.walk(merge):
+        float_attrs = self._float_initialised_attrs(ctx, cls)
+        for node in ctx.body_of(merge).nodes:
             if not (isinstance(node, ast.AugAssign)
                     and isinstance(node.op, ast.Add)):
                 continue
@@ -424,7 +517,8 @@ class FloatAccumulatorRule(Rule):
                     f"convert to float at export")
 
     @staticmethod
-    def _float_initialised_attrs(cls: ast.ClassDef) -> Set[str]:
+    def _float_initialised_attrs(ctx: ModuleContext,
+                                 cls: ast.ClassDef) -> Set[str]:
         """Attributes whose initial value is a float literal."""
         attrs: Set[str] = set()
         for item in cls.body:
@@ -438,7 +532,7 @@ class FloatAccumulatorRule(Rule):
             # __init__-style: ``self.total = 0.0``.
             if isinstance(item, ast.FunctionDef) and \
                     item.name == "__init__":
-                for node in ast.walk(item):
+                for node in ctx.body_of(item).nodes:
                     if not isinstance(node, ast.Assign):
                         continue
                     if not (isinstance(node.value, ast.Constant)
@@ -477,19 +571,16 @@ class SeamGuardRule(Rule):
     allowed_modules = ("repro.obs", "repro.faults.injector")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ctx.nodes:
-            if isinstance(node, (ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node)
+        for body in ctx.bodies[1:]:
+            yield from self._check_function(ctx, body)
 
     def _check_function(self, ctx: ModuleContext,
-                        function: ast.AST) -> Iterator[Finding]:
+                        body: Body) -> Iterator[Finding]:
         guards: Set[str] = set()
         aliases: Set[str] = set()
-        body = getattr(function, "body", [])
-        # Pass 1: collect None-comparisons and seam-bound locals,
-        # ignoring nested defs (they get their own visit).
-        for node in self._walk_shallow(body):
+        # Pass 1: collect None-comparisons and seam-bound locals of
+        # this def's own body (nested defs are bodies of their own).
+        for node in body.nodes:
             if isinstance(node, ast.Compare) and \
                     len(node.ops) == 1 and \
                     isinstance(node.ops[0], (ast.Is, ast.IsNot)) and \
@@ -503,7 +594,7 @@ class SeamGuardRule(Rule):
                     if isinstance(tgt, ast.Name):
                         aliases.add(tgt.id)
         # Pass 2: find seam uses and demand a guard in scope.
-        for node in self._walk_shallow(body):
+        for node in body.nodes:
             seam_expr, seam_name = self._seam_use(node, aliases)
             if seam_expr is None:
                 continue
@@ -515,20 +606,6 @@ class SeamGuardRule(Rule):
                 f"guard in this function; bind it to a local and "
                 f"follow the no-op-when-unset pattern "
                 f"(x = ...{seam_name}; if x is not None: ...)")
-
-    @staticmethod
-    def _walk_shallow(body: List[ast.stmt]) -> Iterator[ast.AST]:
-        """Walk statements without descending into nested defs."""
-        stack: List[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            yield node
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef,
-                                      ast.Lambda, ast.ClassDef)):
-                    continue
-                stack.append(child)
 
     def _seam_use(self, node: ast.AST, aliases: Set[str]
                   ) -> Tuple[Optional[ast.expr], str]:
@@ -644,24 +721,21 @@ class PoolBoundaryRule(Rule):
 
     def _check_submissions(self, ctx: ModuleContext
                            ) -> Iterator[Finding]:
-        enclosing = _enclosing_functions(ctx.tree)
-        for node in ctx.nodes:
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("submit", "map")
-                    and node.args):
-                continue
-            callee = node.args[0]
-            if isinstance(callee, ast.Lambda):
-                yield self.finding(
-                    ctx, callee,
-                    "lambda submitted to a process pool cannot be "
-                    "pickled; use a module-level function")
-                continue
-            if isinstance(callee, ast.Name):
-                function = enclosing.get(node)
-                if function is not None and \
-                        self._is_local_def(function, callee.id):
+        for body in ctx.bodies:
+            for node in body.nodes:
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("submit", "map")
+                        and node.args):
+                    continue
+                callee = node.args[0]
+                if isinstance(callee, ast.Lambda):
+                    yield self.finding(
+                        ctx, callee,
+                        "lambda submitted to a process pool cannot "
+                        "be pickled; use a module-level function")
+                elif isinstance(callee, ast.Name) and \
+                        self._is_local_def(body, callee):
                     yield self.finding(
                         ctx, callee,
                         f"locally-defined callable "
@@ -670,17 +744,16 @@ class PoolBoundaryRule(Rule):
                         f"module level")
 
     @staticmethod
-    def _is_local_def(function: ast.AST, name: str) -> bool:
-        for node in ast.walk(function):
-            if isinstance(node, ast.FunctionDef) and \
-                    node is not function and node.name == name:
-                return True
-            if isinstance(node, ast.Assign) and \
-                    isinstance(node.value, ast.Lambda):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name) and tgt.id == name:
-                        return True
-        return False
+    def _is_local_def(body: Body, name: ast.Name) -> bool:
+        """Whether *name* is a nested def or a lambda bound locally."""
+        if body.parent is None:
+            return False
+        return body.local_def(name.id, name.lineno) is not None or any(
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Lambda)
+            and any(isinstance(tgt, ast.Name) and tgt.id == name.id
+                    for tgt in node.targets)
+            for node in body.nodes)
 
     def _check_frozen(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ctx.nodes:

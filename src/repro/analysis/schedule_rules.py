@@ -188,23 +188,21 @@ def _callback_name(site: ScheduleSite) -> str:
     return site.callback or "<unresolved callback>"
 
 
-def _self_attr_accesses(node: ast.AST) -> Tuple[Set[str], Set[str]]:
+def _self_attr_accesses(nodes: List[ast.AST]
+                        ) -> Tuple[Set[str], Set[str]]:
     """(reads, writes) of ``self.<attr>`` inside one function body."""
     reads: Set[str] = set()
     writes: Set[str] = set()
-    for sub in ast.walk(node):
-        if not (isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"):
-            continue
-        if isinstance(sub.ctx, (ast.Store, ast.Del)):
-            writes.add(sub.attr)
-        else:
-            reads.add(sub.attr)
-    # Mutating method calls on an attribute (self.log.append(...))
-    # count as writes to the attribute.
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and \
+    for sub in nodes:
+        if isinstance(sub, ast.Attribute) and \
+                isinstance(sub.value, ast.Name) and sub.value.id == "self":
+            if isinstance(sub.ctx, (ast.Store, ast.Del)):
+                writes.add(sub.attr)
+            else:
+                reads.add(sub.attr)
+        # Mutating method calls on an attribute (self.log.append(...))
+        # count as writes to the attribute.
+        elif isinstance(sub, ast.Call) and \
                 isinstance(sub.func, ast.Attribute) and \
                 sub.func.attr in ("append", "add", "update", "pop",
                                   "extend", "remove", "clear",
@@ -244,8 +242,8 @@ class SharedStateTieRule(ProjectRule):
                 continue
             if fa.qname == fb.qname:
                 continue
-            reads_a, writes_a = _self_attr_accesses(fa.node)
-            reads_b, writes_b = _self_attr_accesses(fb.node)
+            reads_a, writes_a = _self_attr_accesses(fa.nodes)
+            reads_b, writes_b = _self_attr_accesses(fb.nodes)
             raced = sorted((writes_a & (reads_b | writes_b))
                            | (writes_b & (reads_a | writes_a)))
             # The re-arm plumbing itself is not shared state.

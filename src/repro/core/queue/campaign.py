@@ -30,6 +30,7 @@ raises :class:`DeadLetterError` naming them.
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 import time
 from typing import (
@@ -289,16 +290,19 @@ def execute_on_queue(
 ) -> None:
     """Run *jobs* on the durable queue; ``finish(index, body, cached)``.
 
-    Enqueues into *queue_dir* (a fresh temporary directory when None)
-    and drives *workers* worker processes to completion -- surviving
-    worker loss via lease expiry and bounded retries.  With a
-    *cache_dir* the artifact store doubles as the shared run cache,
-    so warm entries complete without simulating.  Every completed
-    job's body is handed to *finish* as it lands; a dead-lettered,
-    unfinished or unreadable item raises instead.
+    Enqueues into *queue_dir* (a fresh temporary directory when None,
+    removed again once every body has reached *finish*) and drives
+    *workers* worker processes to completion -- surviving worker loss
+    via lease expiry and bounded retries.  With a *cache_dir* the
+    artifact store doubles as the shared run cache, so warm entries
+    complete without simulating.  Every completed job's body is
+    handed to *finish* as it lands; a dead-lettered, unfinished or
+    unreadable item raises instead.
     """
-    paths = queue_paths(
-        queue_dir or tempfile.mkdtemp(prefix="repro-queue-"), cache_dir)
+    scratch = not queue_dir
+    if not queue_dir:
+        queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
+    paths = queue_paths(queue_dir, cache_dir)
     queue = WorkQueue(paths["queue"])
     try:
         items = [_item(job, observe) for job in jobs]
@@ -318,6 +322,8 @@ def execute_on_queue(
         _check_finished(queue)
     finally:
         queue.close()
+        if scratch:
+            shutil.rmtree(queue_dir, ignore_errors=True)
 
 
 __all__ = [

@@ -127,7 +127,7 @@ class HttpServer:
         obs = self.sim.obs
         if obs is not None:
             obs.count("http.requests_served", device=self.name,
-                      status=status)
+                      status=str(status))
             obs.record_span("http.request", accepted_at, self.sim.now,
                             device=self.name)
             obs.observe("http.queue_service_ms",

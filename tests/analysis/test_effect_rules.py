@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.analysis.effect_rules import (
+    SubstreamDisciplineRule,
     all_effect_rules,
     effect_rule_ids,
 )
@@ -234,6 +235,24 @@ class TestEffectLayer:
         fx = effects.per_function["demo.handles.shutdown"]
         assert fx.calls[0][1] is None
         assert FS_WRITE not in effects.of("demo.handles.shutdown")
+
+
+class TestClosures:
+    def test_closure_draw_from_enclosing_adhoc_generator(self):
+        source = ("import numpy as np\n"
+                  "\n"
+                  "\n"
+                  "def install(sim):\n"
+                  "    rng = np.random.default_rng(1)\n"
+                  "\n"
+                  "    def drop(frame):\n"
+                  "        return rng.random() < 0.5\n"
+                  "\n"
+                  "    sim.drop_filter = drop\n")
+        project = _project(source, "fixtures/closure.py")
+        found = list(SubstreamDisciplineRule().check_project(project))
+        assert [(f.rule, f.line) for f in found] == [("EFF006", 8)]
+        assert "install.<locals>.drop draws" in found[0].message
 
 
 class TestSqlHelpers:

@@ -446,6 +446,21 @@ class TestSerializationMap:
         (serial,) = serialization.classes.values()
         assert {"alpha", "beta"} <= serial.reads
 
+    def test_nested_def_returns_are_not_emitted(self):
+        source = (
+            "import dataclasses\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Spec:\n"
+            "    alpha: int\n"
+            "    beta: int\n"
+            "    def to_dict(self):\n"
+            "        def helper():\n"
+            "            return {'beta': self.beta}\n"
+            "        return {'alpha': self.alpha}\n")
+        serialization, _ = _serialization(source)
+        (serial,) = serialization.classes.values()
+        assert serial.emits_always == ("alpha",)
+
     def test_asdict_to_dict_is_dynamic(self):
         source = (
             "import dataclasses\n"

@@ -154,6 +154,53 @@ class TestPoolBoundaryFrozen:
         assert self._check(source, "repro.obs.metrics") == []
 
 
+class TestScopePartition:
+    SOURCE = ("class C:\n"
+              "    def m(self):\n"
+              "        def inner():\n"
+              "            return 1\n"
+              "        return inner\n"
+              "\n"
+              "\n"
+              "def f(flag):\n"
+              "    if flag:\n"
+              "        def g():\n"
+              "            return 1\n"
+              "    else:\n"
+              "        def g():\n"
+              "            return 2\n"
+              "    return g\n")
+
+    def test_every_node_but_the_module_sits_in_one_body(self):
+        tree = ast.parse(self.SOURCE)
+        ctx = build_context("x.py", "x", self.SOURCE, tree)
+        assert [(b.qualname, b.cls) for b in ctx.bodies] == [
+            ("", None), ("C.m", "C"), ("C.m.<locals>.inner", "C"),
+            ("f", None), ("f.<locals>.g", None),
+            ("f.<locals>.g@13", None)]
+        walked = [node for node in ast.walk(tree) if node is not tree]
+        assert sorted(map(id, ctx.nodes)) == sorted(map(id, walked))
+        # A def binds in the body around it; its own nodes are its.
+        inner = ctx.bodies[2]
+        assert inner.node in ctx.bodies[1].nodes
+        assert inner.node not in inner.nodes
+        assert ctx.bodies[1].local_def("inner", 5) is inner
+
+    def test_pool_submission_of_an_enclosing_defs_closure(self):
+        source = ("def run_all(pool, seeds):\n"
+                  "    def run_one(seed):\n"
+                  "        return seed\n"
+                  "\n"
+                  "    def submit_all():\n"
+                  "        return [pool.submit(run_one, s) for s in seeds]\n"
+                  "\n"
+                  "    return submit_all()\n")
+        tree = ast.parse(source)
+        ctx = build_context("x.py", "x", source, tree)
+        found = list(PoolBoundaryRule().check(ctx))
+        assert [(f.rule, f.line) for f in found] == [("DET008", 6)]
+
+
 class TestEngineMechanics:
     def test_syntax_error_becomes_det000(self):
         findings = lint_source("def broken(:\n", "x.py")

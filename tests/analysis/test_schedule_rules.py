@@ -197,16 +197,26 @@ class TestInterprocLayer:
         init = scopes["demo.scoped.Node.__init__"]
         tick = scopes["demo.scoped.Node.tick"]
         # Class-wide self.attr types: one map for every method.
-        assert init.resolver.attr_types is tick.resolver.attr_types
-        assert tick.resolver.attr_types == {"radio": "demo.scoped.Radio"}
+        assert init.attr_types is tick.attr_types
+        assert tick.attr_types == {"radio": "demo.scoped.Radio"}
         # A nested def is not part of its parent's body.
         assert not [n for n in tick.nodes if isinstance(n, ast.Call)]
         assert project.callgraph.callees("demo.scoped.Node.tick") == ()
-        # Body nodes come in source order; the module body has none.
+        # Body nodes come in source order; the module body holds the
+        # class statements but none of the code inside their defs.
         positions = [(n.lineno, n.col_offset) for n in init.nodes
                      if hasattr(n, "lineno")]
         assert positions == sorted(positions)
-        assert scopes["demo.scoped.<module>"].nodes == []
+        module = scopes["demo.scoped.<module>"].nodes
+        assert [n.name for n in module
+                if isinstance(n, ast.ClassDef)] == ["Radio", "Node"]
+        assert not [n for n in module if isinstance(n, ast.Call)]
+        # The closure is a scope of its own; it keeps its class, so
+        # self resolves as in a method.
+        later = scopes["demo.scoped.Node.tick.<locals>.later"]
+        assert later.cls is tick.cls
+        assert project.callgraph.callees(later.symbol.qname) == (
+            "demo.scoped.Radio.send",)
 
     def test_taint_propagates_with_a_via_chain(self):
         source = ("import time\n"

@@ -8,6 +8,8 @@ zero-delay kernel event.
 import numpy as np
 import pytest
 
+from repro.obs import ObsContext
+from repro.obs.metrics import MetricsRegistry
 from repro.openc2x.http import HttpClient, HttpConfig, HttpServer
 from repro.sim import Simulator
 
@@ -197,3 +199,23 @@ def test_same_seeds_same_timing():
     first = run_once()
     assert len(first) == 5
     assert first == run_once()
+
+
+def test_served_status_label_hits_the_handle_cache(monkeypatch):
+    sim, server, client = build()
+    sim.obs = ObsContext()
+    resolved = []
+    original = MetricsRegistry._resolve
+
+    def counting(self, kind, name, labels, buckets):
+        resolved.append(name)
+        return original(self, kind, name, labels, buckets)
+
+    monkeypatch.setattr(MetricsRegistry, "_resolve", counting)
+    client.post(server, "/x")
+    client.post(server, "/x")
+    sim.run()
+    assert resolved.count("http.requests_served") == 1
+    served = sim.obs.metrics.counter("http.requests_served",
+                                     device="srv", status="200")
+    assert served.value == 2.0

@@ -63,6 +63,10 @@ class TestCounter:
         with pytest.raises(ValueError, match="^value: "):
             Counter.from_dict({"value": value})
 
+    def test_from_dict_rejects_negative_value(self):
+        with pytest.raises(ValueError, match="^value: -3.0 is negative"):
+            Counter.from_dict({"value": -3.0})
+
 
 class TestGauge:
     def test_set_and_adjust(self):
@@ -120,6 +124,24 @@ class TestHistogram:
         data = {"bounds": [1.0], "bucket_counts": [1, 0], "count": 1,
                 "sum": stored}
         with pytest.raises(ValueError, match="^sum: "):
+            Histogram.from_dict(data)
+
+    def test_from_dict_refuses_wrong_bucket_count_length(self):
+        data = {"bounds": [1.0], "bucket_counts": [1], "count": 5,
+                "sum": "1"}
+        with pytest.raises(ValueError, match="^bucket_counts: 1 entries"):
+            Histogram.from_dict(data)
+
+    def test_from_dict_refuses_negative_bucket_count(self):
+        data = {"bounds": [1.0], "bucket_counts": [2, -1], "count": 1,
+                "sum": "1"}
+        with pytest.raises(ValueError, match="^bucket_counts: negative"):
+            Histogram.from_dict(data)
+
+    def test_from_dict_refuses_buckets_not_adding_to_count(self):
+        data = {"bounds": [1.0], "bucket_counts": [1, 0], "count": 5,
+                "sum": "1"}
+        with pytest.raises(ValueError, match="^count: 5 but"):
             Histogram.from_dict(data)
 
     def test_bucket_placement_upper_bound_inclusive(self):

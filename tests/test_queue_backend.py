@@ -15,6 +15,7 @@ battery (``test_queue_recovery.py``):
 import dataclasses
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -273,6 +274,21 @@ class TestBackendParity:
             queue_dir=str(tmp_path / "q"))
         assert as_dicts(pool) == as_dicts(queued)
         assert pool.digest() == queued.digest()
+
+    def test_temporary_queue_dir_is_removed(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        queued = run_campaign_parallel(FAST, runs=2, base_seed=4,
+                                       workers=1, backend="queue")
+        assert queued.digest() == run_campaign_parallel(
+            FAST, runs=2, base_seed=4, workers=1).digest()
+        assert os.listdir(scratch) == []
+        # A caller's queue_dir is the caller's: it stays.
+        run_campaign_parallel(FAST, runs=1, base_seed=4, workers=1,
+                              backend="queue",
+                              queue_dir=str(tmp_path / "q"))
+        assert os.path.exists(tmp_path / "q" / "queue.sqlite")
 
     def test_queue_campaign_shares_run_cache(self, tmp_path):
         cache = str(tmp_path / "cache")
