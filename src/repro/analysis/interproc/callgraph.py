@@ -122,7 +122,7 @@ class Scope:
             statements = list(node.body)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for arg in node.args.args + node.args.kwonlyargs:
-                cls = _annotation_class(self.table, module,
+                cls = annotation_class(self.table, module,
                                         arg.annotation)
                 if cls is not None:
                     self.local_types[arg.arg] = cls.qname
@@ -216,9 +216,14 @@ def _is_self_attr(node: ast.expr) -> bool:
             and node.value.id == "self")
 
 
-def _annotation_class(table: SymbolTable, module: str,
-                      annotation: Optional[ast.expr]
-                      ) -> Optional[ClassSymbol]:
+def annotation_class(table: SymbolTable, module: str,
+                     annotation: Optional[ast.expr]
+                     ) -> Optional[ClassSymbol]:
+    """The class an annotation types a name as, if any.
+
+    Only ``X``, ``"X"`` and ``Optional[X]`` name class X; any other
+    subscript (``List[X]``, ...) is not an X.
+    """
     if annotation is None:
         return None
     if isinstance(annotation, ast.Constant) and \
@@ -230,7 +235,7 @@ def _annotation_class(table: SymbolTable, module: str,
     if isinstance(annotation, ast.Subscript):
         head = _dotted(annotation.value) or ""
         if head.split(".")[-1] == "Optional":
-            return _annotation_class(table, module, annotation.slice)
+            return annotation_class(table, module, annotation.slice)
         return None
     if not name:
         return None
@@ -269,7 +274,7 @@ def _class_attr_types(table: SymbolTable,
             if isinstance(sub, ast.AnnAssign) and \
                     _is_self_attr(sub.target):
                 attr = sub.target.attr  # type: ignore[union-attr]
-                found = _annotation_class(table, cls.module,
+                found = annotation_class(table, cls.module,
                                           sub.annotation)
                 if found is not None:
                     out.setdefault(attr, found.qname)

@@ -24,7 +24,7 @@ import ast
 import dataclasses
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.analysis.interproc.callgraph import Scope
+from repro.analysis.interproc.callgraph import Scope, annotation_class
 from repro.analysis.interproc.effects import is_stream_get, local_producer
 from repro.analysis.interproc.symbols import (
     ClassSymbol,
@@ -39,13 +39,6 @@ from repro.analysis.interproc.symbols import (
 Coverage = Union[str, FrozenSet[str]]
 
 COVERS_ALL = "all"
-
-#: Typing names an annotation may wrap a class in; never classes.
-_TYPING_NAMES = frozenset((
-    "Optional", "Union", "List", "Dict", "Tuple", "Set", "Sequence",
-    "Mapping", "Iterable", "Any", "ClassVar", "Final", "str", "int",
-    "float", "bool", "bytes", "None", "object", "Callable", "Type",
-))
 
 #: Statements under which a ``to_dict`` key emission (or a dict-store)
 #: only *may* happen -- such keys are optional by design and exempt
@@ -346,29 +339,6 @@ def _collect_reads(fn: FunctionSymbol
 # ---------------------------------------------------------------------------
 
 
-def _annotation_class(table: SymbolTable, module: str,
-                      annotation: ast.expr) -> Optional[ClassSymbol]:
-    """The class an annotation names, unwrapping Optional/strings."""
-    candidates: List[str] = []
-    for sub in ast.walk(annotation):
-        if isinstance(sub, ast.Name):
-            candidates.append(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            dotted = _dotted(sub)
-            if dotted is not None:
-                candidates.append(dotted)
-        elif isinstance(sub, ast.Constant) and \
-                isinstance(sub.value, str):
-            candidates.append(sub.value.strip())
-    for name in candidates:
-        if name in _TYPING_NAMES:
-            continue
-        found = table.resolve_class(module, name)
-        if found is not None:
-            return found
-    return None
-
-
 def instance_vars(table: SymbolTable, symbol: FunctionSymbol,
                   enclosing: Optional[Mapping[str, str]] = None
                   ) -> Dict[str, str]:
@@ -386,8 +356,8 @@ def instance_vars(table: SymbolTable, symbol: FunctionSymbol,
         return out
     for arg in list(fn.args.args) + list(fn.args.kwonlyargs):
         if arg.annotation is not None:
-            found = _annotation_class(table, symbol.module,
-                                      arg.annotation)
+            found = annotation_class(table, symbol.module,
+                                     arg.annotation)
             if found is not None:
                 out[arg.arg] = found.qname
     for sub in symbol.nodes:
@@ -399,8 +369,8 @@ def instance_vars(table: SymbolTable, symbol: FunctionSymbol,
         elif isinstance(sub, ast.AnnAssign) and \
                 isinstance(sub.target, ast.Name):
             target = sub.target.id
-            found = _annotation_class(table, symbol.module,
-                                     sub.annotation)
+            found = annotation_class(table, symbol.module,
+                                    sub.annotation)
             if found is not None:
                 out[target] = found.qname
                 continue

@@ -20,7 +20,9 @@ mechanisms:
   timers expire at the same instant all see an idle channel and
   collide, whatever order the kernel pops the tied events in;
 * packet-error draws use :class:`~repro.net.medium.OrderFreeReception`
-  (hashed per transmission and receiver) instead of a shared rng;
+  (a keyed splitmix64 of seed, sender, the sender's transmission index
+  and receiver) instead of a shared rng, which also lets the medium do
+  each frame's link math as one numpy pass over its receivers;
 * GBC re-forward jitter is hashed from stable packet identity rather
   than drawn from the router's (order-sensitive) stream.
 

@@ -18,6 +18,7 @@ import dataclasses
 import math
 from typing import Dict, Tuple
 
+import numpy as np
 from scipy import special
 
 
@@ -68,6 +69,12 @@ class Mcs:
                            10.0 ** (coding_gain_db / 10.0))
         object.__setattr__(self, "_ber_terms", terms)
 
+    @property
+    def ber_constants(self) -> Tuple[float, float, float]:
+        """``(coding gain, divisor, factor)`` of :meth:`bit_error_rate`."""
+        divisor, factor = self._ber_terms
+        return self._coding_gain, divisor, factor
+
     def bit_error_rate(self, sinr_linear: float) -> float:
         """Coded BER approximation for an AWGN channel at this MCS.
 
@@ -89,6 +96,23 @@ class Mcs:
             return 0.0
         # 1 - (1-ber)^bits, computed stably.
         return -math.expm1(bits * math.log1p(-min(ber, 0.5)))
+
+
+def packet_error_rates(sinr_linear: np.ndarray, coding_gain: np.ndarray,
+                       divisor: np.ndarray, factor: np.ndarray,
+                       size_bytes: int) -> np.ndarray:
+    """:meth:`Mcs.packet_error_rate` of one frame at many receivers.
+
+    *sinr_linear* (>= 0) and each receiver's :attr:`Mcs.ber_constants`
+    are arrays.  The BER takes the scalar path's operations in its
+    order, so it matches bit for bit; numpy's ``log1p`` and ``expm1``
+    may differ from :mod:`math`'s in the last bit.
+    """
+    sinr = sinr_linear * coding_gain
+    ber = factor * (0.5 * special.erfc(np.sqrt(sinr / divisor) / _SQRT2))
+    ber = np.where(sinr_linear > 0.0, ber, 0.5)
+    # 0.0 - (-0.0): a BER of 0.0 gives a PER of +0.0, as the scalar does.
+    return 0.0 - np.expm1(size_bytes * 8 * np.log1p(-np.minimum(ber, 0.5)))
 
 
 class McsTable:

@@ -47,6 +47,11 @@ class PropagationModel:
         """Deterministic path loss for a link of *distance* metres."""
         raise NotImplementedError
 
+    def path_loss_db_array(self, distance: np.ndarray) -> np.ndarray:
+        """:meth:`path_loss_db` of every entry of *distance*."""
+        return np.array([self.path_loss_db(d) for d in distance.tolist()],
+                        dtype=np.float64)
+
 
 @dataclasses.dataclass(frozen=True)
 class FreeSpacePathLoss(PropagationModel):
@@ -120,6 +125,11 @@ class LogDistancePathLoss(PropagationModel):
         d0 = self.reference_distance
         return self._reference_loss + self._ten_n * math.log10(
             max(distance, d0) / d0)
+
+    def path_loss_db_array(self, distance: np.ndarray) -> np.ndarray:
+        d0 = self.reference_distance
+        return self._reference_loss + self._ten_n * np.log10(
+            np.maximum(distance, d0) / d0)
 
 
 @dataclasses.dataclass
@@ -210,6 +220,24 @@ class LinkBudget:
         if self.fading is not None:
             power += 10.0 * math.log10(self.fading.power_gain(rng))
         return power
+
+    def received_powers_dbm(self, tx_power_dbm: float,
+                            tx_pos: Tuple[float, float], rx_x: np.ndarray,
+                            rx_y: np.ndarray) -> np.ndarray:
+        """:meth:`received_power_dbm` at receivers (*rx_x*, *rx_y*).
+
+        The same operations in the same order, on arrays; numpy's
+        ``hypot`` and ``log10`` may differ from :mod:`math`'s in the
+        last bit.  Only for a budget with no shadowing and no fading:
+        those draw per link from a shared generator, in link order.
+        """
+        if self.shadowing is not None or self.fading is not None:
+            raise ValueError("received_powers_dbm needs a budget without "
+                             "shadowing or fading")
+        distance = np.hypot(tx_pos[0] - rx_x, tx_pos[1] - rx_y)
+        return (tx_power_dbm + self.tx_antenna_gain_dbi
+                + self.rx_antenna_gain_dbi
+                - self.path_loss.path_loss_db_array(distance))
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -559,6 +559,40 @@ class TestSerializationMap:
         assert instance_vars(table, method) == \
             {"self": "demo.spec.Spec"}
 
+    def test_instance_vars_leave_containers_untyped(self):
+        # A List[Spec] is not a Spec: its attribute reads are no Spec
+        # field reads.  The call graph types it the same way.
+        source = (
+            "from typing import List, Optional\n"
+            "class Spec:\n"
+            "    pass\n"
+            "def run(specs: List[Spec], maybe: Optional[Spec],\n"
+            "        named: 'Spec'):\n"
+            "    chosen: List[Spec] = specs\n"
+            "    return specs, maybe, named, chosen\n")
+        _, project = _serialization(source)
+        table = project.symbols
+        varmap = instance_vars(table, table.functions["demo.spec.run"])
+        assert varmap == {"maybe": "demo.spec.Spec",
+                          "named": "demo.spec.Spec"}
+        scope = project.scopes["demo.spec.run"]
+        assert {name: qname for name, qname in scope.local_types.items()
+                if name in ("specs", "maybe", "named", "chosen")} == varmap
+
+    def test_slots_dataclass_reads_like_a_plain_one(self):
+        plain = _serialization(CLASS_SOURCE)[0]
+        slotted = _serialization(CLASS_SOURCE.replace(
+            "dataclass(frozen=True)", "dataclass(frozen=True, slots=True)"))[0]
+        ((_, a),) = plain.classes.items()
+        ((_, b),) = slotted.classes.items()
+        for name in ("is_dataclass", "frozen", "fields", "emits_always",
+                     "emits_conditional", "reads_strict", "reads",
+                     "to_dict_dynamic", "from_dict_dynamic"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert a.frozen and a.fields == ("alpha", "beta", "note")
+        # Defaulted reads map each key to its (distinct) AST node.
+        assert sorted(a.reads_defaulted) == sorted(b.reads_defaulted)
+
     def test_full_literal_resolves_locals_only_fully(self):
         source = (
             "def build(streams, suffix):\n"

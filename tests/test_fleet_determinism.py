@@ -10,6 +10,8 @@ samples and DCC state transitions in the observability export).
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +118,32 @@ class TestGoldenFixture:
         assert payload["runs"][0]["denm_delivered"] == 16
 
 
+#: A pooled fleet campaign, run by a script that ``python -`` reads
+#: from stdin: the spawned workers cannot re-import a ``__main__``
+#: that has no file.
+STDIN_CAMPAIGN = """
+from repro.core.fleet import FleetScenario, run_fleet_campaign
+scenario = FleetScenario(workload="convoy", n_obus=4, n_rsus=1, duration=2.5)
+print("digest", run_fleet_campaign(scenario, runs=2, workers=2).digest())
+"""
+
+
+class TestStdinSpawnPool:
+    def test_pooled_campaign_from_stdin_script_finishes(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-"], input=STDIN_CAMPAIGN,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        serial = run_fleet_campaign(FleetScenario(
+            workload="convoy", n_obus=4, n_rsus=1, duration=2.5), runs=2)
+        assert done.stdout == f"digest {serial.digest()}\n"
+
+
 #: The 64-OBU / 2-RSU blind corner, four simulated seconds.
 CORNER64 = FleetScenario(workload="blind_corner", n_obus=64, n_rsus=2,
                          duration=4.0)
@@ -128,7 +156,7 @@ class TestCorner64:
         runs = [FleetTestbed(CORNER64.with_seed(seed), run_id=seed).run()
                 for seed in (1, 2)]
         assert fleet_runs_digest(runs) == (
-            "0cb8897e9c3f5da24aae4cea23ac682bd7fc24bb6f5c652d0f193cc88e9ba117")
+            "aa3c2c2cde306e1ce680f80287de46786d884c30c973ac57fc4425ad4ce4c78b")
 
     def test_airtime_log_stays_bounded(self):
         # The medium's airtime log (half-duplex bookkeeping) never

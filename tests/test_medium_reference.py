@@ -5,9 +5,13 @@ Two copies of one random channel -- same stations, phys, positions,
 link budget, sends, impairment and seeds -- run side by side, one on
 :class:`~repro.net.medium.WirelessMedium` and one on the reference,
 whose received power and PER come from :mod:`tests.reference.link`.
-They must agree on everything observable: the medium's counters, every
-delivery with its reception info, every loss with its reason, every
-busy/idle callback, and the state of every random generator afterwards.
+On the shared-rng medium (the brake, blind-corner and platoon path)
+they must agree bit for bit on everything observable: the medium's
+counters, every delivery with its reception info, every loss with its
+reason, every busy/idle callback, and the state of every random
+generator afterwards.  The keyed medium's numpy link pass is checked
+against the same reference, within stated tolerances, in
+``tests/test_keyed_reference.py``, which reuses the channels here.
 """
 
 from typing import Any, Dict, List, Tuple
@@ -30,12 +34,13 @@ from repro.net.propagation import (
     ShadowingModel,
 )
 from repro.sim import Simulator
+from tests.reference.keyed import ReferenceKeyedReception
 from tests.reference.link import (
     ReferenceLinkBudget,
     ReferenceLogDistance,
     ReferenceMcs,
 )
-from tests.reference.medium import ReferenceMedium, ReferenceReception
+from tests.reference.medium import ReferenceMedium
 
 Window = Tuple[str, float, float]
 
@@ -81,8 +86,12 @@ def _windows(draw: Any, names: List[str]) -> List[Window]:
 
 
 @st.composite
-def channels(draw: Any) -> Dict[str, Any]:
-    """One random channel: stations, link budget, sends, impairment."""
+def channels(draw: Any, keyed: bool = False) -> Dict[str, Any]:
+    """One random channel: stations, link budget, sends, impairment.
+
+    A *keyed* channel uses the order-free draw, and so a link budget
+    without shadowing or fading.
+    """
     n = draw(st.integers(2, 12))
     names = [f"s{i}" for i in range(n)]
     # A compact channel has receivers whose PER is exactly 0.0 or
@@ -110,10 +119,10 @@ def channels(draw: Any) -> Dict[str, Any]:
         "sends": [(names[i], tick * TICK, size, category)
                   for i, tick, size, category in sends],
         "exponent": draw(st.sampled_from([2.2, 2.8, 3.5])),
-        "shadowing_db": draw(st.sampled_from([0.0, 4.0])),
-        "fading": draw(st.booleans()),
+        "shadowing_db": 0.0 if keyed else draw(st.sampled_from([0.0, 4.0])),
+        "fading": False if keyed else draw(st.booleans()),
         "cs_latency": draw(st.sampled_from([0.0, 4e-6])),
-        "order_free": draw(st.booleans()),
+        "order_free": keyed,
         "impairment": None if not impaired else {
             "blocked": _windows(draw, names),
             "dropped": _windows(draw, names),
@@ -130,7 +139,7 @@ def _per_class(per: float) -> str:
     return "tiny" if per < 2.0 ** -64 else "lossy"
 
 
-def seeded_channel(seed: int) -> Dict[str, Any]:
+def seeded_channel(seed: int, keyed: bool = False) -> Dict[str, Any]:
     """A dense, impaired channel drawn from *seed* (no Hypothesis)."""
     rng = np.random.default_rng(seed)
     names = [f"s{i}" for i in range(8)]
@@ -155,17 +164,22 @@ def seeded_channel(seed: int) -> Dict[str, Any]:
                    AccessCategory(int(rng.integers(0, 4))))
                   for tick in rng.integers(0, 200, size=30)],
         "exponent": 3.5,
-        "shadowing_db": 4.0,
-        "fading": bool(seed % 2),
+        "shadowing_db": 0.0 if keyed else 4.0,
+        "fading": not keyed and bool(seed % 2),
         "cs_latency": float(rng.choice([0.0, 4e-6])),
-        "order_free": bool(seed % 3),
+        "order_free": keyed,
         "impairment": {"blocked": windows(), "dropped": windows(),
                        "jammed": windows(), "jam_mw": 1e-9},
     }
 
 
-def run_channel(spec: Dict[str, Any], reference: bool) -> Dict[str, Any]:
-    """Run *spec* on one medium; everything observable, in order."""
+def run_channel(spec: Dict[str, Any], reference: bool,
+                reference_draw: Any = ReferenceKeyedReception,
+                ) -> Dict[str, Any]:
+    """Run *spec* on one medium; everything observable, in order.
+
+    A keyed reference medium draws from *reference_draw*.
+    """
     sim = Simulator()
     shadowing = (ShadowingModel(sigma_db=spec["shadowing_db"])
                  if spec["shadowing_db"] else None)
@@ -173,7 +187,7 @@ def run_channel(spec: Dict[str, Any], reference: bool) -> Dict[str, Any]:
     seed = spec["seed"]
     budget: Any
     if reference:
-        medium_cls, draw_cls = ReferenceMedium, ReferenceReception
+        medium_cls, draw_cls = ReferenceMedium, reference_draw
         budget = ReferenceLinkBudget(
             path_loss=ReferenceLogDistance(exponent=spec["exponent"]),
             shadowing=shadowing, fading=fading)
@@ -257,8 +271,8 @@ class TestReceptionMatchesReference:
     def test_every_outcome_is_exercised(self):
         # The random channels reach every branch of reception: a fixed
         # sample of them loses frames to every cause and delivers some,
-        # and under both draw modes has receivers whose PER is exactly
-        # 0.0 (no order-free draw), in (0, 2**-64) and larger.
+        # and has receivers whose PER is exactly 0.0, in (0, 2**-64)
+        # and larger.
         totals: Dict[str, int] = {}
         reasons = set()
         per_classes = set()
@@ -267,10 +281,9 @@ class TestReceptionMatchesReference:
             spec = seeded_channel(seed)
             out = run_channel(spec, reference=False)
 
-            def classify(mcs, sinr_linear, size_bytes,
-                         order_free=spec["order_free"]):
+            def classify(mcs, sinr_linear, size_bytes):
                 per = original_per(mcs, sinr_linear, size_bytes)
-                per_classes.add((order_free, _per_class(per)))
+                per_classes.add(_per_class(per))
                 return per
 
             with mock.patch.object(ReferenceMcs, "packet_error_rate",
@@ -282,6 +295,4 @@ class TestReceptionMatchesReference:
                            for _payload, reason in losses)
         assert all(value > 0 for value in totals.values()), totals
         assert reasons == {"fault", "half-duplex", "collision", "noise"}
-        assert per_classes == {(order_free, kind)
-                               for order_free in (False, True)
-                               for kind in ("zero", "tiny", "lossy")}
+        assert per_classes == {"zero", "tiny", "lossy"}

@@ -193,7 +193,7 @@ class TestSimDigestPins:
                           duration=3.0),
             runs=2, workers=1, obs=aggregate)
         assert aggregate.sim_digest() == (
-            "86967966be2490d976307ff7f5318df1dbb5b02150db4540a9caec5eb02f7cff")
+            "c977813a615a074885a7de6e2a42fa0d57597c4985aada7a317b4c7b943b6589")
 
     def test_fleet_observed_workload_pinned(self):
         # The unit of bench/'s fleet_observed workload at seed 1: its
@@ -206,9 +206,9 @@ class TestSimDigestPins:
                           duration=3.0),
             runs=2, base_seed=1, workers=1, obs=aggregate)
         assert result.digest() == (
-            "b2afe4ad77a10e9736d5c885b3814324f686538ca56a5403882646e48dbade7c")
+            "0c348023b5c4e888e34b0ba2c39e35ffe2f35523b4d21f2ba06a21470145eb19")
         assert aggregate.sim_digest() == (
-            "1e3a3748022a942d03f7309b975d4cbe7b1cab0145ac573b395adde845cd0c3f")
+            "6b56d06cbeff0c341f90bb61ac770c0d02a6d0e9b576046a0ff5216ad0c934a0")
 
     #: The OBU poll loop's timeout/backoff schedule under each policy.
     #: Measurements are tie-invariant, so the result digest is one
