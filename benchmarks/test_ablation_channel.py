@@ -40,9 +40,9 @@ def measure_load(background_stations, seed=1):
     delays = []
     sent_at = {}
 
-    def on_rx(frame, _info):
-        if frame.meta.get("kind") == "denm":
-            delays.append(sim.now - sent_at[frame.frame_id])
+    def on_rx(frame):
+        if frame.payload == b"denm":
+            delays.append(sim.now - sent_at[id(frame)])
 
     obu.on_receive(on_rx)
     jitter_rng = np.random.default_rng(seed + 500)
@@ -69,9 +69,8 @@ def measure_load(background_stations, seed=1):
 
     def fire():
         frame = Frame(payload=b"denm", size=100, source="rsu",
-                      category=AccessCategory.AC_VO,
-                      meta={"kind": "denm"})
-        sent_at[frame.frame_id] = sim.now
+                      category=AccessCategory.AC_VO)
+        sent_at[id(frame)] = sim.now
         rsu.send(frame)
         count[0] += 1
         if count[0] < DENMS:
@@ -99,7 +98,7 @@ def measure_distance(distance, seed=1):
                            lambda: (distance, 0.0),
                            rng=np.random.default_rng(seed + 2))
     received = []
-    obu.on_receive(lambda f, info: received.append(f))
+    obu.on_receive(lambda f: received.append(f))
 
     count = [0]
 

@@ -51,9 +51,9 @@ def run_configuration(use_dcc, seed=1):
     delays = []
     sent_at = {}
 
-    def on_rx(frame, _info):
-        if frame.meta.get("kind") == "denm":
-            delays.append(sim.now - sent_at[frame.frame_id])
+    def on_rx(frame):
+        if frame.payload == b"denm":
+            delays.append(sim.now - sent_at[id(frame)])
 
     obu.on_receive(on_rx)
 
@@ -87,9 +87,8 @@ def run_configuration(use_dcc, seed=1):
 
     def fire():
         frame = Frame(payload=b"denm", size=100, source="rsu",
-                      category=AccessCategory.AC_VO,
-                      meta={"kind": "denm"})
-        sent_at[frame.frame_id] = sim.now
+                      category=AccessCategory.AC_VO)
+        sent_at[id(frame)] = sim.now
         rsu.send(frame)
         count[0] += 1
         if count[0] < DENMS:

@@ -62,7 +62,7 @@ def main() -> None:
 
     deliveries = []
     receiver.btp.register(
-        BtpPort.DENM, lambda p, ctx: deliveries.append((sim.now, p)))
+        BtpPort.DENM, lambda p: deliveries.append((sim.now, p)))
     sim.schedule(0.010, lambda: sender.send_shb(b"collision-risk",
                                                 BtpPort.DENM))
     sim.run_until(1.0)

@@ -164,7 +164,6 @@ class ScaleTestbed:
         self.vehicle.on_event(self._on_vehicle_event)
         self._detection_odometer: Optional[float] = None
         self._action_point_odometer: Optional[float] = None
-        self._detection_record: Dict[str, Any] = {}
         self.sim.schedule(self.WATCH_PERIOD, self._watch_action_point)
 
     # ------------------------------------------------------------------
@@ -299,7 +298,6 @@ class ScaleTestbed:
             return
         if self._detection_odometer is None:
             self._detection_odometer = self.vehicle.dynamics.odometer
-            self._detection_record = record
         self._trace("steps", "hazard_detected",
                     label=record.get("label"),
                     estimated_distance=record.get("estimated_distance"))

@@ -235,7 +235,7 @@ class CaBasicService:
         """Register an application callback for received CAMs."""
         self._callbacks.append(callback)
 
-    def _on_payload(self, payload: bytes, _context: object) -> None:
+    def _on_payload(self, payload: bytes) -> None:
         cam, key, position = _received_view(payload)
         sim = self.sim
         obs = sim.obs

@@ -114,7 +114,7 @@ class CpService:
         """Register an application callback for received CPMs."""
         self._callbacks.append(callback)
 
-    def _on_payload(self, payload: bytes, _context) -> None:
+    def _on_payload(self, payload: bytes) -> None:
         cpm = Cpm.decode(payload)
         self.cpms_received += 1
         origin_x, origin_y = self.local_frame.to_local(GeoPosition(

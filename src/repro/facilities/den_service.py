@@ -194,7 +194,7 @@ class DenBasicService:
         """
         self._callbacks.append(callback)
 
-    def _on_payload(self, payload: bytes, _context: object) -> None:
+    def _on_payload(self, payload: bytes) -> None:
         denm = Denm.decode(payload)
         obs = self.sim.obs
         if obs is not None:

@@ -198,7 +198,7 @@ class SignalPhaseService:
         """Register a callback for decoded SPATEMs."""
         self._callbacks.append(callback)
 
-    def _on_spatem(self, payload: bytes, _context) -> None:
+    def _on_spatem(self, payload: bytes) -> None:
         spatem = Spatem.decode(payload)
         self.spatems_received += 1
         self._states[spatem.intersection_id] = spatem
@@ -206,7 +206,7 @@ class SignalPhaseService:
         for callback in self._callbacks:
             callback(spatem)
 
-    def _on_mapem(self, payload: bytes, _context) -> None:
+    def _on_mapem(self, payload: bytes) -> None:
         mapem = Mapem.decode(payload)
         self.mapems_received += 1
         self._maps[mapem.intersection_id] = mapem

@@ -1,17 +1,18 @@
 """Basic Transport Protocol (EN 302 636-5-1), BTP-B flavour.
 
 BTP adds a 4-byte header with a destination port; the facilities-layer
-services each own a well-known port.
+services each own a well-known port.  A handler gets the payload alone,
+as an ETSI BTP data indication carries no PHY measurement.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Callable, Dict, List
 
 #: BTP header size on the wire (bytes).
 BTP_HEADER_BYTES = 4
 
-DeliveryCallback = Callable[[bytes, Any], None]
+DeliveryCallback = Callable[[bytes], None]
 
 
 class BtpPort:
@@ -37,7 +38,7 @@ class BtpMux:
         """Subscribe *callback* to payloads for *port*."""
         self._handlers.setdefault(port, []).append(callback)
 
-    def dispatch(self, port: int, payload: bytes, context: Any) -> bool:
+    def dispatch(self, port: int, payload: bytes) -> bool:
         """Deliver *payload* to the handlers of *port*.
 
         Returns False when no handler is registered (the packet is
@@ -49,5 +50,5 @@ class BtpMux:
             return False
         self.delivered += 1
         for callback in handlers:
-            callback(payload, context)
+            callback(payload)
         return True

@@ -28,7 +28,6 @@ from repro.geonet.btp import BTP_HEADER_BYTES, BtpMux
 from repro.geonet.location_table import LocationTable
 from repro.geonet.position import GeoPosition, PositionVector
 from repro.net.frame import AccessCategory, Frame
-from repro.net.medium import ReceptionInfo
 from repro.net.nic import NetworkInterface
 from repro.sim.kernel import Simulator
 
@@ -328,7 +327,7 @@ class GeoNetRouter:
     # Receiving / forwarding
     # ------------------------------------------------------------------
 
-    def _on_frame(self, frame: Frame, info: ReceptionInfo) -> None:
+    def _on_frame(self, frame: Frame) -> None:
         packet = frame.payload
         if not isinstance(packet, GnPacket):
             return
@@ -345,28 +344,28 @@ class GeoNetRouter:
             return
         transport = packet.transport
         if transport == "shb":
-            self._deliver_up(packet, info)
+            self._deliver_up(packet)
             return
         if transport == "beacon":
             # Location-table maintenance only; nothing to deliver.
             self.beacons_received += 1
             return
         if transport == "guc":
-            self._handle_guc(packet, info)
+            self._handle_guc(packet)
             return
         # GBC: deliver if inside the area; forward while hops remain.
         inside = packet.area is not None and packet.area.contains(
             self.position())
         if inside:
-            self._deliver_up(packet, info)
+            self._deliver_up(packet)
         else:
             self.packets_outside_area += 1
         if packet.hop_limit > 1 and inside:
             self._schedule_forward(packet)
 
-    def _handle_guc(self, packet: GnPacket, info: ReceptionInfo) -> None:
+    def _handle_guc(self, packet: GnPacket) -> None:
         if packet.destination_address == self.gn_address:
-            self._deliver_up(packet, info)
+            self._deliver_up(packet)
             return
         if packet.next_hop != self.gn_address:
             return  # overheard; not our job to forward
@@ -386,11 +385,11 @@ class GeoNetRouter:
         self.packets_forwarded += 1
         self.sim.schedule(delay, lambda: self._put_on_air(forwarded))
 
-    def _deliver_up(self, packet: GnPacket, info: ReceptionInfo) -> None:
+    def _deliver_up(self, packet: GnPacket) -> None:
         if packet.secured is not None and self.security is not None:
             def accept(payload: bytes) -> None:
                 self.packets_delivered_up += 1
-                self.btp.dispatch(packet.btp_port, payload, info)
+                self.btp.dispatch(packet.btp_port, payload)
 
             def reject(_err) -> None:
                 self.packets_rejected_security += 1
@@ -398,7 +397,7 @@ class GeoNetRouter:
             self.security.verify_async(packet.secured, accept, reject)
             return
         self.packets_delivered_up += 1
-        self.btp.dispatch(packet.btp_port, packet.payload, info)
+        self.btp.dispatch(packet.btp_port, packet.payload)
 
     def _schedule_forward(self, packet: GnPacket) -> None:
         forwarded = dataclasses.replace(packet, hop_limit=packet.hop_limit - 1)

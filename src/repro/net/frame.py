@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 
 class AccessCategory(enum.IntEnum):
@@ -20,11 +19,6 @@ class AccessCategory(enum.IntEnum):
     AC_BE = 2
     AC_BK = 3
 
-
-_frame_ids = itertools.count(1)
-
-#: Broadcast MAC address used in OCB mode.
-BROADCAST = "ff:ff:ff:ff:ff:ff"
 
 #: MAC + LLC overhead added to every payload (bytes): 802.11 header
 #: (24) + QoS (2) + LLC/SNAP (8) + FCS (4).
@@ -43,18 +37,10 @@ class Frame:
     payload: Any
     size: int
     source: str
-    destination: str = BROADCAST
     category: AccessCategory = AccessCategory.AC_BE
-    meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    frame_id: int = dataclasses.field(default_factory=lambda: next(_frame_ids))
     enqueued_at: Optional[float] = None
 
     @property
     def wire_size(self) -> int:
         """Total bytes on the air including MAC/LLC overhead."""
         return self.size + MAC_OVERHEAD_BYTES
-
-    @property
-    def is_broadcast(self) -> bool:
-        """Whether this frame is addressed to everyone in range."""
-        return self.destination == BROADCAST

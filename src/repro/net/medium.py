@@ -37,7 +37,9 @@ Reception takes one of two paths, fixed at construction:
 Either way, when a frame completes the half-duplex set (stations on
 the air during it) is computed once, and Python stays per receiver
 only for the attached, sensitivity, impairment and half-duplex checks,
-the loss reasons and the delivery.
+the loss reasons and the delivery.  A decoded frame is delivered
+alone (``nic.deliver(frame)``): SINR is an input of the PER and
+leaves the medium no other way.
 
 Propagation delay over laboratory distances (metres -> nanoseconds) is
 negligible compared to the microsecond MAC timing and is not modelled.
@@ -63,7 +65,7 @@ import numpy as np
 
 from repro.net.frame import Frame
 from repro.net.phy import Mcs, packet_error_rates
-from repro.net.propagation import LinkBudget, dbm_to_mw, mw_to_dbm
+from repro.net.propagation import LinkBudget, dbm_to_mw
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -173,16 +175,6 @@ class OrderFreeReception:
         return (z >> 11) * 2.0 ** -53
 
 
-@dataclasses.dataclass(slots=True)
-class ReceptionInfo:
-    """Delivered alongside a decoded frame."""
-
-    rx_power_dbm: float
-    sinr_db: float
-    started_at: float
-    ended_at: float
-
-
 class _Station:
     """One attachment of a NIC: its constants and carrier-sense state."""
 
@@ -236,14 +228,11 @@ class _Layout:
 
 @dataclasses.dataclass
 class _Transmission:
-    sender: "NetworkInterface"
     #: The sender's record (a fresh, unattached one for a detached NIC).
     station: _Station
     frame: Frame
     start: float
     end: float
-    #: The sender's own 0-based transmission index (tie-break invariant).
-    sender_seq: int
     #: The stations the frame reached, in attach order, and the rx
     #: power in dBm at each.  Keyed: the attach-time layout, the sender
     #: included (it is skipped at completion).  Shared-rng: every other
@@ -402,16 +391,16 @@ class WirelessMedium:
             self.frames_suppressed += 1
             return duration
         name = sender.name
-        seq = self._tx_seq.get(name, 0)
-        self._tx_seq[name] = seq + 1
         own = self._stations.get(name)
         if own is None or own.nic is not sender:
             own = self._record(sender, -1)
         draw = self.reception_draw
         if draw is None:
-            tx = self._scalar_links(sender, own, frame, now, duration, seq)
+            tx = self._scalar_links(sender, own, frame, now, duration)
         else:
-            tx = self._vector_links(sender, own, frame, now, duration, seq)
+            tx = self._vector_links(sender, own, frame, now, duration)
+            seq = self._tx_seq.get(name, 0)
+            self._tx_seq[name] = seq + 1
             tx.frame_key = draw.frame_key(own.key, seq)
         # Mutual interference with every overlapping transmission.
         for other in self._active:
@@ -439,8 +428,8 @@ class WirelessMedium:
         return duration
 
     def _scalar_links(self, sender: "NetworkInterface", own: _Station,
-                      frame: Frame, now: float, duration: float,
-                      seq: int) -> _Transmission:
+                      frame: Frame, now: float,
+                      duration: float) -> _Transmission:
         """Received power link by link, in attach order: shadowing and
         fading draw from the shared rng per link."""
         receivers: List[_Station] = []
@@ -467,14 +456,14 @@ class WirelessMedium:
                 audible[station.name] = station
                 stations.append(station)
         return _Transmission(
-            sender=sender, station=own, frame=frame, start=now,
-            end=now + duration, sender_seq=seq, receivers=receivers,
+            station=own, frame=frame, start=now, end=now + duration,
+            receivers=receivers,
             rx_dbm=rx_dbm, mw=mw, interference=np.zeros(self._slots),
             audible=audible, stations=stations)
 
     def _vector_links(self, sender: "NetworkInterface", own: _Station,
-                      frame: Frame, now: float, duration: float,
-                      seq: int) -> _Transmission:
+                      frame: Frame, now: float,
+                      duration: float) -> _Transmission:
         """Received power at every attached station in one numpy pass;
         the sender's own entry is computed and then left out."""
         layout = self._layout
@@ -501,8 +490,8 @@ class WirelessMedium:
                 audible[station.name] = station
                 stations.append(station)
         return _Transmission(
-            sender=sender, station=own, frame=frame, start=now,
-            end=now + duration, sender_seq=seq, receivers=receivers,
+            station=own, frame=frame, start=now, end=now + duration,
+            receivers=receivers,
             rx_dbm=dbm.tolist(), mw=mw, interference=np.zeros(self._slots),
             audible=audible, stations=stations, layout=layout)
 
@@ -567,7 +556,7 @@ class WirelessMedium:
             # Shared rng: the PER and its draw per receiver, below.
             interference = tx.interference.tolist()
             no_outcome: Iterator[Any] = itertools.repeat(None)
-            outcomes = zip(no_outcome, no_outcome, no_outcome)
+            outcomes = zip(no_outcome, no_outcome)
         else:
             # Keyed: SINR -> BER -> PER -> draw for every receiver at once.
             rx_interference = tx.interference[layout.slots]
@@ -581,12 +570,8 @@ class WirelessMedium:
                                       layout.divisor, layout.factor,
                                       wire_size)
             draws = OrderFreeReception.uniforms(tx.frame_key, layout.keys)
-            sinr_dbs = 10.0 * np.log10(
-                sinr, out=np.full(len(sinr), -np.inf), where=sinr > 0.0)
-            outcomes = zip(rx_interference.tolist(), sinr_dbs.tolist(),
-                           (draws < pers).tolist())
-        start, end = tx.start, tx.end
-        for station, rx_power_dbm, (interference_mw, sinr_db, lost) in zip(
+            outcomes = zip(rx_interference.tolist(), (draws < pers).tolist())
+        for station, rx_power_dbm, (interference_mw, lost) in zip(
                 tx.receivers, tx.rx_dbm, outcomes):
             if station is own or not station.attached:
                 continue
@@ -613,7 +598,6 @@ class WirelessMedium:
                     noise_mw + interference_mw)
                 lost = float(self.rng.random()) < (
                     station.mcs.packet_error_rate(sinr_linear, wire_size))
-                sinr_db = mw_to_dbm(sinr_linear)
             if lost:
                 if interference_mw > noise_mw:
                     self.frames_lost_collision += 1
@@ -625,8 +609,7 @@ class WirelessMedium:
             self.frames_delivered += 1
             if obs is not None:
                 obs.count("phy.frames_delivered", device=station.name)
-            nic.deliver(frame, ReceptionInfo(rx_power_dbm, sinr_db, start,
-                                             end))
+            nic.deliver(frame)
         self._update_busy_states(tx.stations)
 
     @property

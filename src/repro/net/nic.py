@@ -1,8 +1,8 @@
 """A network interface: MAC + PHY bound to a position on the medium.
 
 The NIC is what upper layers (the GeoNetworking router) talk to:
-``send(frame)`` queues for EDCA access; a receive callback delivers
-decoded frames with reception metadata.
+``send(frame)`` queues for EDCA access; a receive callback gets each
+decoded frame, and nothing else: upper layers read no PHY measurement.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import numpy as np
 
 from repro.net.frame import Frame
 from repro.net.mac import EdcaMac
-from repro.net.medium import ReceptionInfo, WirelessMedium
+from repro.net.medium import WirelessMedium
 from repro.net.phy import PhyConfig
 from repro.sim.kernel import Simulator
 
 PositionFn = Callable[[], Tuple[float, float]]
-RxCallback = Callable[[Frame, ReceptionInfo], None]
+RxCallback = Callable[[Frame], None]
 LossCallback = Callable[[Frame, str], None]
 
 
@@ -81,11 +81,11 @@ class NetworkInterface:
         """Called by the MAC; puts the frame on the air."""
         return self.medium.transmit(self, frame)
 
-    def deliver(self, frame: Frame, info: ReceptionInfo) -> None:
+    def deliver(self, frame: Frame) -> None:
         """Called by the medium on successful decode."""
         self.frames_received += 1
         for callback in self._rx_callbacks:
-            callback(frame, info)
+            callback(frame)
 
     def on_frame_lost(self, frame: Frame, reason: str) -> None:
         """Called by the medium when a frame could not be decoded."""

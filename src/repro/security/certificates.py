@@ -186,10 +186,6 @@ class TrustStore:
         # simulation the KeyPair doubles as the verification oracle.
         self.root_certificate = root_certificate
         self._root_keys = root_keys_public
-        self._known: dict = {
-            root_certificate.certificate_id: (root_certificate,
-                                              root_keys_public)
-        }
         self._authority_keys: dict = {}
 
     def add_authority(self, authority: AuthorizationAuthority,

@@ -45,7 +45,6 @@ class ActuationPath:
         self.dynamics = dynamics
         self.rng = rng or np.random.default_rng(0)
         self.config = config or ActuationConfig()
-        self._next_pwm_edge = 0.0
         self.commands_delivered = 0
         #: Fault-injection seam: a blocked path (wedged MCU / dead
         #: USART) silently loses every command issued while blocked.

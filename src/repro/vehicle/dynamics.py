@@ -120,7 +120,6 @@ class VehicleDynamics:
         self.throttle = 0.0               # 0..1
         self.steering_command = 0.0       # rad
         self.odometer = 0.0
-        self._last_tick: Optional[float] = None
         self._due = sim.now + dt
         sim.schedule(self.dt, self._tick)
 

@@ -28,13 +28,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.net.frame import Frame
-from repro.net.medium import ChannelImpairment, ReceptionInfo
+from repro.net.medium import ChannelImpairment
 from repro.sim.kernel import Simulator
 from tests.reference.link import (
     MCS_TABLE,
     ReferenceLinkBudget,
     dbm_to_mw,
-    mw_to_dbm,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -363,13 +362,7 @@ class ReferenceMedium:
         obs = self.sim.obs
         if obs is not None:
             obs.count("phy.frames_delivered", device=nic.name)
-        info = ReceptionInfo(
-            rx_power_dbm=rx_power_dbm,
-            sinr_db=mw_to_dbm(sinr_linear),
-            started_at=tx.start,
-            ended_at=tx.end,
-        )
-        nic.deliver(tx.frame, info)
+        nic.deliver(tx.frame)
 
     def _was_transmitting_during(self, nic: "NetworkInterface",
                                  tx: _Transmission) -> bool:

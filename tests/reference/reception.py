@@ -37,10 +37,9 @@ from repro.geonet.position import GeoPosition, PositionVector
 from repro.geonet.router import GeoNetRouter, GnPacket
 from repro.messages.cam import Cam
 from repro.net.frame import Frame
-from repro.net.medium import ReceptionInfo
 
 
-def ca_on_payload(self, payload: bytes, _context: object) -> None:
+def ca_on_payload(self, payload: bytes) -> None:
     cam = Cam.decode(payload)
     obs = self.sim.obs
     if obs is not None:
@@ -126,7 +125,7 @@ def entry_is_duplicate(self, sequence_number: int) -> bool:
     return False
 
 
-def router_on_frame(self, frame: Frame, info: ReceptionInfo) -> None:
+def router_on_frame(self, frame: Frame) -> None:
     packet = frame.payload
     if not isinstance(packet, GnPacket):
         return
@@ -145,16 +144,16 @@ def router_on_frame(self, frame: Frame, info: ReceptionInfo) -> None:
         self.beacons_received += 1
         return
     if packet.transport == "shb":
-        self._deliver_up(packet, info)
+        self._deliver_up(packet)
         return
     if packet.transport == "guc":
-        self._handle_guc(packet, info)
+        self._handle_guc(packet)
         return
     # GBC: deliver if inside the area; forward while hops remain.
     inside = packet.area is not None and packet.area.contains(
         self.position())
     if inside:
-        self._deliver_up(packet, info)
+        self._deliver_up(packet)
     else:
         self.packets_outside_area += 1
     if packet.hop_limit > 1 and inside:

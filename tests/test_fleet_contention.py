@@ -62,7 +62,7 @@ class TestDeliveryProperties:
         sim, medium, receiver, senders = build_channel(n_senders, seed)
         received = []
         receiver.on_receive(
-            lambda frame, info: received.append(frame.payload))
+            lambda frame: received.append(frame.payload))
         submitted = {sender.name: [] for sender in senders}
 
         def submit(sender, f_index):
@@ -100,7 +100,7 @@ class TestDeliveryProperties:
             4, seed, cs_latency=4e-6)
         received = []
         receiver.on_receive(
-            lambda frame, info: received.append(frame.payload))
+            lambda frame: received.append(frame.payload))
         for sender in senders:
             sim.schedule(1e-3, lambda s=sender: s.send(
                 Frame(payload=(s.name, 0), size=60, source=s.name,
@@ -114,7 +114,7 @@ class TestBusyBookkeeping:
     def _reference_busy(self, medium, nic):
         """Recompute busy-for-nic by scanning active transmissions."""
         for tx in medium._active:
-            if tx.sender is nic:
+            if tx.station.nic is nic:
                 return True
             if tx.sensed and nic.name in tx.audible:
                 return True

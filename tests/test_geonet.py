@@ -166,21 +166,21 @@ class TestBtp:
     def test_dispatch_to_registered_port(self):
         mux = BtpMux()
         got = []
-        mux.register(BtpPort.DENM, lambda p, c: got.append(p))
-        assert mux.dispatch(BtpPort.DENM, b"x", None)
+        mux.register(BtpPort.DENM, lambda p: got.append(p))
+        assert mux.dispatch(BtpPort.DENM, b"x")
         assert got == [b"x"]
 
     def test_unregistered_port_drops(self):
         mux = BtpMux()
-        assert not mux.dispatch(BtpPort.CAM, b"x", None)
+        assert not mux.dispatch(BtpPort.CAM, b"x")
         assert mux.no_handler == 1
 
     def test_multiple_handlers(self):
         mux = BtpMux()
         got = []
-        mux.register(2001, lambda p, c: got.append(1))
-        mux.register(2001, lambda p, c: got.append(2))
-        mux.dispatch(2001, b"", None)
+        mux.register(2001, lambda p: got.append(1))
+        mux.register(2001, lambda p: got.append(2))
+        mux.dispatch(2001, b"")
         assert got == [1, 2]
 
 
@@ -208,11 +208,24 @@ def build_network(positions, seed=1):
 
 
 class TestRouterShb:
+    def test_frame_and_payload_travel_up_alone(self):
+        # The receive interface carries the decoded frame, then the
+        # payload, and nothing beside them: a one-parameter NIC
+        # callback and a one-parameter BTP handler each get it once.
+        sim, frame, (a, b) = build_network([(0, 0), (5, 0)])
+        frames, payloads = [], []
+        b.nic.on_receive(frames.append)
+        b.btp.register(BtpPort.CAM, payloads.append)
+        sim.schedule(0.0, lambda: a.send_shb(b"cam", BtpPort.CAM))
+        sim.run()
+        assert [f.payload.payload for f in frames] == [b"cam"]
+        assert payloads == [b"cam"]
+
     def test_shb_reaches_neighbours(self):
         sim, frame, (a, b, c) = build_network([(0, 0), (5, 0), (10, 0)])
         got_b, got_c = [], []
-        b.btp.register(BtpPort.CAM, lambda p, ctx: got_b.append(p))
-        c.btp.register(BtpPort.CAM, lambda p, ctx: got_c.append(p))
+        b.btp.register(BtpPort.CAM, lambda p: got_b.append(p))
+        c.btp.register(BtpPort.CAM, lambda p: got_c.append(p))
         sim.schedule(0.0, lambda: a.send_shb(b"cam", BtpPort.CAM))
         sim.run()
         assert got_b == [b"cam"]
@@ -235,7 +248,7 @@ class TestRouterGbc:
     def test_gbc_delivered_inside_area(self):
         sim, frame, (a, b) = build_network([(0, 0), (5, 0)])
         got = []
-        b.btp.register(BtpPort.DENM, lambda p, ctx: got.append(p))
+        b.btp.register(BtpPort.DENM, lambda p: got.append(p))
         area = CircularArea(frame.to_geo(5, 0), 20.0)
         sim.schedule(0.0, lambda: a.send_gbc(b"denm", BtpPort.DENM, area))
         sim.run()
@@ -244,7 +257,7 @@ class TestRouterGbc:
     def test_gbc_not_delivered_outside_area(self):
         sim, frame, (a, b) = build_network([(0, 0), (60, 0)])
         got = []
-        b.btp.register(BtpPort.DENM, lambda p, ctx: got.append(p))
+        b.btp.register(BtpPort.DENM, lambda p: got.append(p))
         area = CircularArea(frame.to_geo(0, 0), 10.0)
         sim.schedule(0.0, lambda: a.send_gbc(b"denm", BtpPort.DENM, area))
         sim.run()
@@ -255,7 +268,7 @@ class TestRouterGbc:
         # b hears the original and c's rebroadcast: deliver once.
         sim, frame, (a, b, c) = build_network([(0, 0), (5, 0), (5, 5)])
         got = []
-        b.btp.register(BtpPort.DENM, lambda p, ctx: got.append(p))
+        b.btp.register(BtpPort.DENM, lambda p: got.append(p))
         area = CircularArea(frame.to_geo(5, 0), 50.0)
         sim.schedule(0.0, lambda: a.send_gbc(
             b"denm", BtpPort.DENM, area, hop_limit=3))
@@ -283,7 +296,7 @@ class TestRouterGbc:
                 rng=np.random.default_rng(50 + index)))
         a, b, c = routers
         got_c = []
-        c.btp.register(BtpPort.DENM, lambda p, ctx: got_c.append(p))
+        c.btp.register(BtpPort.DENM, lambda p: got_c.append(p))
         area = CircularArea(frame.to_geo(8, 0), 50.0)
         # Repeat a few times: marginal links are lossy by design.
         def fire():
@@ -361,7 +374,7 @@ class TestBeaconing:
     def test_beacons_not_delivered_to_btp(self):
         sim, frame, (a, b) = self.build_with_beacons()
         got = []
-        b.btp.register(0, lambda p, ctx: got.append(p))
+        b.btp.register(0, lambda p: got.append(p))
         sim.run_until(10.0)
         assert got == []
 
@@ -413,7 +426,7 @@ class TestGeoUnicast:
         self.seed_location_tables(sim, routers)
         got = []
         routers[1].btp.register(BtpPort.DENM,
-                                lambda p, ctx: got.append(p))
+                                lambda p: got.append(p))
         sim.schedule_at(1.0, lambda: routers[0].send_guc(
             b"unicast", BtpPort.DENM, "st1"))
         sim.run_until(2.0)
@@ -425,7 +438,7 @@ class TestGeoUnicast:
         self.seed_location_tables(sim, routers)
         got = []
         routers[3].btp.register(BtpPort.DENM,
-                                lambda p, ctx: got.append(p))
+                                lambda p: got.append(p))
         for k in range(5):  # marginal links: retry a few times
             sim.schedule_at(1.0 + 0.05 * k, lambda: routers[0].send_guc(
                 b"far-unicast", BtpPort.DENM, "st3", hop_limit=6))
@@ -438,7 +451,7 @@ class TestGeoUnicast:
         self.seed_location_tables(sim, routers)
         got_bystander = []
         routers[2].btp.register(BtpPort.DENM,
-                                lambda p, ctx: got_bystander.append(p))
+                                lambda p: got_bystander.append(p))
         sim.schedule_at(1.0, lambda: routers[0].send_guc(
             b"private", BtpPort.DENM, "st1"))
         sim.run_until(2.0)

@@ -220,23 +220,13 @@ class TestDecisions:
         assert near <= decisions * 1e-6
 
 
-def _close(a: float, b: float) -> bool:
-    return a == b or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-
-
 def assert_runs_match(fast: Dict[str, Any], old: Dict[str, Any]) -> None:
-    """Everything equal, delivered power and SINR within 1e-9."""
-    for key in ("stats", "now", "lost", "carrier", "rng", "mac_rngs"):
+    """Everything equal: every delivery is a ``(payload, sim.now)``
+    pair, and the link math's received power is compared within 4 ulp
+    by :class:`TestLinkMath`."""
+    for key in ("stats", "now", "delivered", "lost", "carrier", "rng",
+                "mac_rngs"):
         assert fast[key] == old[key], key
-    assert fast["delivered"].keys() == old["delivered"].keys()
-    for name, got in fast["delivered"].items():
-        want = old["delivered"][name]
-        assert len(got) == len(want), name
-        for (payload, power, sinr_db, start, end), (
-                payload2, power2, sinr_db2, start2, end2) in zip(got, want):
-            assert (payload, start, end) == (payload2, start2, end2)
-            assert ulps(power, power2) <= 4, (power, power2)
-            assert _close(sinr_db, sinr_db2), (sinr_db, sinr_db2)
 
 
 def run_reference_recording(spec: Dict[str, Any]) -> Tuple[Dict[str, Any],
@@ -361,7 +351,7 @@ def delivery_by_bin(seed: int, keyed: bool) -> List[Tuple[int, int]]:
                 rng=np.random.default_rng(seed + 1))
             delivered[name] = 0
             bins[name] = b
-            nic.on_receive(lambda frame, info, name=name:
+            nic.on_receive(lambda frame, name=name:
                            delivered.__setitem__(name, delivered[name] + 1))
     for index in range(FRAMES):
         sim.schedule(index * 2e-3, lambda index=index: sender.send(Frame(

@@ -7,8 +7,8 @@ link budget, sends, impairment and seeds -- run side by side, one on
 whose received power and PER come from :mod:`tests.reference.link`.
 On the shared-rng medium (the brake, blind-corner and platoon path)
 they must agree bit for bit on everything observable: the medium's
-counters, every delivery with its reception info, every loss with its
-reason, every busy/idle callback, and the state of every random
+counters, every delivery with the sim time it happened at, every loss
+with its reason, every busy/idle callback, and the state of every random
 generator afterwards.  The keyed medium's numpy link pass is checked
 against the same reference, within stated tolerances, in
 ``tests/test_keyed_reference.py``, which reuses the channels here.
@@ -228,10 +228,8 @@ def run_channel(spec: Dict[str, Any], reference: bool,
         delivered[name] = []
         lost[name] = []
 
-        def on_receive(frame, info, nic=nic, relays=station["relays"]):
-            delivered[nic.name].append((
-                frame.payload, info.rx_power_dbm, info.sinr_db,
-                info.started_at, info.ended_at))
+        def on_receive(frame, nic=nic, relays=station["relays"]):
+            delivered[nic.name].append((frame.payload, sim.now))
             # Relay the first two originals heard, from inside the
             # reception loop: a send while the medium delivers.
             if relays and frame.payload[1] != "relay" and (

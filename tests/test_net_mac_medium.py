@@ -49,7 +49,7 @@ class TestSingleLink:
     def test_idle_channel_delivery(self):
         sim, medium, a, b = build_pair()
         got = []
-        b.on_receive(lambda f, info: got.append((sim.now, f)))
+        b.on_receive(lambda f: got.append((sim.now, f)))
         sim.schedule(0.001, lambda: a.send(make_frame()))
         sim.run()
         assert len(got) == 1
@@ -59,7 +59,7 @@ class TestSingleLink:
     def test_latency_is_aifs_plus_airtime(self):
         sim, medium, a, b = build_pair()
         got = []
-        b.on_receive(lambda f, info: got.append(sim.now))
+        b.on_receive(lambda f: got.append(sim.now))
         sim.schedule(0.001, lambda: a.send(make_frame(size=60)))
         sim.run()
         expected = (EDCA_PARAMETERS[AccessCategory.AC_VO].aifs
@@ -69,27 +69,16 @@ class TestSingleLink:
     def test_sender_does_not_receive_own_frame(self):
         sim, medium, a, b = build_pair()
         got_a = []
-        a.on_receive(lambda f, info: got_a.append(f))
+        a.on_receive(lambda f: got_a.append(f))
         sim.schedule(0.0, lambda: a.send(make_frame()))
         sim.run()
         assert got_a == []
-
-    def test_reception_info_plausible(self):
-        sim, medium, a, b = build_pair(distance=5.0)
-        infos = []
-        b.on_receive(lambda f, info: infos.append(info))
-        sim.schedule(0.0, lambda: a.send(make_frame()))
-        sim.run()
-        info = infos[0]
-        assert info.rx_power_dbm < 0  # below 1 mW at 5 m
-        assert info.sinr_db > 20     # short LoS link: high SINR
-        assert info.ended_at > info.started_at
 
     def test_out_of_range_not_delivered(self):
         phy = PhyConfig(tx_power_dbm=-30.0)
         sim, medium, a, b = build_pair(distance=200.0, phy=phy)
         got = []
-        b.on_receive(lambda f, info: got.append(f))
+        b.on_receive(lambda f: got.append(f))
         sim.schedule(0.0, lambda: a.send(make_frame()))
         sim.run()
         assert got == []
@@ -100,7 +89,7 @@ class TestQueueing:
     def test_back_to_back_frames_serialise(self):
         sim, medium, a, b = build_pair()
         times = []
-        b.on_receive(lambda f, info: times.append(sim.now))
+        b.on_receive(lambda f: times.append(sim.now))
         def send_three():
             for _ in range(3):
                 a.send(make_frame())
@@ -119,7 +108,7 @@ class TestQueueing:
     def test_higher_priority_queue_served_first(self):
         sim, medium, a, b = build_pair()
         order = []
-        b.on_receive(lambda f, info: order.append(f.category))
+        b.on_receive(lambda f: order.append(f.category))
         def send():
             a.send(make_frame(category=AccessCategory.AC_BK))
             a.send(make_frame(category=AccessCategory.AC_VO))
@@ -142,9 +131,9 @@ class TestContention:
     def test_two_stations_share_channel(self):
         sim, medium, a, b = build_pair()
         got = {"a": 0, "b": 0}
-        a.on_receive(lambda f, info: got.__setitem__(
+        a.on_receive(lambda f: got.__setitem__(
             "a", got["a"] + 1))
-        b.on_receive(lambda f, info: got.__setitem__(
+        b.on_receive(lambda f: got.__setitem__(
             "b", got["b"] + 1))
         def burst():
             for _ in range(20):
@@ -187,8 +176,8 @@ class TestContention:
         # waits rather than colliding.
         sim, medium, a, b = build_pair()
         sim_order = []
-        b.on_receive(lambda f, info: sim_order.append(("rx_b", sim.now)))
-        a.on_receive(lambda f, info: sim_order.append(("rx_a", sim.now)))
+        b.on_receive(lambda f: sim_order.append(("rx_b", sim.now)))
+        a.on_receive(lambda f: sim_order.append(("rx_a", sim.now)))
         sim.schedule(0.0, lambda: a.send(make_frame(size=1400)))
         # b starts mid-transmission of a's frame.
         sim.schedule(0.0005, lambda: b.send(make_frame(size=60)))
@@ -203,8 +192,8 @@ class TestHalfDuplex:
         # race transmits and the other defers -- both frames arrive.
         sim, medium, a, b = build_pair()
         got_a, got_b = [], []
-        a.on_receive(lambda f, info: got_a.append(f))
-        b.on_receive(lambda f, info: got_b.append(f))
+        a.on_receive(lambda f: got_a.append(f))
+        b.on_receive(lambda f: got_b.append(f))
         sim.schedule(0.0, lambda: a.send(make_frame()))
         sim.schedule(0.0, lambda: b.send(make_frame()))
         sim.run()
@@ -225,7 +214,7 @@ class TestHalfDuplex:
         b = NetworkInterface(sim, medium, "b", lambda: (5.0, 0.0),
                              phy=deaf_phy, rng=np.random.default_rng(3))
         got_b = []
-        b.on_receive(lambda f, info: got_b.append(f))
+        b.on_receive(lambda f: got_b.append(f))
         sim.schedule(0.0, lambda: a.send(make_frame(size=1400)))
         # b starts while a's long frame is still in the air.
         sim.schedule(0.0005, lambda: b.send(make_frame(size=60)))
@@ -256,7 +245,7 @@ class TestHalfDuplex:
         losses = []
         b.on_loss(lambda f, reason: losses.append(reason))
         got_a = []
-        a.on_receive(lambda f, info: got_a.append(f))
+        a.on_receive(lambda f: got_a.append(f))
         sim.schedule(0.0, lambda: a.send(make_frame(size=1400)))
         sim.schedule(0.0005, lambda: b.send(make_frame(size=60)))
         sim.run()
@@ -276,7 +265,7 @@ class TestReattach:
         # a's next frame.
         sim, medium, a, b = build_pair()
         got = []
-        b.on_receive(lambda f, info: got.append(f.payload))
+        b.on_receive(lambda f: got.append(f.payload))
         busy_during_second = []
         sim.schedule(0.001, lambda: a.send(make_frame(size=400)))
         sim.schedule(0.0012, lambda: (medium.detach(b), medium.attach(b)))

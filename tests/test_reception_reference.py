@@ -37,7 +37,6 @@ from repro.geonet.router import GnPacket
 from repro.messages.cam import Cam
 from repro.messages.common import ReferencePosition, StationType
 from repro.net import AccessCategory, Frame, WirelessMedium
-from repro.net.medium import ReceptionInfo
 from repro.net.propagation import LinkBudget, LogDistancePathLoss
 from repro.obs import ObsContext
 from repro.sim import Simulator
@@ -183,13 +182,11 @@ def run_station(frames: List[Tuple[int, Frame]], observed: bool,
         area=CircularArea(FRAME.to_geo(*RECEIVER_XY), 15.0))
     station.ldm.subscribe(lambda obj: log.append(("event", obj.key)),
                           kinds=[ObjectKind.EVENT])
-    station.router.btp.register(TEST_PORT, lambda payload, info: log.append(
-        ("btp", payload, info.started_at)))
+    station.router.btp.register(TEST_PORT, lambda payload: log.append(
+        ("btp", payload, sim.now)))
     for tick, frame in frames:
-        info = ReceptionInfo(rx_power_dbm=-70.0, sinr_db=20.0,
-                             started_at=tick * TICK, ended_at=tick * TICK)
-        sim.schedule_at(tick * TICK, lambda frame=frame, info=info:
-                        station.nic.deliver(frame, info))
+        sim.schedule_at(tick * TICK, lambda frame=frame:
+                        station.nic.deliver(frame))
     sim.run_until(5.0)
     router, ldm, ca = station.router, station.ldm, station.ca
     table = router.location_table

@@ -252,7 +252,7 @@ class TestSecuredRouting:
     def test_signed_shb_delivered(self):
         sim, (a, b) = build_secured_pair()
         got = []
-        b.btp.register(BtpPort.CAM, lambda p, ctx: got.append(p))
+        b.btp.register(BtpPort.CAM, lambda p: got.append(p))
         sim.schedule(0.0, lambda: a.send_shb(b"cam", BtpPort.CAM))
         sim.run_until(1.0)
         assert got == [b"cam"]
@@ -282,7 +282,7 @@ class TestSecuredRouting:
             a, b = routers
             arrival = []
             b.btp.register(BtpPort.DENM,
-                           lambda p, ctx: arrival.append(sim.now))
+                           lambda p: arrival.append(sim.now))
             sim.schedule(0.001, lambda: a.send_shb(b"denm", BtpPort.DENM))
             sim.run_until(1.0)
             return arrival[0] - 0.001
@@ -296,7 +296,7 @@ class TestSecuredRouting:
     def test_secured_frame_is_larger(self):
         sim, (a, b) = build_secured_pair()
         sizes = []
-        b.nic.on_receive(lambda frame, info: sizes.append(frame.size))
+        b.nic.on_receive(lambda frame: sizes.append(frame.size))
         sim.schedule(0.0, lambda: a.send_shb(b"x" * 50, BtpPort.CAM))
         sim.run_until(1.0)
         plain_size = 36 + 4 + 50
@@ -321,7 +321,7 @@ class TestSecuredRouting:
         b = GeoNetRouter(sim, nic_b,
                          position=lambda: FRAME.to_geo(5, 0))
         got = []
-        b.btp.register(BtpPort.CAM, lambda p, ctx: got.append(p))
+        b.btp.register(BtpPort.CAM, lambda p: got.append(p))
         sim.schedule(0.0, lambda: a.send_shb(b"cam", BtpPort.CAM))
         sim.run_until(1.0)
         assert got == [b"cam"]
