@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.fleet.result import FleetRunResult
 from repro.core.fleet.scenario import FleetScenario
 from repro.core.platoon import PlatoonMember, PlatoonScenario
 from repro.facilities.ca_service import CaConfig
 from repro.facilities.den_service import DenConfig
-from repro.geonet.position import FramePosition, LocalFrame
+from repro.geonet.position import LocalFrame
 from repro.geonet.router import FORWARD_JITTER, GnPacket
 from repro.messages.common import StationType
 from repro.net.dcc import DccGatekeeper, DccParameters
@@ -212,7 +212,8 @@ class FleetTestbed:
                 heading = 90.0 if direction > 0 else 270.0
                 # Background vehicles move analytically (no tick
                 # events): position is a pure function of sim time.
-                position = self._background_position(x0, direction, lane_y)
+                position = self.frame.anchor_line(
+                    x0, lane_y, direction * sc.speed, self.sim)
                 dynamics = self._background_dynamics(heading)
             unit = OnBoardUnit(
                 self.sim, self.medium, self.streams,
@@ -241,13 +242,6 @@ class FleetTestbed:
         def dynamics() -> tuple:
             return (member.speed, 270.0)
         return dynamics
-
-    def _background_position(self, x0: float, direction: float,
-                             lane_y: float) -> FramePosition:
-        def local() -> Tuple[float, float]:
-            x = x0 + direction * self.scenario.speed * self.sim.now
-            return (x, lane_y)
-        return self.frame.anchor(local)
 
     def _background_dynamics(self, heading: float,
                              ) -> Callable[[], tuple]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -50,10 +50,6 @@ class LatencySummary:
     p50: float
     p90: float
     p99: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for printing/serialisation."""
-        return dataclasses.asdict(self)
 
 
 def summarize(samples: Sequence[float]) -> LatencySummary:

@@ -15,7 +15,10 @@ handed to application callbacks.  One broadcast CAM reaches every
 station in range with the same payload, so the receive side memoises
 its view of a payload -- the decoded :class:`Cam`, its ``cam:<id>`` LDM
 key and its frozen :class:`GeoPosition` -- in a bounded module-level
-memo, as :meth:`Cam.decode` memoises the decode itself.  A payload that
+memo, as :meth:`Cam.decode` memoises the decode itself.  Beside it, a
+second pure memo builds one frozen :class:`LdmObject` per (payload,
+reception time, LDM lifetime): the receivers of one frame all get the
+frame at the same ``now``, so they share one object.  A payload that
 fails to decode raises on every reception: exceptions are not cached.
 """
 
@@ -74,9 +77,6 @@ class CaConfig:
 
 CamCallback = Callable[[Cam], None]
 
-#: Looked up once: reading an enum member off its class is not free.
-_VEHICLE = ObjectKind.VEHICLE
-
 
 @functools.lru_cache(maxsize=4096)
 def _received_view(payload: bytes) -> Tuple[Cam, str, GeoPosition]:
@@ -84,6 +84,17 @@ def _received_view(payload: bytes) -> Tuple[Cam, str, GeoPosition]:
     cam = Cam.decode(payload)
     return (cam, f"cam:{cam.station_id}",
             GeoPosition(cam.position.latitude, cam.position.longitude))
+
+
+@functools.lru_cache(maxsize=256)
+def _received_object(payload: bytes, now: float,
+                     lifetime: float) -> LdmObject:
+    """The LDM object of a CAM payload received at *now*."""
+    cam, key, position = _received_view(payload)
+    return LdmObject(key=key, kind=ObjectKind.VEHICLE, position=position,
+                     timestamp=now, valid_until=now + lifetime, data=cam,
+                     source="cam", station_id=cam.station_id,
+                     speed=cam.speed, heading=cam.heading)
 
 
 class CaBasicService:
@@ -236,18 +247,14 @@ class CaBasicService:
         self._callbacks.append(callback)
 
     def _on_payload(self, payload: bytes) -> None:
-        cam, key, position = _received_view(payload)
         sim = self.sim
+        obj = _received_object(payload, sim.now, self._ldm_lifetime)
         obs = sim.obs
         if obs is not None:
             obs.count("ca.cams_received", device=str(self.station_id))
         self.cams_received += 1
-        now = sim.now
-        # Positional, in LdmObject's field order: keyword arguments
-        # double the cost of this construction, paid once per reception.
-        self.ldm.put(LdmObject(
-            key, _VEHICLE, position, now, now + self._ldm_lifetime, cam,
-            "cam", cam.station_id, cam.speed, cam.heading))
+        self.ldm.put(obj)
+        cam = obj.data
         for callback in self._callbacks:
             callback(cam)
 

@@ -10,6 +10,10 @@ potential collision from consulting the LDM".
 OpenC2X persists its LDM in sqlite; here the store is in-memory with
 the same observable behaviour (insert/update/query/expire).
 
+Objects are frozen and :meth:`Ldm.put` stores its object as it is, so
+one object can sit in many stores: every receiver of a broadcast CAM
+puts the same one (see :mod:`repro.facilities.ca_service`).
+
 A fleet station puts tens of thousands of received CAMs per run and
 usually has no subscriber, so :meth:`Ldm.put` skips notification
 outright when nothing subscribes.  Otherwise it
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.geonet.position import GeoPosition
@@ -41,13 +44,14 @@ class ObjectKind(enum.Enum):
     SENSOR_DETECTION = "sensor_detection"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, slots=True)
 class LdmObject:
     """One entry of the Local Dynamic Map.
 
     ``data`` holds the source artefact (a decoded :class:`Cam`, a
     :class:`Denm`, or a sensor detection record); ``key`` identifies
     the world object so updates replace rather than accumulate.
+    Frozen, so stores and receivers may share it.
     """
 
     key: str
@@ -60,7 +64,6 @@ class LdmObject:
     station_id: Optional[int] = None
     speed: float = 0.0
     heading: float = 0.0
-    revision: int = 0
 
     def is_valid_at(self, now: float) -> bool:
         """Whether the entry is still within its validity horizon."""
@@ -87,7 +90,6 @@ class Ldm:
         self.sim = sim
         self._objects: Dict[str, LdmObject] = {}
         self._subscriptions: List[_Subscription] = []
-        self._revisions = itertools.count(1)
         self.inserts = 0
         self.updates = 0
         self.expired = 0
@@ -101,7 +103,6 @@ class Ldm:
     def put(self, obj: LdmObject) -> LdmObject:
         """Insert or update *obj* (keyed by ``obj.key``), notifying
         matching subscribers."""
-        obj.revision = next(self._revisions)
         objects = self._objects
         key = obj.key
         if key in objects:

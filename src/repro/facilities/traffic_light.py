@@ -12,7 +12,7 @@ or GLOSA application needs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.facilities.ldm import Ldm, LdmObject, ObjectKind
 from repro.geonet.btp import BtpPort
@@ -176,9 +176,6 @@ class TrafficLightController:
         self.sim.schedule(1.0 / self.map_rate, self._send_mapem)
 
 
-SpatCallback = Callable[[Spatem], None]
-
-
 class SignalPhaseService:
     """Vehicle-side SPATEM/MAPEM reception and phase queries."""
 
@@ -188,23 +185,16 @@ class SignalPhaseService:
         self._maps: Dict[int, Mapem] = {}
         self._states: Dict[int, Spatem] = {}
         self._state_received_at: Dict[int, float] = {}
-        self._callbacks: List[SpatCallback] = []
         self.spatems_received = 0
         self.mapems_received = 0
         router.btp.register(BtpPort.SPAT, self._on_spatem)
         router.btp.register(BtpPort.MAP, self._on_mapem)
-
-    def on_spatem(self, callback: SpatCallback) -> None:
-        """Register a callback for decoded SPATEMs."""
-        self._callbacks.append(callback)
 
     def _on_spatem(self, payload: bytes) -> None:
         spatem = Spatem.decode(payload)
         self.spatems_received += 1
         self._states[spatem.intersection_id] = spatem
         self._state_received_at[spatem.intersection_id] = self.sim.now
-        for callback in self._callbacks:
-            callback(spatem)
 
     def _on_mapem(self, payload: bytes) -> None:
         mapem = Mapem.decode(payload)
@@ -250,12 +240,3 @@ class SignalPhaseService:
         return dataclasses.replace(
             state, min_end_seconds=max(0.0,
                                        state.min_end_seconds - age))
-
-    def intersection_position(self, intersection_id: int,
-                              ) -> Optional[GeoPosition]:
-        """The mapped reference point of *intersection_id*."""
-        mapem = self._maps.get(intersection_id)
-        if mapem is None:
-            return None
-        return GeoPosition(mapem.reference_position.latitude,
-                           mapem.reference_position.longitude)

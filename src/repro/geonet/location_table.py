@@ -2,7 +2,9 @@
 
 Each router keeps an entry per known ITS station: its latest position
 vector and bookkeeping for duplicate-packet detection.  Entries expire
-after a lifetime (default 20 s) without updates.
+after a lifetime (default 20 s) without updates.  A received packet
+costs one call, :meth:`LocationTable.receive`: the update and the
+duplicate check together.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ class LocationTableEntry:
     #: forwarding may only choose neighbours.
     is_neighbour: bool = False
     seen_sequence_numbers: Set[int] = dataclasses.field(default_factory=set)
-    last_sequence_number: Optional[int] = None
     packets_received: int = 0
 
     def is_duplicate(self, sequence_number: int) -> bool:
@@ -42,7 +43,6 @@ class LocationTableEntry:
         if sequence_number in seen:
             return True
         seen.add(sequence_number)
-        self.last_sequence_number = sequence_number
         if len(seen) > DUPLICATE_WINDOW:
             # Forget the oldest half; sequence numbers are monotonic
             # per source so dropping the smallest is safe.
@@ -68,6 +68,17 @@ class LocationTable:
         is replaced by a fresh one, so neither its neighbour flag nor
         its duplicate window outlives it.
         """
+        self.receive(position_vector, None, is_neighbour)
+        return self._entries[position_vector.gn_address]
+
+    def receive(self, position_vector: PositionVector,
+                sequence_number: Optional[int],
+                is_neighbour: bool) -> bool:
+        """Update the sender's entry for a received packet; True if seen.
+
+        :meth:`update`, then the entry's duplicate check of
+        *sequence_number* (none when it is None), in one call.
+        """
         address = position_vector.gn_address
         now = self.sim.now
         entry = self._entries.get(address)
@@ -87,7 +98,8 @@ class LocationTable:
             if is_neighbour:
                 entry.is_neighbour = True
         entry.packets_received += 1
-        return entry
+        return (sequence_number is not None
+                and entry.is_duplicate(sequence_number))
 
     def is_duplicate(self, gn_address: str, sequence_number: int) -> bool:
         """Duplicate-packet check; records the sequence number."""

@@ -13,15 +13,31 @@ millimetres over tens of metres.
 as ``frame.to_local(frame.to_geo(x, y))`` -- bit for bit, with the same
 float operations in the same order -- without building a
 :class:`GeoPosition`.  Every frame-anchored station position in the
-scenarios is one, so the per-frame antenna lookups of a fleet run skip
-the geodetic round trip's allocation.
+scenarios is one.
+
+A motion follows one of two laws: a callable returning (x, y)
+(:meth:`LocalFrame.anchor`) -- a vehicle whose pose its own model
+integrates, or an RSU -- or a straight line ``(x0 + v * clock.now, y)``
+(:meth:`LocalFrame.anchor_line`) -- a fleet background vehicle at
+constant speed, with ``v`` its signed speed.
+
+:func:`antenna_reader` reads many stations' antenna positions at once
+as arrays: the lines' x in one numpy pass at their clock's ``now``
+(their y does not change), everything else one call at a time.  The
+array ops are the scalar ones elementwise (``np.radians`` is the same
+single multiply by pi/180 as :func:`math.radians`), so every value is
+the one :meth:`~FramePosition.antenna` returns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.sim.kernel import Simulator
 
 #: Mean Earth radius (m).
 EARTH_RADIUS = 6_371_008.8
@@ -93,6 +109,13 @@ class LocalFrame:
         """A position callable over *local*, which returns (x, y) m."""
         return FramePosition(self, local)
 
+    def anchor_line(self, x0: float, y: float, v: float,
+                    clock: Simulator) -> "FramePosition":
+        """The position moving on the line ``(x0 + v * clock.now, y)``."""
+        position = FramePosition(self, lambda: (x0 + v * clock.now, y))
+        position._line = (x0, v, clock)
+        return position
+
 
 class FramePosition:
     """A station position given in a :class:`LocalFrame`'s metres.
@@ -103,13 +126,16 @@ class FramePosition:
     bit, with no :class:`GeoPosition` built.
     """
 
-    __slots__ = ("frame", "local", "_lat0", "_lon0", "_cos_lat0",
+    __slots__ = ("frame", "local", "_line", "_lat0", "_lon0", "_cos_lat0",
                  "_r_cos_lat0")
 
     def __init__(self, frame: LocalFrame,
                  local: Callable[[], Tuple[float, float]]):
         self.frame = frame
         self.local = local
+        #: ``(x0, v, clock)`` of a straight-line motion (set by
+        #: :meth:`LocalFrame.anchor_line`), else None.
+        self._line: Optional[Tuple[float, float, Simulator]] = None
         self._lat0 = frame.origin.latitude
         self._lon0 = frame.origin.longitude
         self._cos_lat0 = frame._cos_lat0
@@ -129,6 +155,63 @@ class FramePosition:
         return (math.radians(longitude - lon0) * EARTH_RADIUS
                 * self._cos_lat0,
                 math.radians(latitude - lat0) * EARTH_RADIUS)
+
+
+#: Reads the (x, y) of many stations, as two arrays.
+AntennaReader = Callable[[], Tuple[np.ndarray, np.ndarray]]
+
+
+def antenna_reader(positions: Sequence[Callable[[], Tuple[float, float]]],
+                   ) -> AntennaReader:
+    """A reader of every one of *positions*, as two fresh arrays.
+
+    Sorts *positions* by law once: the :meth:`~FramePosition.antenna`
+    of a straight-line :class:`FramePosition` is a line, whose y is
+    read here and whose x the reader computes with the other lines' in
+    one numpy pass at ``now``; any other callable is called per read.
+    The lines must share one clock.
+    """
+    count = len(positions)
+    ys = np.zeros(count)
+    clock: Optional[Simulator] = None
+    lines: List[int] = []
+    laws: List[Tuple[float, float, FramePosition]] = []
+    calls: List[Tuple[int, Callable[[], Tuple[float, float]]]] = []
+    for index, position in enumerate(positions):
+        owner: Any = getattr(position, "__self__", None)
+        line = (owner._line
+                if getattr(position, "__func__", None) is FramePosition.antenna
+                else None)
+        if line is None:
+            calls.append((index, position))
+            continue
+        if clock is None:
+            clock = line[2]
+        elif line[2] is not clock:
+            raise ValueError("straight-line positions on two clocks")
+        lines.append(index)
+        laws.append((line[0], line[1], owner))
+        ys[index] = position()[1]
+    x0 = np.array([law[0] for law in laws])
+    v = np.array([law[1] for law in laws])
+    lon0 = np.array([law[2]._lon0 for law in laws])
+    r_cos_lat0 = np.array([law[2]._r_cos_lat0 for law in laws])
+    cos_lat0 = np.array([law[2]._cos_lat0 for law in laws])
+
+    def read() -> Tuple[np.ndarray, np.ndarray]:
+        x = np.empty(count)
+        y = ys.copy()
+        if clock is not None:
+            # FramePosition.antenna's x, elementwise, at x0 + v * now.
+            longitude = lon0 + ((x0 + v * clock.now) / r_cos_lat0
+                                * _DEGREES_PER_RADIAN)
+            x[lines] = (np.radians(longitude - lon0) * EARTH_RADIUS
+                        * cos_lat0)
+        for index, position in calls:
+            x[index], y[index] = position()
+        return x, y
+
+    return read
 
 
 @dataclasses.dataclass(frozen=True)

@@ -64,7 +64,7 @@ class CircularArea:
         return self.center.distance_to(position) <= self.radius
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class GnPacket:
     """A GeoNetworking packet as it travels between routers.
 
@@ -337,9 +337,8 @@ class GeoNetRouter:
             return  # our own rebroadcast echoed back
         # Heard directly iff the MAC-level sender is the GN source
         # (forwarded copies arrive from the forwarder's radio).
-        entry = self.location_table.update(
-            source, is_neighbour=(frame.source == source_address))
-        if entry.is_duplicate(packet.sequence_number):
+        if self.location_table.receive(source, packet.sequence_number,
+                                       frame.source == source_address):
             self.packets_duplicate += 1
             return
         transport = packet.transport

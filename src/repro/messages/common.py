@@ -12,7 +12,6 @@ data dictionary; unit helpers convert between SI and wire units:
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
 
 from repro.asn1 import Enumerated, Field, Integer, Sequence
 
@@ -262,10 +261,6 @@ class ReferencePosition:
             semi_major_confidence=ellipse["semiMajorConfidence"] / 100.0,
             semi_minor_confidence=ellipse["semiMinorConfidence"] / 100.0,
         )
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """(latitude, longitude) in degrees."""
-        return (self.latitude, self.longitude)
 
 
 def _confidence_cm(metres: float) -> int:

@@ -108,12 +108,6 @@ class EdcaMac:
             self._start_access()
         return True
 
-    def queue_depth(self, category: Optional[AccessCategory] = None) -> int:
-        """Frames waiting in one queue, or in all queues."""
-        if category is not None:
-            return len(self._queues[category])
-        return sum(len(q) for q in self._queues.values())
-
     # ------------------------------------------------------------------
     # Medium notifications
     # ------------------------------------------------------------------

@@ -22,11 +22,15 @@ Reception takes one of two paths, fixed at construction:
 
 * **keyed + vector** (a ``reception_draw`` is set; the fleet): a
   frame's link math is one numpy pass over the attached stations.
-  :meth:`WirelessMedium.transmit` reads every antenna position once
-  into arrays and computes distance -> path loss -> received power;
-  the frame's completion computes SINR -> BER -> PER and one
-  :class:`OrderFreeReception` draw per receiver as arrays.  A keyed
-  medium refuses a link budget with shadowing or fading, whose
+  :meth:`WirelessMedium.transmit` reads every antenna position as
+  arrays and computes distance -> path loss -> received power; the
+  frame's completion computes SINR -> BER -> PER and one
+  :class:`OrderFreeReception` draw per receiver as arrays.  The
+  positions are sorted by law once per layout
+  (:func:`repro.geonet.position.antenna_reader`): the fleet's
+  straight-line background vehicles are one numpy pass per frame, and
+  only the other stations' position callables are called per frame.
+  A keyed medium refuses a link budget with shadowing or fading, whose
   per-link values come from the shared rng in link order.
 * **shared rng + scalar** (the default; the brake, two-station
   blind-corner and platoon scenarios): received power link by link
@@ -205,17 +209,22 @@ class _Station:
 
 class _Layout:
     """The attached stations, in attach order, as the keyed pass reads
-    them: slots, noise, MCS constants and draw keys as arrays.
+    them: slots, noise, MCS constants and draw keys as arrays, and
+    :attr:`antennas`, which reads every antenna position.
 
     Rebuilt at every attach and detach; a frame keeps the layout it
     started with.
     """
 
-    __slots__ = ("stations", "slots", "noise_mw", "coding_gain", "divisor",
-                 "factor", "cs_threshold_dbm", "keys")
+    __slots__ = ("stations", "antennas", "slots", "noise_mw", "coding_gain",
+                 "divisor", "factor", "cs_threshold_dbm", "keys")
 
     def __init__(self, stations: List[_Station]):
+        # geonet sits above net and imports it: imported here.
+        from repro.geonet.position import antenna_reader
+
         self.stations = stations
+        self.antennas = antenna_reader([s.position for s in stations])
         self.slots = np.array([s.slot for s in stations], dtype=np.intp)
         self.noise_mw = np.array([s.noise_mw for s in stations])
         constants = np.array([s.mcs.ber_constants for s in stations],
@@ -396,9 +405,9 @@ class WirelessMedium:
             own = self._record(sender, -1)
         draw = self.reception_draw
         if draw is None:
-            tx = self._scalar_links(sender, own, frame, now, duration)
+            tx = self._scalar_links(own, frame, now, duration)
         else:
-            tx = self._vector_links(sender, own, frame, now, duration)
+            tx = self._vector_links(own, frame, now, duration)
             seq = self._tx_seq.get(name, 0)
             self._tx_seq[name] = seq + 1
             tx.frame_key = draw.frame_key(own.key, seq)
@@ -427,11 +436,10 @@ class WirelessMedium:
         self.sim.schedule(duration, lambda: self._complete(tx))
         return duration
 
-    def _scalar_links(self, sender: "NetworkInterface", own: _Station,
-                      frame: Frame, now: float,
+    def _scalar_links(self, own: _Station, frame: Frame, now: float,
                       duration: float) -> _Transmission:
-        """Received power link by link, in attach order: shadowing and
-        fading draw from the shared rng per link."""
+        """Received power link by link from *own*'s NIC, in attach
+        order: shadowing and fading draw from the shared rng per link."""
         receivers: List[_Station] = []
         rx_dbm: List[float] = []
         audible: Dict[str, _Station] = {}
@@ -439,6 +447,7 @@ class WirelessMedium:
         mw = np.zeros(self._slots)
         received_power_dbm = self.budget.received_power_dbm
         rng = self.rng
+        sender = own.nic
         name = sender.name
         tx_power_dbm = sender.phy.tx_power_dbm
         tx_pos = sender.position()
@@ -461,20 +470,17 @@ class WirelessMedium:
             rx_dbm=rx_dbm, mw=mw, interference=np.zeros(self._slots),
             audible=audible, stations=stations)
 
-    def _vector_links(self, sender: "NetworkInterface", own: _Station,
-                      frame: Frame, now: float,
+    def _vector_links(self, own: _Station, frame: Frame, now: float,
                       duration: float) -> _Transmission:
-        """Received power at every attached station in one numpy pass;
-        the sender's own entry is computed and then left out."""
-        layout = self._layout
-        if layout is None:
-            layout = self._layout = _Layout(list(self._stations.values()))
+        """Received power from *own*'s NIC at every attached station in
+        one numpy pass; the sender's own entry is computed and then
+        left out."""
+        layout = self._current_layout()
         receivers = layout.stations
-        xy = np.fromiter(itertools.chain.from_iterable(
-            [station.position() for station in receivers]),
-            np.float64, 2 * len(receivers))
+        sender = own.nic
+        xs, ys = layout.antennas()
         dbm = self.budget.received_powers_dbm(
-            sender.phy.tx_power_dbm, sender.position(), xy[0::2], xy[1::2])
+            sender.phy.tx_power_dbm, sender.position(), xs, ys)
         rx_mw = 10.0 ** (dbm / 10.0)
         mw = np.zeros(self._slots)
         mw[layout.slots] = rx_mw
@@ -494,6 +500,13 @@ class WirelessMedium:
             receivers=receivers,
             rx_dbm=dbm.tolist(), mw=mw, interference=np.zeros(self._slots),
             audible=audible, stations=stations, layout=layout)
+
+    def _current_layout(self) -> _Layout:
+        """The keyed pass's view of the attached stations."""
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = _Layout(list(self._stations.values()))
+        return layout
 
     @staticmethod
     def _apply_sense(tx: _Transmission) -> None:

@@ -113,10 +113,3 @@ class ObjectDetectionService:
                         (pos[0] - x_prev) / dt, (pos[1] - y_prev) / dt)
             self._last_seen[detection.object_name] = (captured_at, pos)
         return motion
-
-    @property
-    def effective_fps(self) -> float:
-        """Frames actually processed per simulated second so far."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.frames_processed / self.sim.now

@@ -1,5 +1,9 @@
 """Tests for the Local Dynamic Map."""
 
+import dataclasses
+
+import pytest
+
 from repro.facilities import Ldm, LdmObject, ObjectKind
 from repro.geonet import CircularArea, LocalFrame
 from repro.sim import Simulator
@@ -32,12 +36,33 @@ class TestStore:
         assert ldm.inserts == 1
         assert ldm.updates == 1
 
-    def test_revision_increases(self):
+    def test_put_leaves_object_untouched(self):
         sim = Simulator()
         ldm = Ldm(sim, run_purge_process=False)
-        first = ldm.put(make_object("a"))
-        second = ldm.put(make_object("b"))
-        assert second.revision > first.revision
+        obj = make_object("a", speed=1.5, data=("cam", 7))
+        before = dataclasses.astuple(obj)
+        assert ldm.put(obj) is obj
+        ldm.put(obj)
+        assert dataclasses.astuple(obj) == before
+        assert ldm.get("a") is obj
+
+    def test_one_object_in_two_stores(self):
+        sim = Simulator()
+        first = Ldm(sim, run_purge_process=False)
+        second = Ldm(sim, run_purge_process=False)
+        shared = make_object("shared")
+        first.put(shared)
+        second.put(shared)
+        assert first.get("shared") is second.get("shared") is shared
+        first.remove("shared")
+        assert first.get("shared") is None
+        assert second.get("shared") is shared
+
+    def test_object_is_frozen(self):
+        obj = make_object("a")
+        for field in dataclasses.fields(LdmObject):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
 
     def test_remove(self):
         sim = Simulator()

@@ -4,50 +4,72 @@ against the geodetic round trip they replace.
 
 The same random frame sequence -- CAMs from several senders, repeated
 and forwarded copies, stale position vectors, beacons, GeoBroadcasts
-inside and outside their area, echoes of the station's own packets --
-is delivered to two identical stations, one of them built and run with
-the reference receive steps patched in.  They must agree on every LDM
-object field (revision included), every counter of the LDM, location
-table, router, BTP mux, CA service and NIC, every location-table entry,
-the observer's counters, and the order of every callback.
+inside and outside their area, echoes of a station's own packets -- is
+delivered to two identical sets of receiving stations, one of them
+built and run with the reference receive steps patched in.  Each frame
+reaches every station of a set in one event, as a broadcast does, so
+the fast chain shares one LDM object among the receivers of a frame.
+Every receiver must agree with its twin on every LDM object field, every
+counter of the LDM, location table, router, BTP mux, CA service and
+NIC, every location-table entry, the observer's counters, and the order
+of every callback across all receivers.
+
+The reference ``Ldm.put`` numbers each object in a ``revision`` field
+that the live LDM dropped (nothing read it), so the reference run
+builds its objects as :class:`MutableLdmObject` and gives ``Ldm`` the
+counter it draws from; the object comparison covers the live fields
+only.  The reference location table also writes
+``last_sequence_number``, a field the live entry dropped; the entry
+comparison leaves it out.
 """
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import struct
 from typing import Any, Callable, Dict, List, Tuple
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asn1 import Asn1Error
+from repro.core.fleet.scenario import FleetScenario
+from repro.core.fleet.testbed import FleetTestbed
 from repro.facilities import ItsStation
-from repro.facilities.ldm import LdmObject, ObjectKind
+from repro.facilities.ca_service import CaConfig
+from repro.facilities.ldm import Ldm, LdmObject, ObjectKind
 from repro.geonet import CircularArea, GeoPosition, LocalFrame
 from repro.geonet.btp import BtpPort
 from repro.geonet.position import (
     EARTH_RADIUS,
     FramePosition,
     PositionVector,
+    antenna_reader,
 )
 from repro.geonet.router import GnPacket
 from repro.messages.cam import Cam
 from repro.messages.common import ReferencePosition, StationType
 from repro.net import AccessCategory, Frame, WirelessMedium
+from repro.net.nic import NetworkInterface
 from repro.net.propagation import LinkBudget, LogDistancePathLoss
 from repro.obs import ObsContext
 from repro.sim import Simulator
 from repro.sim.randomness import RandomStreams
+from tests.reference import reception
 from tests.reference.reception import PATCHES
 
 FRAME = LocalFrame()
 
-#: The receiving station's GN address and local position (m).
-RECEIVER = "rx"
-RECEIVER_XY = (0.0, 0.0)
+#: The receiving stations: GN address -> (local position (m), CAM
+#: lifetime in the LDM (s)).  Two share a lifetime, so they share the
+#: LDM objects of the frames they both receive.
+RECEIVERS = {"rx0": ((0.0, 0.0), 1.1), "rx1": ((15.0, 5.0), 1.1),
+             "rx2": ((-30.0, 8.0), 0.7)}
+RECEIVER = "rx0"
 
 #: Remote senders: GN address -> station id.
 SENDERS = {"s1": 201, "s2": 202, "s3": 203}
@@ -107,8 +129,8 @@ def deliveries(draw: Any) -> List[Tuple[int, Frame]]:
                                     size=packet.wire_size,
                                     source=mac_source)))
             continue
-        sender = RECEIVER if kind == "echo" else draw(
-            st.sampled_from(sorted(SENDERS)))
+        sender = draw(st.sampled_from(sorted(RECEIVERS))) if (
+            kind == "echo") else draw(st.sampled_from(sorted(SENDERS)))
         sequence[sender] = sequence.get(sender, 0) + 1
         source = PositionVector(
             gn_address=sender,
@@ -152,46 +174,62 @@ def deliveries(draw: Any) -> List[Tuple[int, Frame]]:
     return out
 
 
-def ldm_fields(obj: LdmObject) -> Tuple[Any, ...]:
+@dataclasses.dataclass
+class MutableLdmObject:
+    """The LDM object as the reference steps know it: mutable, with a
+    revision."""
+
+    key: str
+    kind: ObjectKind
+    position: GeoPosition
+    timestamp: float
+    valid_until: float
+    data: Any = None
+    source: str = "sensor"
+    station_id: Any = None
+    speed: float = 0.0
+    heading: float = 0.0
+    revision: int = 0
+
+    is_valid_at = LdmObject.is_valid_at
+
+
+def ldm_fields(obj: Any) -> Tuple[Any, ...]:
     return tuple(getattr(obj, field.name)
                  for field in dataclasses.fields(LdmObject))
 
 
-def run_station(frames: List[Tuple[int, Frame]], observed: bool,
-                ) -> Dict[str, Any]:
-    """Deliver *frames* to a fresh receiver; everything observable."""
-    sim = Simulator()
-    obs = ObsContext().bind(sim) if observed else None
-    streams = RandomStreams(seed=7)
-    medium = WirelessMedium(sim, streams.get("medium"),
-                            LinkBudget(path_loss=LogDistancePathLoss()))
+def build_station(sim: Simulator, medium: WirelessMedium,
+                  streams: RandomStreams, name: str,
+                  log: List[Tuple[Any, ...]]) -> ItsStation:
+    xy, lifetime = RECEIVERS[name]
     station = ItsStation(
-        sim, medium, streams, name=RECEIVER, station_id=100,
+        sim, medium, streams, name=name, station_id=100,
         station_type=StationType.ROAD_SIDE_UNIT,
-        position=FRAME.anchor(lambda: RECEIVER_XY),
-        enable_cam=False, local_frame=FRAME)
-    log: List[Tuple[Any, ...]] = []
+        position=FRAME.anchor(lambda: xy), enable_cam=False, local_frame=FRAME,
+        ca_config=CaConfig(ldm_lifetime=lifetime))
+    ldm = station.ldm
     station.ca.on_cam(lambda cam: log.append(
-        ("cam", cam.station_id, cam.generation_delta_time)))
-    station.ca.on_cam(lambda cam: log.append(("cam2", cam.station_id)))
-    station.ldm.subscribe(lambda obj: log.append(
-        ("ldm", obj.key, obj.revision, obj.timestamp)))
-    station.ldm.subscribe(
-        lambda obj: log.append(("near", obj.key, obj.revision)),
+        (name, "cam", cam.station_id, cam.generation_delta_time)))
+    station.ca.on_cam(lambda cam: log.append((name, "cam2", cam.station_id)))
+    ldm.subscribe(lambda obj: log.append(
+        (name, "ldm", obj.key, obj.timestamp)))
+    ldm.subscribe(
+        lambda obj: log.append((name, "near", obj.key)),
         kinds=[ObjectKind.VEHICLE],
-        area=CircularArea(FRAME.to_geo(*RECEIVER_XY), 15.0))
-    station.ldm.subscribe(lambda obj: log.append(("event", obj.key)),
-                          kinds=[ObjectKind.EVENT])
+        area=CircularArea(FRAME.to_geo(*xy), 15.0))
+    ldm.subscribe(lambda obj: log.append((name, "event", obj.key)),
+                  kinds=[ObjectKind.EVENT])
     station.router.btp.register(TEST_PORT, lambda payload: log.append(
-        ("btp", payload, sim.now)))
-    for tick, frame in frames:
-        sim.schedule_at(tick * TICK, lambda frame=frame:
-                        station.nic.deliver(frame))
-    sim.run_until(5.0)
+        (name, "btp", payload, sim.now)))
+    return station
+
+
+def station_state(station: ItsStation) -> Dict[str, Any]:
+    """Everything observable at one receiver."""
     router, ldm, ca = station.router, station.ldm, station.ca
     table = router.location_table
     return {
-        "log": log,
         "objects": [ldm_fields(obj) for obj in ldm._objects.values()],
         "ldm": (ldm.inserts, ldm.updates, ldm.expired),
         "ca": (ca.cams_received, ca.cams_sent),
@@ -202,14 +240,48 @@ def run_station(frames: List[Tuple[int, Frame]], observed: bool,
                    router.packets_no_route, router.beacons_sent,
                    router.beacons_received),
         "btp": (router.btp.delivered, router.btp.no_handler),
-        "nic": (station.nic.frames_received, medium.frames_sent),
+        "nic": station.nic.frames_received,
+        # Every field but the reference's ``last_sequence_number``.
         "table": [(entry.gn_address, entry.position_vector,
                    entry.updated_at, entry.is_neighbour,
                    sorted(entry.seen_sequence_numbers),
-                   entry.last_sequence_number, entry.packets_received)
+                   entry.packets_received)
                   for entry in table._entries.values()],
-        "obs": obs.to_dict() if obs is not None else None,
     }
+
+
+def run_stations(frames: List[Tuple[int, Frame]], observed: bool,
+                 receivers: Tuple[str, ...] = tuple(RECEIVERS),
+                 until: float = 5.0) -> Dict[str, Any]:
+    """Deliver each of *frames* to every receiver in one event."""
+    sim = Simulator()
+    obs = ObsContext().bind(sim) if observed else None
+    streams = RandomStreams(seed=7)
+    medium = WirelessMedium(sim, streams.get("medium"),
+                            LinkBudget(path_loss=LogDistancePathLoss()))
+    log: List[Tuple[Any, ...]] = []
+    stations = [build_station(sim, medium, streams, name, log)
+                for name in receivers]
+
+    def broadcast(frame: Frame) -> None:
+        for station in stations:
+            station.nic.deliver(frame)
+
+    for tick, frame in frames:
+        sim.schedule_at(tick * TICK, lambda frame=frame: broadcast(frame))
+    sim.run_until(until)
+    return {
+        "log": log,
+        "stations": {station.name: station_state(station)
+                     for station in stations},
+        "medium": medium.frames_sent,
+        "obs": obs.to_dict() if obs is not None else None,
+        "ldms": [station.ldm for station in stations],
+    }
+
+
+def comparable(run: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: value for key, value in run.items() if key != "ldms"}
 
 
 @contextlib.contextmanager
@@ -217,6 +289,10 @@ def reference_receive_chain():
     with contextlib.ExitStack() as stack:
         for cls, name, function in PATCHES:
             stack.enter_context(mock.patch.object(cls, name, function))
+        stack.enter_context(mock.patch.object(
+            Ldm, "_revisions", itertools.count(1), create=True))
+        stack.enter_context(mock.patch.object(
+            reception, "LdmObject", MutableLdmObject))
         yield
 
 
@@ -224,10 +300,10 @@ class TestReceiveChainMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(frames=deliveries(), observed=st.booleans())
     def test_same_observable_state(self, frames, observed):
-        fast = run_station(frames, observed)
+        fast = run_stations(frames, observed)
         with reference_receive_chain():
-            reference = run_station(frames, observed)
-        assert fast == reference
+            reference = run_stations(frames, observed)
+        assert comparable(fast) == comparable(reference)
 
     def test_sequence_exercises_every_branch(self):
         # A fixed sequence through every receive branch, so the
@@ -254,16 +330,43 @@ class TestReceiveChainMatchesReference:
                       (1, shb, "s1"), (2, shb, FORWARDER),
                       (3, beacon, "s2"), (4, gbc_in, FORWARDER),
                       (5, gbc_out, "s1")]]
-        fast = run_station(frames, observed=True)
+        fast = run_stations(frames, observed=True, receivers=(RECEIVER,))
         with reference_receive_chain():
-            reference = run_station(frames, observed=True)
-        assert fast == reference
+            reference = run_stations(frames, observed=True,
+                                     receivers=(RECEIVER,))
+        assert comparable(fast) == comparable(reference)
+        state = fast["stations"][RECEIVER]
         # sent, up, forwarded, duplicate, outside, rejected, no route,
         # beacons sent, beacons received
-        assert fast["router"] == (0, 2, 1, 1, 1, 0, 0, 0, 1)
-        assert fast["ldm"] == (1, 1, 1)  # inserted, updated, expired
-        assert [entry[0] for entry in fast["log"]] == [
+        assert state["router"] == (0, 2, 1, 1, 1, 0, 0, 0, 1)
+        assert state["ldm"] == (1, 1, 1)  # inserted, updated, expired
+        assert [entry[1] for entry in fast["log"]] == [
             "ldm", "near", "cam", "cam2", "ldm", "near", "cam", "cam2"]
+
+    def test_receivers_of_a_frame_share_one_object(self):
+        payload = cam_payload(201, 3.0, 4.0, 1.0, 90.0, 7)
+        source = PositionVector("s1", 0.0, FRAME.to_geo(3.0, 4.0))
+        frames = [(tick, Frame(
+            payload=GnPacket(transport="shb", source_position_vector=source,
+                             sequence_number=tick, btp_port=BtpPort.CAM,
+                             payload=payload),
+            size=60, source="s1")) for tick in (1, 2)]
+        fast = run_stations(frames, observed=False, until=0.1)
+        first, second, short = (ldm.get("cam:201") for ldm in fast["ldms"])
+        # rx0 and rx1 keep the CAM 1.1 s, rx2 0.7 s: one object for the
+        # first two, another for the third.
+        assert first is second and first is not short
+        assert (first.timestamp, short.timestamp) == (2 * TICK, 2 * TICK)
+        assert short.valid_until == 2 * TICK + 0.7
+        # The second frame, at a later now, replaced the first's object
+        # in every store: one insert, one update each.
+        assert [state["ldm"][:2] for state in fast["stations"].values()
+                ] == [(1, 1)] * 3
+        with reference_receive_chain():
+            reference = run_stations(frames, observed=False, until=0.1)
+        assert comparable(fast) == comparable(reference)
+        old = [ldm.get("cam:201") for ldm in reference["ldms"]]
+        assert old[0] is not old[1]
 
     def test_undecodable_payload_raises_every_time(self):
         def deliver_garbage() -> List[str]:
@@ -278,7 +381,7 @@ class TestReceiveChainMatchesReference:
             errors = []
             for prefix in (frames[:1], frames):
                 with pytest.raises(Asn1Error) as raised:
-                    run_station(prefix, observed=False)
+                    run_stations(prefix, observed=False)
                 errors.append(str(raised.value))
             return errors
 
@@ -380,3 +483,123 @@ class TestFramePosition:
         plain = build(lambda: FRAME.to_geo(2.0, 3.0), FRAME)
         assert plain.nic.position == plain._antenna_position
         assert station.nic.position() == plain.nic.position()
+
+
+# ---------------------------------------------------------------------------
+# Antenna positions read as arrays by the keyed medium
+# ---------------------------------------------------------------------------
+
+COORD = st.one_of(st.floats(-60.0, 60.0), st.floats(-2e5, 2e5))
+SPEED = st.floats(-60.0, 60.0)
+
+#: ``(law, x, y, v)``: a fixed point (a line with ``v = 0``), a
+#: straight line, a frame-anchored callable, or a plain callable that is
+#: no :class:`FramePosition`.
+LAWS = st.tuples(st.sampled_from(["fixed", "line", "callable", "plain"]),
+                 COORD, COORD, SPEED)
+
+
+def antenna_of(sim: Simulator, frame: LocalFrame,
+               law: Tuple[str, float, float, float],
+               ) -> Callable[[], Tuple[float, float]]:
+    kind, x, y, v = law
+    if kind == "fixed":
+        return frame.anchor_line(x, y, 0.0, sim).antenna
+    if kind == "line":
+        return frame.anchor_line(x, y, v, sim).antenna
+    if kind == "callable":
+        return frame.anchor(
+            lambda: (x + v * math.sin(sim.now), y - 0.25 * sim.now)).antenna
+    return lambda: (x + v * sim.now, y)
+
+
+def layout_mismatches(medium: WirelessMedium) -> List[str]:
+    """Stations whose array antenna differs in any bit from a call of
+    their position."""
+    layout = medium._current_layout()
+    xs, ys = layout.antennas()
+    return [station.name
+            for station, x, y in zip(layout.stations, xs.tolist(),
+                                     ys.tolist())
+            if (bits(x), bits(y)) != tuple(map(bits, station.position()))]
+
+
+class TestAntennaReader:
+    @settings(max_examples=80, deadline=None)
+    @given(laws=st.lists(st.tuples(st.integers(0, len(ORIGINS) - 1), LAWS),
+                         min_size=1, max_size=10),
+           times=st.lists(st.floats(0.0, 1e4), min_size=2, max_size=6),
+           churn=st.lists(st.integers(0, 9), max_size=4, unique=True))
+    def test_arrays_equal_scalar_reads(self, laws, times, churn):
+        sim = Simulator()
+        medium = WirelessMedium(sim, np.random.default_rng(0))
+        nics = [NetworkInterface(sim, medium, f"s{index}",
+                                 antenna_of(sim, ORIGINS[origin], law))
+                for index, (origin, law) in enumerate(laws)]
+        times = sorted(times)
+        half = len(times) // 2
+        for now in times[:half]:
+            sim.run_until(now)
+            assert layout_mismatches(medium) == []
+        # Detach some stations mid-run and re-attach them in reverse:
+        # the layout is rebuilt in a new order, on new slots.
+        moved = [nics[index] for index in churn if index < len(nics)]
+        for nic in moved:
+            medium.detach(nic)
+        assert layout_mismatches(medium) == []
+        for nic in reversed(moved):
+            medium.attach(nic)
+        for now in times[half:]:
+            sim.run_until(now)
+            assert layout_mismatches(medium) == []
+
+    def test_every_law_in_one_layout(self):
+        sim = Simulator()
+        medium = WirelessMedium(sim, np.random.default_rng(0))
+        laws = [("fixed", 3.0, 4.0, 0.0), ("line", -12.5, 0.6, 1.7),
+                ("callable", 1.0, 2.0, 0.5), ("plain", 7.0, 8.0, -1.0),
+                ("line", 40.0, 1.2, -1.7), ("fixed", -1e5, 2e5, 0.0)]
+        for index, law in enumerate(laws):
+            NetworkInterface(sim, medium, f"s{index}",
+                             antenna_of(sim, ORIGINS[index % 2], law))
+        for now in (0.0, 0.1, 1.7, 123.456):
+            sim.run_until(now)
+            assert layout_mismatches(medium) == []
+
+    def test_lines_on_two_clocks_are_refused(self):
+        positions = [FRAME.anchor_line(1.0, 2.0, 3.0, clock).antenna
+                     for clock in (Simulator(), Simulator())]
+        with pytest.raises(ValueError):
+            antenna_reader(positions)
+
+    def test_line_is_the_fleet_background_motion(self):
+        # The fleet used to compute x0 + direction * speed * now.
+        for direction in (1.0, -1.0):
+            sim = Simulator()
+            position = FRAME.anchor_line(3.3, 0.6, direction * 0.7, sim)
+            for now in (0.1, 0.3, 2.9):
+                sim.run_until(now)
+                assert position.local() == (3.3 + direction * 0.7 * now,
+                                            0.6)
+
+    def test_fleet_layout_across_detach_and_reattach(self):
+        testbed = FleetTestbed(FleetScenario(
+            workload="blind_corner", n_obus=6, n_rsus=2, duration=3.0))
+        medium, sim = testbed.medium, testbed.sim
+        lines = [unit.station.position._line is not None
+                 for unit in [*testbed.rsus, *testbed.obus]]
+        # The RSUs and the protagonist callables, the rest lines.
+        assert lines == [False] * 3 + [True] * 5
+        sim.run_until(0.3)
+        assert layout_mismatches(medium) == []
+        moved = [testbed.rsus[1].station.nic, testbed.obus[3].station.nic]
+        for nic in moved:
+            medium.detach(nic)
+        sim.run_until(0.5)
+        assert layout_mismatches(medium) == []
+        for nic in reversed(moved):
+            medium.attach(nic)
+        sim.run_until(0.8)
+        assert layout_mismatches(medium) == []
+        assert [station.name for station in medium._current_layout().stations
+                ][-2:] == ["obu-3", "rsu-1"]
