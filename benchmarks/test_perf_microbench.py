@@ -75,6 +75,14 @@ def test_perf_vision_frame(benchmark):
     assert lines
 
 
+def test_perf_canny_frame(benchmark):
+    """Canny alone on one rendered line-follower frame (72x96)."""
+    image = render_line_view(0.03, 0.05, rng=np.random.default_rng(1))
+    edges = benchmark(canny, image, 0.15, 0.3)
+    assert edges.shape == image.shape
+    assert edges.any()
+
+
 def test_perf_full_testbed_run(benchmark):
     """Wall time of one complete emergency-braking run."""
 

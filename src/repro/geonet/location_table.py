@@ -59,25 +59,17 @@ class LocationTable:
         self.lifetime = lifetime
         self._entries: Dict[str, LocationTableEntry] = {}
 
-    def update(self, position_vector: PositionVector,
-               is_neighbour: bool = False) -> LocationTableEntry:
-        """Insert or refresh the entry for the vector's sender.
-
-        Set *is_neighbour* when the packet was heard directly from the
-        station (not through a forwarder).  An entry past its lifetime
-        is replaced by a fresh one, so neither its neighbour flag nor
-        its duplicate window outlives it.
-        """
-        self.receive(position_vector, None, is_neighbour)
-        return self._entries[position_vector.gn_address]
-
     def receive(self, position_vector: PositionVector,
                 sequence_number: Optional[int],
                 is_neighbour: bool) -> bool:
         """Update the sender's entry for a received packet; True if seen.
 
-        :meth:`update`, then the entry's duplicate check of
-        *sequence_number* (none when it is None), in one call.
+        Inserts or refreshes the entry for the vector's sender, then
+        runs the entry's duplicate check of *sequence_number* (none
+        when it is None).  Set *is_neighbour* when the packet was heard
+        directly from the station (not through a forwarder).  An entry
+        past its lifetime is replaced by a fresh one, so neither its
+        neighbour flag nor its duplicate window outlives it.
         """
         address = position_vector.gn_address
         now = self.sim.now
@@ -100,11 +92,6 @@ class LocationTable:
         entry.packets_received += 1
         return (sequence_number is not None
                 and entry.is_duplicate(sequence_number))
-
-    def is_duplicate(self, gn_address: str, sequence_number: int) -> bool:
-        """Duplicate-packet check; records the sequence number."""
-        entry = self._entries.get(gn_address)
-        return entry is not None and entry.is_duplicate(sequence_number)
 
     def get(self, gn_address: str) -> Optional[LocationTableEntry]:
         """The live entry for *gn_address*, or None if absent/expired."""

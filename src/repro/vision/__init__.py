@@ -17,15 +17,9 @@ are implemented on numpy arrays:
 from repro.vision.image import LineViewConfig, render_line_view
 from repro.vision.filters import gaussian_blur, gaussian_kernel, sobel_gradients
 from repro.vision.canny import canny
-from repro.vision.hough import (
-    HoughLine,
-    LineSegment,
-    probabilistic_hough,
-    standard_hough,
-)
+from repro.vision.hough import LineSegment, probabilistic_hough
 
 __all__ = [
-    "HoughLine",
     "LineSegment",
     "LineViewConfig",
     "canny",
@@ -34,5 +28,4 @@ __all__ = [
     "probabilistic_hough",
     "render_line_view",
     "sobel_gradients",
-    "standard_hough",
 ]

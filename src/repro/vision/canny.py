@@ -50,37 +50,38 @@ def canny(
     if peak <= flat_floor:
         return np.zeros_like(magnitude, dtype=bool)
 
-    suppressed = _non_maximum_suppression(magnitude, gx, gy)
-    strong = suppressed >= high_threshold * peak
-    weak = suppressed >= low_threshold * peak
+    low, high = low_threshold * peak, high_threshold * peak
+    # Kept or suppressed (read as 0), a pixel below every positive
+    # threshold compares like 0: only the others need suppressing.
+    weak = np.full(magnitude.shape, 0.0 >= low)
+    strong = np.full(magnitude.shape, 0.0 >= high)
+    floor = low if low > 0 else high
+    if floor > 0:
+        candidates = np.flatnonzero(magnitude >= floor)
+        suppressed = _non_maximum_suppression(magnitude, gx, gy, candidates)
+        weak.ravel()[candidates] = suppressed >= low
+        strong.ravel()[candidates] = suppressed >= high
     return _hysteresis(strong, weak)
 
 
 def _non_maximum_suppression(magnitude: np.ndarray, gx: np.ndarray,
-                             gy: np.ndarray) -> np.ndarray:
-    """Keep only local maxima along the gradient direction."""
+                             gy: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """Magnitudes at flat indices *pixels* that are local maxima along
+    the gradient (off-image is 0), else 0."""
     rows, cols = magnitude.shape
-    angle = np.arctan2(gy, gx)  # -pi..pi
+    angle = np.arctan2(gy.ravel()[pixels], gx.ravel()[pixels])
     # Quantise to 4 directions: 0 (E-W), 45, 90 (N-S), 135 degrees.
     sector = (np.round(angle / (np.pi / 4.0)).astype(int)) % 4
-
-    padded = np.pad(magnitude, 1, mode="constant")
-    center = padded[1:-1, 1:-1]
-    # Neighbour pairs per sector, in (row, col) offsets on the padded
-    # array relative to the centre window.
-    neighbour_offsets = {
-        0: ((0, 1), (0, -1)),     # gradient E-W -> compare left/right
-        1: ((1, 1), (-1, -1)),    # 45 degrees
-        2: ((1, 0), (-1, 0)),     # N-S -> compare up/down
-        3: ((1, -1), (-1, 1)),    # 135 degrees
-    }
-    keep = np.zeros((rows, cols), dtype=bool)
-    for s, ((dr1, dc1), (dr2, dc2)) in neighbour_offsets.items():
-        mask = sector == s
-        n1 = padded[1 + dr1:rows + 1 + dr1, 1 + dc1:cols + 1 + dc1]
-        n2 = padded[1 + dr2:rows + 1 + dr2, 1 + dc2:cols + 1 + dc2]
-        keep |= mask & (center >= n1) & (center >= n2)
-    return np.where(keep, magnitude, 0.0)
+    width = cols + 2
+    padded = np.zeros((rows + 2, width))
+    padded[1:-1, 1:-1] = magnitude
+    # Flat offset of one neighbour per sector; the other mirrors it.
+    offset = np.array([1, width + 1, width, width - 1])[sector]
+    index = pixels + 2 * (pixels // cols) + width + 1
+    centre = padded.take(index)
+    keep = ((centre >= padded.take(index + offset))
+            & (centre >= padded.take(index - offset)))
+    return np.where(keep, centre, 0.0)
 
 
 def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:

@@ -147,74 +147,6 @@ def _rho_table(points: np.ndarray, thetas: np.ndarray,
     return table.astype(np.intp)
 
 
-@dataclasses.dataclass(frozen=True)
-class HoughLine:
-    """An infinite line in normal form: ``x cos t + y sin t = rho``."""
-
-    rho: float
-    theta: float
-    votes: int
-
-    def x_at_row(self, row: float) -> Optional[float]:
-        """The line's column at image *row*, or None if horizontal."""
-        cos_t = math.cos(self.theta)
-        if abs(cos_t) < 1e-9:
-            return None
-        return (self.rho - row * math.sin(self.theta)) / cos_t
-
-
-def standard_hough(
-    edges: np.ndarray,
-    threshold: int = 20,
-    theta_resolution: float = math.pi / 180.0,
-    max_lines: int = 16,
-    suppression_window: int = 2,
-) -> List["HoughLine"]:
-    """The classic (non-probabilistic) Hough transform.
-
-    Every edge pixel votes for all (rho, theta) bins; accumulator
-    peaks above *threshold* become lines (with a small neighbourhood
-    suppression so one physical line yields one peak).  Complementary
-    to :func:`probabilistic_hough`: returns infinite lines with vote
-    counts instead of finite segments.
-    """
-    if edges.dtype != bool:
-        edges = edges > 0
-    rows, cols = edges.shape
-    points = np.argwhere(edges)
-    if points.size == 0:
-        return []
-    thetas = np.arange(0.0, math.pi, theta_resolution)
-    diagonal = int(math.ceil(math.hypot(rows, cols)))
-    width = 2 * diagonal + 1
-    # Every pixel votes in every theta row: one bincount over the table.
-    accumulator = np.bincount(
-        _rho_table(points, thetas, diagonal).ravel(),
-        minlength=len(thetas) * width).reshape(len(thetas), width)
-
-    lines: List[HoughLine] = []
-    working = accumulator.copy()
-    for _ in range(max_lines):
-        peak = int(working.max())
-        if peak < threshold:
-            break
-        theta_index, rho_index = np.unravel_index(
-            int(working.argmax()), working.shape)
-        lines.append(HoughLine(
-            rho=float(rho_index - diagonal),
-            theta=float(thetas[theta_index]),
-            votes=peak,
-        ))
-        # Suppress the neighbourhood of the found peak.
-        t_lo = max(0, theta_index - suppression_window)
-        t_hi = min(len(thetas), theta_index + suppression_window + 1)
-        r_lo = max(0, rho_index - 3 * suppression_window)
-        r_hi = min(working.shape[1],
-                   rho_index + 3 * suppression_window + 1)
-        working[t_lo:t_hi, r_lo:r_hi] = 0
-    return lines
-
-
 def _trace_segment(edges: np.ndarray, r0: int, c0: int, theta: float,
                    max_gap: int) -> np.ndarray:
     """Walk from (r0, c0) in both directions along the line of angle

@@ -75,12 +75,3 @@ def render_line_view(
         noise_rng = rng or np.random.default_rng(0)
         image = image + noise_rng.normal(0.0, cfg.noise_std, image.shape)
     return np.clip(image, 0.0, 1.0)
-
-
-def line_visible(image: np.ndarray, config: Optional[LineViewConfig] = None,
-                 ) -> bool:
-    """Heuristic: whether a dark line is present in the frame."""
-    cfg = config or LineViewConfig()
-    threshold = (cfg.floor_level + cfg.line_level) / 2.0
-    dark_fraction = float((image < threshold).mean())
-    return dark_fraction > 0.005

@@ -3,23 +3,28 @@
 Verbatim copies of the pre-optimisation implementations of
 :func:`repro.vision.hough.probabilistic_hough`, its helpers
 ``_trace_segment`` / ``_neighbour_edge``,
-:func:`repro.vision.hough.standard_hough` and
-``repro.vision.canny._hysteresis``.  They are used only by the
-differential tests (``tests/test_vision_reference.py``), which assert
-the optimised code returns the same output and leaves the RNG in the
-same state.  Do not optimise this file: its value is being the old,
+``repro.vision.canny._hysteresis``, and of the Canny stages:
+:func:`repro.vision.canny.canny` with its ``_non_maximum_suppression``
+over every pixel, and :func:`repro.vision.filters.gaussian_blur` /
+:func:`repro.vision.filters.sobel_gradients` as the ``scipy.ndimage``
+calls they were.  The copied ``canny`` runs on the copied stages,
+hysteresis included.  They are used only by the differential tests
+(``tests/test_vision_reference.py``), which assert the optimised code
+returns the same output (bit for bit, signed zeros included, for the
+filters) and leaves the RNG in the same state.  Do not optimise this file: its value is being the old,
 obviously-correct code.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
 
-from repro.vision.hough import HoughLine, LineSegment
+from repro.vision.filters import gaussian_kernel
+from repro.vision.hough import LineSegment
 
 
 def probabilistic_hough(
@@ -96,64 +101,6 @@ def probabilistic_hough(
     return segments
 
 
-def standard_hough(
-    edges: np.ndarray,
-    threshold: int = 20,
-    theta_resolution: float = math.pi / 180.0,
-    max_lines: int = 16,
-    suppression_window: int = 2,
-) -> List["HoughLine"]:
-    """The classic (non-probabilistic) Hough transform.
-
-    Every edge pixel votes for all (rho, theta) bins; accumulator
-    peaks above *threshold* become lines (with a small neighbourhood
-    suppression so one physical line yields one peak).  Complementary
-    to :func:`probabilistic_hough`: returns infinite lines with vote
-    counts instead of finite segments.
-    """
-    if edges.dtype != bool:
-        edges = edges > 0
-    rows, cols = edges.shape
-    points = np.argwhere(edges)
-    if points.size == 0:
-        return []
-    thetas = np.arange(0.0, math.pi, theta_resolution)
-    diagonal = int(math.ceil(math.hypot(rows, cols)))
-    accumulator = np.zeros((len(thetas), 2 * diagonal + 1),
-                           dtype=np.int32)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
-    # Vectorised voting: for each theta, bin all points at once.
-    ys = points[:, 0].astype(float)
-    xs = points[:, 1].astype(float)
-    for index in range(len(thetas)):
-        rhos = np.round(xs * cos_t[index]
-                        + ys * sin_t[index]).astype(int) + diagonal
-        np.add.at(accumulator[index], rhos, 1)
-
-    lines: List[HoughLine] = []
-    working = accumulator.copy()
-    for _ in range(max_lines):
-        peak = int(working.max())
-        if peak < threshold:
-            break
-        theta_index, rho_index = np.unravel_index(
-            int(working.argmax()), working.shape)
-        lines.append(HoughLine(
-            rho=float(rho_index - diagonal),
-            theta=float(thetas[theta_index]),
-            votes=peak,
-        ))
-        # Suppress the neighbourhood of the found peak.
-        t_lo = max(0, theta_index - suppression_window)
-        t_hi = min(len(thetas), theta_index + suppression_window + 1)
-        r_lo = max(0, rho_index - 3 * suppression_window)
-        r_hi = min(working.shape[1],
-                   rho_index + 3 * suppression_window + 1)
-        working[t_lo:t_hi, r_lo:r_hi] = 0
-    return lines
-
-
 def _trace_segment(edges: np.ndarray, r0: int, c0: int, theta: float,
                    max_gap: int) -> List:
     """Walk from (r0, c0) in both directions along the line of angle
@@ -220,3 +167,94 @@ def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     if strong_labels.size == 0:
         return np.zeros_like(weak)
     return np.isin(labels, strong_labels)
+
+
+def gaussian_blur(image: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+    """Separable Gaussian blur with reflective borders."""
+    kernel = gaussian_kernel(sigma)
+    blurred = ndimage.convolve1d(image.astype(float), kernel, axis=0,
+                                 mode="reflect")
+    return ndimage.convolve1d(blurred, kernel, axis=1, mode="reflect")
+
+
+#: Sobel kernels (gradient along x = columns, y = rows).
+SOBEL_X = np.array([[-1, 0, 1],
+                    [-2, 0, 2],
+                    [-1, 0, 1]], dtype=float)
+SOBEL_Y = SOBEL_X.T
+
+
+def sobel_gradients(image: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradient images (gx, gy) via Sobel operators."""
+    img = image.astype(float)
+    gx = ndimage.convolve(img, SOBEL_X, mode="reflect")
+    gy = ndimage.convolve(img, SOBEL_Y, mode="reflect")
+    return gx, gy
+
+
+def canny(
+    image: np.ndarray,
+    low_threshold: float = 0.1,
+    high_threshold: float = 0.2,
+    sigma: float = 1.0,
+) -> np.ndarray:
+    """Detect edges in a grayscale image.
+
+    Args:
+        image: 2-D array, any numeric range (thresholds are relative
+            to the maximum gradient magnitude).
+        low_threshold: weak-edge threshold, fraction of max magnitude.
+        high_threshold: strong-edge threshold, fraction of max magnitude.
+        sigma: Gaussian pre-smoothing standard deviation.
+
+    Returns:
+        Boolean edge map of the same shape.
+    """
+    if image.ndim != 2:
+        raise ValueError(f"expected 2-D grayscale image, got {image.shape}")
+    if not 0 <= low_threshold <= high_threshold:
+        raise ValueError(
+            f"thresholds must satisfy 0 <= low <= high, got "
+            f"{low_threshold}, {high_threshold}"
+        )
+    smoothed = gaussian_blur(image, sigma)
+    gx, gy = sobel_gradients(smoothed)
+    magnitude = np.hypot(gx, gy)
+    peak = magnitude.max()
+    # Guard against numerically-flat images: convolution round-off on
+    # a constant image leaves ~1e-16 gradients that must not count.
+    flat_floor = 1e-9 * max(1.0, float(np.abs(image).max()))
+    if peak <= flat_floor:
+        return np.zeros_like(magnitude, dtype=bool)
+
+    suppressed = _non_maximum_suppression(magnitude, gx, gy)
+    strong = suppressed >= high_threshold * peak
+    weak = suppressed >= low_threshold * peak
+    return _hysteresis(strong, weak)
+
+
+def _non_maximum_suppression(magnitude: np.ndarray, gx: np.ndarray,
+                             gy: np.ndarray) -> np.ndarray:
+    """Keep only local maxima along the gradient direction."""
+    rows, cols = magnitude.shape
+    angle = np.arctan2(gy, gx)  # -pi..pi
+    # Quantise to 4 directions: 0 (E-W), 45, 90 (N-S), 135 degrees.
+    sector = (np.round(angle / (np.pi / 4.0)).astype(int)) % 4
+
+    padded = np.pad(magnitude, 1, mode="constant")
+    center = padded[1:-1, 1:-1]
+    # Neighbour pairs per sector, in (row, col) offsets on the padded
+    # array relative to the centre window.
+    neighbour_offsets = {
+        0: ((0, 1), (0, -1)),     # gradient E-W -> compare left/right
+        1: ((1, 1), (-1, -1)),    # 45 degrees
+        2: ((1, 0), (-1, 0)),     # N-S -> compare up/down
+        3: ((1, -1), (-1, 1)),    # 135 degrees
+    }
+    keep = np.zeros((rows, cols), dtype=bool)
+    for s, ((dr1, dc1), (dr2, dc2)) in neighbour_offsets.items():
+        mask = sector == s
+        n1 = padded[1 + dr1:rows + 1 + dr1, 1 + dc1:cols + 1 + dc1]
+        n2 = padded[1 + dr2:rows + 1 + dr2, 1 + dc2:cols + 1 + dc2]
+        keep |= mask & (center >= n1) & (center >= n2)
+    return np.where(keep, magnitude, 0.0)

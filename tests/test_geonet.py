@@ -84,54 +84,53 @@ class TestLocationTable:
 
     def test_update_and_get(self):
         sim, table = self.make()
-        table.update(self.vector())
+        assert not table.receive(self.vector(), None, False)
         assert "a" in table
         assert table.get("a").packets_received == 1
 
     def test_entries_expire(self):
         sim, table = self.make(lifetime=5.0)
-        table.update(self.vector())
+        table.receive(self.vector(), None, False)
         sim.run_until(6.0)
         assert table.get("a") is None
         assert len(table) == 0
 
     def test_update_refreshes_lifetime(self):
         sim, table = self.make(lifetime=5.0)
-        table.update(self.vector(t=0.0))
+        table.receive(self.vector(t=0.0), None, False)
         sim.run_until(4.0)
-        table.update(self.vector(t=4.0))
+        table.receive(self.vector(t=4.0), None, False)
         sim.run_until(8.0)
         assert table.get("a") is not None
 
     def test_stale_vector_does_not_replace_fresh(self):
         sim, table = self.make()
-        table.update(self.vector(t=5.0))
-        table.update(self.vector(t=2.0))  # out-of-order arrival
+        table.receive(self.vector(t=5.0), None, False)
+        # Out-of-order arrival.
+        table.receive(self.vector(t=2.0), None, False)
         assert table.get("a").position_vector.timestamp == 5.0
 
     def test_duplicate_detection(self):
         sim, table = self.make()
-        table.update(self.vector())
-        assert not table.is_duplicate("a", 1)
-        assert table.is_duplicate("a", 1)
-        assert not table.is_duplicate("a", 2)
+        assert not table.receive(self.vector(), 1, False)
+        assert table.receive(self.vector(), 1, False)
+        assert not table.receive(self.vector(), 2, False)
 
     def test_duplicate_unknown_source_is_new(self):
         _sim, table = self.make()
-        assert not table.is_duplicate("ghost", 1)
+        assert not table.receive(self.vector("ghost"), 1, False)
 
     def test_duplicate_window_bounded(self):
         sim, table = self.make()
-        table.update(self.vector())
         for sn in range(600):
-            table.is_duplicate("a", sn)
+            table.receive(self.vector(), sn, False)
         entry = table.get("a")
         assert len(entry.seen_sequence_numbers) <= 300
 
     def test_purge_expired(self):
         sim, table = self.make(lifetime=1.0)
-        table.update(self.vector("a"))
-        table.update(self.vector("b"))
+        table.receive(self.vector("a"), None, False)
+        table.receive(self.vector("b"), None, False)
         sim.run_until(2.0)
         assert table.purge_expired() == 2
 
@@ -140,19 +139,19 @@ class TestLocationTable:
         # the entry expired: it is no longer a one-hop neighbour, and
         # its old duplicate window is gone with it.
         sim, table = self.make()
-        table.update(self.vector(t=0.0), is_neighbour=True)
-        assert not table.is_duplicate("a", 7)
+        assert not table.receive(self.vector(t=0.0), 7, True)
         sim.run_until(25.0)
-        entry = table.update(self.vector(t=25.0), is_neighbour=False)
+        assert not table.receive(self.vector(t=25.0), 7, False)
+        entry = table.get("a")
         assert not entry.is_neighbour
         assert entry.packets_received == 1
-        assert not table.is_duplicate("a", 7)
 
     def test_live_entry_keeps_neighbour_flag(self):
         sim, table = self.make()
-        table.update(self.vector(t=0.0), is_neighbour=True)
+        table.receive(self.vector(t=0.0), None, True)
         sim.run_until(10.0)
-        entry = table.update(self.vector(t=10.0), is_neighbour=False)
+        table.receive(self.vector(t=10.0), None, False)
+        entry = table.get("a")
         assert entry.is_neighbour
         assert entry.packets_received == 2
 

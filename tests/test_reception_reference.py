@@ -288,7 +288,11 @@ def comparable(run: Dict[str, Any]) -> Dict[str, Any]:
 def reference_receive_chain():
     with contextlib.ExitStack() as stack:
         for cls, name, function in PATCHES:
-            stack.enter_context(mock.patch.object(cls, name, function))
+            # ``create``: the oracle's ``LocationTable.update`` and
+            # ``.is_duplicate`` have no counterpart in the optimised
+            # table any more.
+            stack.enter_context(
+                mock.patch.object(cls, name, function, create=True))
         stack.enter_context(mock.patch.object(
             Ldm, "_revisions", itertools.count(1), create=True))
         stack.enter_context(mock.patch.object(

@@ -1,9 +1,10 @@
-"""Differential tests: the table-driven vision hot paths against their
+"""Differential tests: the optimised vision hot paths against their
 pre-optimisation versions in :mod:`tests.reference.vision`.
 
 The optimised code must be byte-identical to the reference: the same
-segments in the same order, the same lines, the same edge map, and the
-same RNG state after the call.
+segments in the same order, the same edge map, the same RNG state
+after the call, and blurred and gradient images equal bit for bit
+(signed zeros included) to ``scipy.ndimage``'s.
 """
 
 import copy
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vision import hough, render_line_view
+from repro.vision import filters, hough, render_line_view
 from repro.vision.image import LineViewConfig
 from tests.reference import vision as ref
 
@@ -162,25 +163,6 @@ class TestTraceSegmentDifferential:
                 [(int(r), int(c)) for r, c in slow]
 
 
-class TestStandardHoughDifferential:
-    @settings(max_examples=60, deadline=None)
-    @given(shape=SHAPES, density=DENSITIES, map_seed=st.integers(0, 2**32 - 1),
-           threshold=st.integers(1, 30),
-           theta_resolution=st.sampled_from(
-               [math.pi / 180.0, math.pi / 90.0, 0.3]),
-           max_lines=st.integers(1, 16),
-           suppression_window=st.integers(0, 3))
-    def test_matches_reference(self, shape, density, map_seed, **params):
-        edges = random_edges(shape, density, map_seed)
-        assert hough.standard_hough(edges, **params) == \
-            ref.standard_hough(edges, **params)
-
-    def test_lines_match_reference(self):
-        edges = striped_edges((72, 96), 2)
-        assert hough.standard_hough(edges, threshold=10) == \
-            ref.standard_hough(edges, threshold=10)
-
-
 class TestHysteresisDifferential:
     @settings(max_examples=150, deadline=None)
     @given(shape=SHAPES, weak_density=DENSITIES,
@@ -208,3 +190,156 @@ class TestHysteresisDifferential:
         monkeypatch.setattr(canny_module, "_hysteresis", ref._hysteresis)
         slow = canny_module.canny(image, 0.15, 0.3)
         np.testing.assert_array_equal(fast, slow)
+
+
+#: Every frame size from a single pixel to the line follower's.
+FRAME_SHAPES = st.one_of(
+    st.just((72, 96)),
+    st.tuples(st.integers(1, 72), st.integers(1, 96)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+)
+#: Image families: noise, values with signed zeros and exact
+#: cancellations, integer pixels, and a single step edge.
+IMAGE_KINDS = st.sampled_from(["uniform", "signed", "integer", "step"])
+SCALES = st.sampled_from([1.0, 1e-12, 1e6])
+
+
+def random_image(shape, kind, scale, seed):
+    """A reproducible test frame of the given family."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return scale * rng.random(shape)
+    if kind == "signed":
+        return scale * rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], shape)
+    if kind == "integer":
+        return rng.integers(0, 256, shape).astype(np.int32)
+    image = np.zeros(shape)
+    image[:, int(rng.integers(0, shape[1])):] = scale
+    return image
+
+
+def assert_bitwise(fast, slow):
+    """Equal shape, dtype, values and sign bits (NaN equal to NaN)."""
+    assert fast.shape == slow.shape
+    assert fast.dtype == slow.dtype
+    np.testing.assert_array_equal(fast, slow)
+    numbers = ~np.isnan(slow)
+    np.testing.assert_array_equal(np.signbit(fast[numbers]),
+                                  np.signbit(slow[numbers]))
+
+
+def assert_same_canny(image, low, high, sigma=1.0):
+    fast = canny_module.canny(image, low, high, sigma)
+    slow = ref.canny(image, low, high, sigma)
+    assert fast.dtype == slow.dtype == bool
+    np.testing.assert_array_equal(fast, slow)
+
+
+class TestFiltersDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=FRAME_SHAPES, kind=IMAGE_KINDS, scale=SCALES,
+           seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.5, 2.5))
+    def test_blur_and_gradients(self, shape, kind, scale, seed, sigma):
+        image = random_image(shape, kind, scale, seed)
+        blurred = filters.gaussian_blur(image, sigma)
+        assert_bitwise(blurred, ref.gaussian_blur(image, sigma))
+        for fast, slow in zip(filters.sobel_gradients(blurred),
+                              ref.sobel_gradients(blurred)):
+            assert_bitwise(fast, slow)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=FRAME_SHAPES, kind=IMAGE_KINDS, scale=SCALES,
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradients_of_raw_frames(self, shape, kind, scale, seed):
+        # Unblurred pixels keep their exact zeros, so the signed-zero
+        # start of every Sobel sum shows.
+        image = random_image(shape, kind, scale, seed)
+        for fast, slow in zip(filters.sobel_gradients(image),
+                              ref.sobel_gradients(image)):
+            assert_bitwise(fast, slow)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels(self, value):
+        image = np.random.default_rng(1).random((12, 17))
+        image[4, 5] = value
+        with np.errstate(all="ignore"):
+            blurred = filters.gaussian_blur(image)
+            assert_bitwise(blurred, ref.gaussian_blur(image))
+            for fast, slow in zip(filters.sobel_gradients(blurred),
+                                  ref.sobel_gradients(blurred)):
+                assert_bitwise(fast, slow)
+
+
+#: Relative thresholds: ordered pairs, with low = 0 and low == high
+#: drawn often.
+THRESHOLDS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+    sorted).flatmap(lambda pair: st.sampled_from([
+        tuple(pair), (0.0, pair[1]), (pair[1], pair[1]), (0.0, 0.0)]))
+
+
+class TestCannyDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=FRAME_SHAPES, kind=IMAGE_KINDS, scale=SCALES,
+           seed=st.integers(0, 2**32 - 1), thresholds=THRESHOLDS,
+           sigma=st.floats(0.5, 2.5))
+    def test_random_frames(self, shape, kind, scale, seed, thresholds,
+                           sigma):
+        image = random_image(shape, kind, scale, seed)
+        assert_same_canny(image, *thresholds, sigma=sigma)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=FRAME_SHAPES, offset=st.floats(-0.2, 0.2),
+           heading=st.floats(-0.4, 0.4), seed=st.integers(0, 2**32 - 1),
+           thresholds=THRESHOLDS)
+    def test_rendered_frames(self, shape, offset, heading, seed,
+                             thresholds):
+        rows, cols = shape
+        image = render_line_view(offset, heading,
+                                 LineViewConfig(width=cols, height=rows),
+                                 rng=np.random.default_rng(seed))
+        assert_same_canny(image, *thresholds)
+
+    @pytest.mark.parametrize("offset,heading", [
+        (0.0, 0.0), (0.04, 0.1), (-0.06, -0.2), (0.1, 0.3)])
+    def test_line_follower_frames(self, offset, heading):
+        image = render_line_view(offset, heading, LineViewConfig(),
+                                 rng=np.random.default_rng(3))
+        assert_same_canny(image, 0.15, 0.3)
+
+    @pytest.mark.parametrize("image", [
+        np.zeros((8, 8)), np.full((9, 5), 0.7), np.full((1, 1), 3.0),
+        np.full((6, 6), 1e-12), np.arange(30.0).reshape(5, 6) * 1e-12])
+    @pytest.mark.parametrize("thresholds", [(0.1, 0.2), (0.0, 0.0),
+                                            (0.0, 0.5), (0.3, 0.3)])
+    def test_flat_and_tiny_frames(self, image, thresholds):
+        assert_same_canny(image, *thresholds)
+
+    @pytest.mark.parametrize("thresholds", [(1.0, 1.0), (0.0, 1.0),
+                                            (0.5, 0.5), (0.25, 1.0)])
+    def test_magnitude_exactly_at_threshold(self, thresholds):
+        # A step edge's magnitudes are exact multiples of each other, so
+        # the peak (and its halves) sit exactly on a threshold.
+        image = np.zeros((9, 12))
+        image[:, 6:] = 1.0
+        image[5:, :] = 2.0
+        assert_same_canny(image, *thresholds)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("thresholds", [(0.1, 0.2), (0.0, 0.0),
+                                            (0.0, 0.4)])
+    def test_non_finite_frames(self, value, thresholds):
+        image = render_line_view(0.02, 0.1, LineViewConfig(),
+                                 rng=np.random.default_rng(4))
+        image[30, 40] = value
+        with np.errstate(all="ignore"):
+            assert_same_canny(image, *thresholds)
+
+    def test_infinite_peak(self):
+        # An infinite pixel next to a finite edge: peak is inf, so
+        # low * peak is inf (or NaN when low = 0).
+        image = np.zeros((10, 10))
+        image[:, 5:] = 1.0
+        image[2, 2] = np.inf
+        with np.errstate(all="ignore"):
+            for thresholds in [(0.1, 0.2), (0.0, 0.2), (0.0, 0.0)]:
+                assert_same_canny(image, *thresholds)
