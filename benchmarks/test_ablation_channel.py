@@ -31,7 +31,7 @@ def measure_load(background_stations, seed=1):
     """DENM access delay + delivery under background broadcast load."""
     sim = Simulator()
     medium = WirelessMedium(
-        sim, np.random.default_rng(seed),
+        sim, seed,
         LinkBudget(path_loss=LogDistancePathLoss()))
     rsu = NetworkInterface(sim, medium, "rsu", lambda: (0.0, 0.0),
                            rng=np.random.default_rng(seed + 1))
@@ -91,7 +91,7 @@ def measure_distance(distance, seed=1):
         shadowing=ShadowingModel(sigma_db=3.0),
         fading=NakagamiFading(m=3.0),
     )
-    medium = WirelessMedium(sim, np.random.default_rng(seed), budget)
+    medium = WirelessMedium(sim, seed, budget)
     rsu = NetworkInterface(sim, medium, "rsu", lambda: (0.0, 0.0),
                            rng=np.random.default_rng(seed + 1))
     obu = NetworkInterface(sim, medium, "obu",

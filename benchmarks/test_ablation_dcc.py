@@ -31,7 +31,7 @@ DURATION = 12.0
 
 def run_configuration(use_dcc, seed=1):
     sim = Simulator()
-    medium = WirelessMedium(sim, np.random.default_rng(seed),
+    medium = WirelessMedium(sim, seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     jitter = np.random.default_rng(seed + 100)
 

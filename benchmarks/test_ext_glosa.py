@@ -35,7 +35,7 @@ def run_approach(use_glosa, seed):
     sim = Simulator()
     streams = RandomStreams(seed)
     frame = LocalFrame()
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     vehicle = RoboticVehicle(
         sim, streams,

@@ -44,7 +44,7 @@ def main() -> None:
 
     print("\n== Signed messaging on the channel ==")
     sim = Simulator()
-    medium = WirelessMedium(sim, np.random.default_rng(1),
+    medium = WirelessMedium(sim, 1,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     routers = []
     for index, x in enumerate((0.0, 5.0)):

@@ -67,7 +67,7 @@ def main() -> None:
     sim = Simulator()
     streams = RandomStreams(21)
     frame = LocalFrame()
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
 
     # The vehicle drives east (+x) towards the intersection at x=0.

@@ -56,7 +56,7 @@ def stack_tour() -> None:
     sim = Simulator()
     streams = RandomStreams(7)
     frame = LocalFrame()
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
 
     x = [0.0]

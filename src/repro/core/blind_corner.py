@@ -260,8 +260,7 @@ class BlindCornerTestbed:
     def _build_infrastructure(self) -> None:
         sc = self.scenario
         self.medium = WirelessMedium(
-            self.sim, self.streams.get("medium"),
-            LinkBudget(path_loss=LogDistancePathLoss()))
+            self.sim, sc.seed, LinkBudget(path_loss=LogDistancePathLoss()))
         self.obu = OnBoardUnit(
             self.sim, self.medium, self.streams, name="obu",
             station_id=101, station_type=StationType.PASSENGER_CAR,

@@ -19,10 +19,10 @@ mechanisms:
 * the medium runs with a positive ``cs_latency``: stations whose MAC
   timers expire at the same instant all see an idle channel and
   collide, whatever order the kernel pops the tied events in;
-* packet-error draws use :class:`~repro.net.medium.OrderFreeReception`
-  (a keyed splitmix64 of seed, sender, the sender's transmission index
-  and receiver) instead of a shared rng, which also lets the medium do
-  each frame's link math as one numpy pass over its receivers;
+* packet-error draws, like every medium's, are keyed
+  (:class:`~repro.net.medium.OrderFreeReception`: a splitmix64 of
+  seed, sender, the sender's transmission index and receiver), so a
+  draw does not depend on the order receptions complete in;
 * GBC re-forward jitter is hashed from stable packet identity rather
   than drawn from the router's (order-sensitive) stream.
 
@@ -45,7 +45,7 @@ from repro.geonet.position import LocalFrame
 from repro.geonet.router import FORWARD_JITTER, GnPacket
 from repro.messages.common import StationType
 from repro.net.dcc import DccGatekeeper, DccParameters
-from repro.net.medium import OrderFreeReception, WirelessMedium
+from repro.net.medium import WirelessMedium
 from repro.net.phy import PhyConfig
 from repro.net.propagation import LinkBudget, LogDistancePathLoss
 from repro.openc2x.http import HttpClient
@@ -83,13 +83,9 @@ class FleetTestbed:
             obs.bind(self.sim)
         self.frame = LocalFrame()
         self.medium = WirelessMedium(
-            # detlint: ignore[EFF006] -- pre-dates the fleet.* naming
-            # scheme; renaming would shift every seeded draw and break
-            # golden-trace bit-identity
-            self.sim, self.streams.get("medium"),
+            self.sim, sc.seed,
             LinkBudget(path_loss=LogDistancePathLoss(
                 exponent=sc.path_loss_exponent)),
-            reception_draw=OrderFreeReception(sc.seed),
             cs_latency=sc.cs_latency)
         self._phy = PhyConfig(tx_power_dbm=sc.tx_power_dbm,
                               data_rate_bps=sc.data_rate_bps)

@@ -215,7 +215,7 @@ class PlatoonTestbed:
         self.sim = build_simulator(sc.tie_break, self.streams)
         self.frame = LocalFrame()
         self.medium = WirelessMedium(
-            self.sim, self.streams.get("medium"),
+            self.sim, sc.seed,
             LinkBudget(path_loss=LogDistancePathLoss(
                 exponent=sc.path_loss_exponent)))
         phy = PhyConfig(tx_power_dbm=sc.tx_power_dbm)

@@ -64,8 +64,7 @@ class ScaleTestbed:
             self.tracer = Tracer(self.sim)
         self.frame = LocalFrame()
         self.medium = WirelessMedium(
-            self.sim, self.streams.get("medium"),
-            LinkBudget(path_loss=LogDistancePathLoss()))
+            self.sim, sc.seed, LinkBudget(path_loss=LogDistancePathLoss()))
         self.timeline = StepTimeline()
 
         # --- Vehicle: drives from +x towards the camera at the origin.

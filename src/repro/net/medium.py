@@ -18,32 +18,27 @@ detached and re-attached mid-frame takes no part in it, and keeps the
 interference at its receivers as one float64 array by slot, so adding
 an overlapping frame's energy is one array add.
 
-Reception takes one of two paths, fixed at construction:
+Reception is keyed and vectorised.  A frame's link math is one numpy
+pass over the attached stations: :meth:`WirelessMedium.transmit`
+reads every antenna position as arrays and computes distance -> path
+loss -> shadowing -> fading -> received power; the frame's completion
+computes SINR -> BER -> PER and one :class:`OrderFreeReception` draw
+per receiver as arrays.  Every random value -- packet-error draw,
+fading, shadowing -- is a keyed splitmix64 of the medium's seed, never
+a draw from a shared generator, so no value depends on how many were
+drawn before it: a reception's values are the same whatever order the
+stations attached in and whatever the kernel's tie-break policy.  The
+positions are sorted by law once per layout
+(:func:`repro.geonet.position.antenna_reader`): the fleet's
+straight-line background vehicles are one numpy pass per frame, and
+only the other stations' position callables are called per frame.
 
-* **keyed + vector** (a ``reception_draw`` is set; the fleet): a
-  frame's link math is one numpy pass over the attached stations.
-  :meth:`WirelessMedium.transmit` reads every antenna position as
-  arrays and computes distance -> path loss -> received power; the
-  frame's completion computes SINR -> BER -> PER and one
-  :class:`OrderFreeReception` draw per receiver as arrays.  The
-  positions are sorted by law once per layout
-  (:func:`repro.geonet.position.antenna_reader`): the fleet's
-  straight-line background vehicles are one numpy pass per frame, and
-  only the other stations' position callables are called per frame.
-  A keyed medium refuses a link budget with shadowing or fading, whose
-  per-link values come from the shared rng in link order.
-* **shared rng + scalar** (the default; the brake, two-station
-  blind-corner and platoon scenarios): received power link by link
-  in attach order, and at completion one PER and one shared-rng draw
-  per reception that reaches the check.  The number of draws is part
-  of the golden traces, so this path keeps that loop as it was.
-
-Either way, when a frame completes the half-duplex set (stations on
-the air during it) is computed once, and Python stays per receiver
-only for the attached, sensitivity, impairment and half-duplex checks,
-the loss reasons and the delivery.  A decoded frame is delivered
-alone (``nic.deliver(frame)``): SINR is an input of the PER and
-leaves the medium no other way.
+When a frame completes, the half-duplex set (stations on the air
+during it) is computed once, and Python stays per receiver only for
+the attached, sensitivity, impairment and half-duplex checks, the
+loss reasons and the delivery.  A decoded frame is delivered alone
+(``nic.deliver(frame)``): SINR is an input of the PER and leaves the
+medium no other way.
 
 Propagation delay over laboratory distances (metres -> nanoseconds) is
 negligible compared to the microsecond MAC timing and is not modelled.
@@ -53,17 +48,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+import operator
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -99,7 +85,7 @@ class ChannelImpairment:
                               now: float) -> float:
         """Additional interference energy (mW) at *receiver_name*.
 
-        A pure function of its arguments: the keyed medium asks it for
+        A pure function of its arguments: the medium asks it for
         every station a completing frame reached, before any check.
         """
         return 0.0
@@ -120,20 +106,32 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class OrderFreeReception:
-    """Order-independent per-reception uniform draws.
+#: Fixed salts that separate the fading and shadowing streams from the
+#: packet-error draw: the first two SHA-512 initial hash words (the
+#: fractional bits of sqrt(2) and sqrt(3)).
+_FADING_SALT = 0x6A09E667F3BCC908
+_SHADOWING_SALT = 0xBB67AE8584CAA73B
 
-    The legacy medium draws every packet-error check from one shared
-    generator, so the value a reception sees depends on how many other
-    receptions ran before it -- harmless for one station pair, but at
-    fleet scale same-timestamp completions make the draw order a
-    function of the kernel's tie-break policy.  This draw is keyed by
-    ``(seed, sender, the sender's own transmission index, receiver)``
-    instead: a station serialises its own transmissions, so the key --
-    and therefore the draw -- is identical under fifo, lifo and seeded
-    tie-breaking.  Opt-in via ``WirelessMedium(reception_draw=...)``;
-    the default medium keeps the shared-rng draw that existing golden
-    traces pin.
+
+def _mix64_array(key: int, keys: np.ndarray) -> np.ndarray:
+    """The splitmix64 output mix of *key* XOR every entry of *keys*."""
+    z = keys ^ np.uint64(key)
+    z ^= z >> 30
+    z *= np.uint64(_MIX1)
+    z ^= z >> 27
+    z *= np.uint64(_MIX2)
+    z ^= z >> 31
+    return z
+
+
+class OrderFreeReception:
+    """Order-independent keyed uniform draws, the medium's only randomness.
+
+    A packet-error draw is keyed by ``(seed, sender, the sender's own
+    transmission index, receiver)``: a station serialises its own
+    transmissions, so the key -- and therefore the draw -- does not
+    depend on how many other receptions ran before it, on the order
+    the stations attached in or on the kernel's tie-break policy.
 
     The draw is a keyed splitmix64.  Every station has a fixed 64-bit
     key, the first eight bytes (little-endian) of the SHA-256 of its
@@ -143,10 +141,19 @@ class OrderFreeReception:
     ``u = (z >> 11) * 2**-53``.  :meth:`uniforms` does this for every
     receiver of a frame in ``uint64`` arrays; :meth:`uniform` is the
     scalar entry point and returns the same bits.
+
+    Fading and shadowing take their values through an inverse CDF, so
+    their uniforms lie in the open interval (0, 1):
+    ``u = ((z >> 12) + 0.5) * 2**-52``, exact in binary64, from
+    ``2**-53`` to ``1 - 2**-53``.  :meth:`fading_uniforms` keys them
+    like the packet-error draw, on a salted frame key;
+    :meth:`link_uniform` keys one by ``(seed, transmitter, receiver,
+    epoch)``.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        #: An integer (a generator or a float raises TypeError).
+        self.seed = operator.index(seed)
         self._seed_key = _mix64(self.seed & _MASK64)
 
     @staticmethod
@@ -163,20 +170,33 @@ class OrderFreeReception:
     @staticmethod
     def uniforms(frame_key: int, receiver_keys: np.ndarray) -> np.ndarray:
         """The U[0, 1) value of every receiver (``uint64`` keys)."""
-        z = receiver_keys ^ np.uint64(frame_key)
-        z ^= z >> 30
-        z *= np.uint64(_MIX1)
-        z ^= z >> 27
-        z *= np.uint64(_MIX2)
-        z ^= z >> 31
+        z = _mix64_array(frame_key, receiver_keys)
         z >>= 11
         return z.astype(np.float64) * 2.0 ** -53
+
+    @staticmethod
+    def fading_uniforms(frame_key: int,
+                        receiver_keys: np.ndarray) -> np.ndarray:
+        """Every receiver's U(0, 1) fading value (``uint64`` keys).
+
+        Keyed on the salted frame key, so it is independent of the
+        receiver's packet-error draw.
+        """
+        z = _mix64_array(_mix64(frame_key ^ _FADING_SALT), receiver_keys)
+        z >>= 12
+        return (z.astype(np.float64) + 0.5) * 2.0 ** -52
 
     def uniform(self, sender: str, sequence: int, receiver: str) -> float:
         """A U[0, 1) value unique to one (transmission, receiver) pair."""
         z = _mix64(self.frame_key(self.station_key(sender), sequence)
                    ^ self.station_key(receiver))
         return (z >> 11) * 2.0 ** -53
+
+    def link_uniform(self, tx_key: int, rx_key: int, epoch: int) -> float:
+        """The U(0, 1) value of the link's shadowing epoch *epoch*."""
+        link = _mix64(((self._seed_key ^ tx_key ^ _SHADOWING_SALT)
+                       + (epoch + 1) * _GAMMA) & _MASK64)
+        return ((_mix64(link ^ rx_key) >> 12) + 0.5) * 2.0 ** -52
 
 
 class _Station:
@@ -194,7 +214,7 @@ class _Station:
         self.name = nic.name
         #: The attachment's index in per-slot arrays (-1: not attached).
         self.slot = slot
-        #: The order-free draw key of the station (0 without one).
+        #: The station's key in the medium's keyed draws.
         self.key = key
         self.noise_mw = dbm_to_mw(phy.noise_power_dbm)
         self.rx_sensitivity_dbm = phy.rx_sensitivity_dbm
@@ -208,7 +228,7 @@ class _Station:
 
 
 class _Layout:
-    """The attached stations, in attach order, as the keyed pass reads
+    """The attached stations, in attach order, as the link pass reads
     them: slots, noise, MCS constants and draw keys as arrays, and
     :attr:`antennas`, which reads every antenna position.
 
@@ -242,11 +262,10 @@ class _Transmission:
     frame: Frame
     start: float
     end: float
-    #: The stations the frame reached, in attach order, and the rx
-    #: power in dBm at each.  Keyed: the attach-time layout, the sender
-    #: included (it is skipped at completion).  Shared-rng: every other
-    #: attached station.
-    receivers: List[_Station]
+    #: The attached stations when the frame started, the sender
+    #: included (it is skipped at completion); :attr:`rx_dbm` is the
+    #: received power in dBm at each, in the same order.
+    layout: _Layout
     rx_dbm: List[float]
     #: The received power in mW at each receiver, by slot (0.0 at the
     #: sender and at every slot the frame did not reach).
@@ -258,9 +277,8 @@ class _Transmission:
     #: The sender and the audible receivers in attach order: the
     #: stations whose busy state this transmission can change.
     stations: List[_Station]
-    #: Keyed: the layout the frame started with and its draw key.
-    layout: Optional[_Layout] = None
-    frame_key: int = 0
+    #: The frame's key in the medium's keyed draws.
+    frame_key: int
     #: Whether the audible counts currently include this transmission.
     sensed: bool = False
     completed: bool = False
@@ -272,26 +290,17 @@ class WirelessMedium:
     def __init__(
         self,
         sim: Simulator,
-        rng: np.random.Generator,
+        seed: int,
         budget: Optional[LinkBudget] = None,
-        reception_draw: Optional[OrderFreeReception] = None,
         cs_latency: float = 0.0,
     ):
         if cs_latency < 0.0:
             raise ValueError(f"cs_latency must be >= 0, got {cs_latency}")
-        budget = budget or LinkBudget()
-        if reception_draw is not None and (budget.shadowing is not None
-                                           or budget.fading is not None):
-            raise ValueError(
-                "an order-free reception draw needs a link budget without "
-                "shadowing or fading (they draw from the shared rng)")
         self.sim = sim
-        self.rng = rng
-        self.budget = budget
-        #: When set, packet-error draws come from this keyed draw
-        #: instead of the shared rng, and each frame's link math is one
-        #: numpy pass (fleet scenarios; see the module doc).
-        self.reception_draw = reception_draw
+        self.budget = budget or LinkBudget()
+        #: Every random value of the medium: packet-error draws,
+        #: fading and shadowing, keyed by *seed* (see the module doc).
+        self.draw = OrderFreeReception(seed)
         #: Energy-detection latency (s).  0 keeps the legacy synchronous
         #: carrier sense.  A positive value (fleet: one CCA slot worth,
         #: ~4 us) defers the moment other stations sense a new frame, so
@@ -303,7 +312,7 @@ class WirelessMedium:
         self._stations: Dict[str, _Station] = {}
         #: Slots handed out so far (one per attach, never reused).
         self._slots = 0
-        #: The keyed pass's view of the attached stations (None: stale).
+        #: The link pass's view of the attached stations (None: stale).
         self._layout: Optional[_Layout] = None
         self._active: List[_Transmission] = []
         # (start, end, sender) of every transmit call, suppressed ones
@@ -311,7 +320,7 @@ class WirelessMedium:
         # cannot decode meanwhile.  Pruned at each completion to what
         # can still overlap an in-flight or future frame.
         self._airtime: List[Tuple[float, float, "NetworkInterface"]] = []
-        # Per-sender transmission counters for OrderFreeReception keys.
+        # Per-sender transmission counters for the frame keys.
         self._tx_seq: Dict[str, int] = {}
         #: Fault-injection seam; None on the (unimpaired) happy path.
         self.impairment: Optional[ChannelImpairment] = None
@@ -328,16 +337,11 @@ class WirelessMedium:
     # Attachment
     # ------------------------------------------------------------------
 
-    def _record(self, nic: "NetworkInterface", slot: int) -> _Station:
-        draw = self.reception_draw
-        return _Station(nic, slot,
-                        0 if draw is None else draw.station_key(nic.name))
-
     def attach(self, nic: "NetworkInterface") -> None:
         """Register *nic* on the channel."""
         if nic.name in self._stations:
             raise ValueError(f"NIC name {nic.name!r} already attached")
-        station = self._record(nic, self._slots)
+        station = _Station(nic, self._slots, self.draw.station_key(nic.name))
         self._slots += 1
         station.attached = True
         self._stations[nic.name] = station
@@ -402,15 +406,11 @@ class WirelessMedium:
         name = sender.name
         own = self._stations.get(name)
         if own is None or own.nic is not sender:
-            own = self._record(sender, -1)
-        draw = self.reception_draw
-        if draw is None:
-            tx = self._scalar_links(own, frame, now, duration)
-        else:
-            tx = self._vector_links(own, frame, now, duration)
-            seq = self._tx_seq.get(name, 0)
-            self._tx_seq[name] = seq + 1
-            tx.frame_key = draw.frame_key(own.key, seq)
+            own = _Station(sender, -1, self.draw.station_key(name))
+        seq = self._tx_seq.get(name, 0)
+        self._tx_seq[name] = seq + 1
+        tx = self._vector_links(own, frame, now, duration,
+                                self.draw.frame_key(own.key, seq))
         # Mutual interference with every overlapping transmission.
         for other in self._active:
             self._add_interference(other, tx)
@@ -436,51 +436,29 @@ class WirelessMedium:
         self.sim.schedule(duration, lambda: self._complete(tx))
         return duration
 
-    def _scalar_links(self, own: _Station, frame: Frame, now: float,
-                      duration: float) -> _Transmission:
-        """Received power link by link from *own*'s NIC, in attach
-        order: shadowing and fading draw from the shared rng per link."""
-        receivers: List[_Station] = []
-        rx_dbm: List[float] = []
-        audible: Dict[str, _Station] = {}
-        stations: List[_Station] = []
-        mw = np.zeros(self._slots)
-        received_power_dbm = self.budget.received_power_dbm
-        rng = self.rng
-        sender = own.nic
-        name = sender.name
-        tx_power_dbm = sender.phy.tx_power_dbm
-        tx_pos = sender.position()
-        for station in self._stations.values():
-            if station is own:
-                stations.append(station)
-                continue
-            power = received_power_dbm(rng, tx_power_dbm,
-                                       (name, station.name), tx_pos,
-                                       station.position())
-            receivers.append(station)
-            rx_dbm.append(power)
-            mw[station.slot] = dbm_to_mw(power)
-            if power >= station.cs_threshold_dbm:
-                audible[station.name] = station
-                stations.append(station)
-        return _Transmission(
-            station=own, frame=frame, start=now, end=now + duration,
-            receivers=receivers,
-            rx_dbm=rx_dbm, mw=mw, interference=np.zeros(self._slots),
-            audible=audible, stations=stations)
-
     def _vector_links(self, own: _Station, frame: Frame, now: float,
-                      duration: float) -> _Transmission:
+                      duration: float, frame_key: int) -> _Transmission:
         """Received power from *own*'s NIC at every attached station in
         one numpy pass; the sender's own entry is computed and then
         left out."""
         layout = self._current_layout()
-        receivers = layout.stations
         sender = own.nic
+        budget = self.budget
         xs, ys = layout.antennas()
-        dbm = self.budget.received_powers_dbm(
-            sender.phy.tx_power_dbm, sender.position(), xs, ys)
+        tx_pos = sender.position()
+        dbm = budget.received_powers_dbm(
+            sender.phy.tx_power_dbm, tx_pos, xs, ys)
+        shadowing = budget.shadowing
+        if shadowing is not None:
+            # Per link: each link keeps its own decorrelation state.
+            dbm -= np.array([
+                shadowing.shadowing_db(self.draw, (own.key, station.key),
+                                       tx_pos, rx_pos)
+                for station, rx_pos in zip(layout.stations,
+                                           zip(xs.tolist(), ys.tolist()))])
+        if budget.fading is not None:
+            dbm += 10.0 * np.log10(budget.fading.power_gains(
+                self.draw.fading_uniforms(frame_key, layout.keys)))
         rx_mw = 10.0 ** (dbm / 10.0)
         mw = np.zeros(self._slots)
         mw[layout.slots] = rx_mw
@@ -488,7 +466,7 @@ class WirelessMedium:
             mw[own.slot] = 0.0
         audible: Dict[str, _Station] = {}
         stations: List[_Station] = []
-        for station, heard in zip(receivers,
+        for station, heard in zip(layout.stations,
                                   (dbm >= layout.cs_threshold_dbm).tolist()):
             if station is own:
                 stations.append(station)
@@ -497,12 +475,12 @@ class WirelessMedium:
                 stations.append(station)
         return _Transmission(
             station=own, frame=frame, start=now, end=now + duration,
-            receivers=receivers,
-            rx_dbm=dbm.tolist(), mw=mw, interference=np.zeros(self._slots),
-            audible=audible, stations=stations, layout=layout)
+            layout=layout, rx_dbm=dbm.tolist(), mw=mw,
+            interference=np.zeros(self._slots), audible=audible,
+            stations=stations, frame_key=frame_key)
 
     def _current_layout(self) -> _Layout:
-        """The keyed pass's view of the attached stations."""
+        """The link pass's view of the attached stations."""
         layout = self._layout
         if layout is None:
             layout = self._layout = _Layout(list(self._stations.values()))
@@ -564,28 +542,21 @@ class WirelessMedium:
         impairment = self.impairment
         now = self.sim.now
         obs = self.sim.obs
+        # SINR -> BER -> PER -> draw for every receiver at once.
         layout = tx.layout
-        if layout is None:
-            # Shared rng: the PER and its draw per receiver, below.
-            interference = tx.interference.tolist()
-            no_outcome: Iterator[Any] = itertools.repeat(None)
-            outcomes = zip(no_outcome, no_outcome)
-        else:
-            # Keyed: SINR -> BER -> PER -> draw for every receiver at once.
-            rx_interference = tx.interference[layout.slots]
-            if impairment is not None:
-                rx_interference = rx_interference + np.array(
-                    [impairment.extra_interference_mw(station.name, now)
-                     for station in layout.stations])
-            # The sender's own entry is 0 mW: SINR 0, skipped below.
-            sinr = tx.mw[layout.slots] / (layout.noise_mw + rx_interference)
-            pers = packet_error_rates(sinr, layout.coding_gain,
-                                      layout.divisor, layout.factor,
-                                      wire_size)
-            draws = OrderFreeReception.uniforms(tx.frame_key, layout.keys)
-            outcomes = zip(rx_interference.tolist(), (draws < pers).tolist())
-        for station, rx_power_dbm, (interference_mw, lost) in zip(
-                tx.receivers, tx.rx_dbm, outcomes):
+        rx_interference = tx.interference[layout.slots]
+        if impairment is not None:
+            rx_interference = rx_interference + np.array(
+                [impairment.extra_interference_mw(station.name, now)
+                 for station in layout.stations])
+        # The sender's own entry is 0 mW: SINR 0, skipped below.
+        sinr = tx.mw[layout.slots] / (layout.noise_mw + rx_interference)
+        pers = packet_error_rates(sinr, layout.coding_gain, layout.divisor,
+                                  layout.factor, wire_size)
+        draws = OrderFreeReception.uniforms(tx.frame_key, layout.keys)
+        for station, rx_power_dbm, interference_mw, lost in zip(
+                layout.stations, tx.rx_dbm, rx_interference.tolist(),
+                (draws < pers).tolist()):
             if station is own or not station.attached:
                 continue
             nic = station.nic
@@ -601,18 +572,8 @@ class WirelessMedium:
                 self.frames_lost_collision += 1
                 nic.on_frame_lost(frame, reason="half-duplex")
                 continue
-            noise_mw = station.noise_mw
-            if lost is None:
-                interference_mw = interference[station.slot]
-                if impairment is not None:
-                    interference_mw += impairment.extra_interference_mw(
-                        station.name, now)
-                sinr_linear = dbm_to_mw(rx_power_dbm) / (
-                    noise_mw + interference_mw)
-                lost = float(self.rng.random()) < (
-                    station.mcs.packet_error_rate(sinr_linear, wire_size))
             if lost:
-                if interference_mw > noise_mw:
+                if interference_mw > station.noise_mw:
                     self.frames_lost_collision += 1
                     nic.on_frame_lost(frame, reason="collision")
                 else:

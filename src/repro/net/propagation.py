@@ -14,16 +14,28 @@ caused by own vehicle or others").
 Shadowing is drawn per (transmitter, receiver) link and re-drawn when
 either endpoint moves more than the decorrelation distance, which
 approximates spatially correlated shadowing without a full Gudmundson
-process.
+process.  Fading is drawn per (frame, receiver).
+
+Neither model draws from a generator.  Each value comes from a keyed
+uniform of the medium's :class:`~repro.net.medium.OrderFreeReception`
+through an inverse CDF: shadowing is ``sigma * ndtri(u)`` with ``u``
+keyed by (seed, transmitter, receiver, epoch), where a link's epoch
+advances each time it decorrelates; the Nakagami gain is
+``gammaincinv(m, u) / m`` with ``u`` keyed by (frame, receiver).  So a
+value does not depend on how many other values were drawn before it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
+from scipy import special
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.medium import OrderFreeReception
 
 #: Speed of light (m/s).
 SPEED_OF_LIGHT = 299_792_458.0
@@ -138,35 +150,44 @@ class ShadowingModel:
 
     A shadowing value (dB) is drawn per directed link and kept until
     either endpoint moves more than ``decorrelation_distance`` from
-    where the value was drawn.
+    where the value was drawn.  The link's first value is its epoch 0;
+    each redraw takes the next epoch.
     """
 
     sigma_db: float = 0.0
     decorrelation_distance: float = 10.0
 
     def __post_init__(self) -> None:
-        self._cache: Dict[Tuple[str, str],
-                          Tuple[Tuple[float, float],
-                                Tuple[float, float], float]] = {}
+        # link -> (tx position, rx position, epoch, value)
+        self._cache: Dict[Tuple[int, int],
+                          Tuple[Tuple[float, float], Tuple[float, float],
+                                int, float]] = {}
 
     def shadowing_db(
         self,
-        rng: np.random.Generator,
-        link: Tuple[str, str],
+        draw: OrderFreeReception,
+        link: Tuple[int, int],
         tx_pos: Tuple[float, float],
         rx_pos: Tuple[float, float],
     ) -> float:
-        """Shadowing (dB) for *link* with endpoints at the given positions."""
+        """Shadowing (dB) for *link* with endpoints at the given positions.
+
+        *link* is the (transmitter, receiver) pair of station keys of
+        *draw*, which keys each fresh value.
+        """
         if self.sigma_db <= 0:
             return 0.0
+        epoch = 0
         cached = self._cache.get(link)
         if cached is not None:
-            old_tx, old_rx, value = cached
+            old_tx, old_rx, epoch, value = cached
             if (_dist(old_tx, tx_pos) < self.decorrelation_distance
                     and _dist(old_rx, rx_pos) < self.decorrelation_distance):
                 return value
-        value = float(rng.normal(0.0, self.sigma_db))
-        self._cache[link] = (tx_pos, rx_pos, value)
+            epoch += 1
+        value = self.sigma_db * float(
+            special.ndtri(draw.link_uniform(link[0], link[1], epoch)))
+        self._cache[link] = (tx_pos, rx_pos, epoch, value)
         return value
 
 
@@ -186,14 +207,17 @@ class NakagamiFading:
         if self.m <= 0:
             raise ValueError(f"Nakagami m must be positive, got {self.m}")
 
-    def power_gain(self, rng: np.random.Generator) -> float:
-        """Draw a unit-mean power gain."""
-        return float(rng.gamma(self.m, 1.0 / self.m))
+    def power_gains(self, uniforms: np.ndarray) -> np.ndarray:
+        """The unit-mean power gain at each U(0, 1) value.
+
+        The inverse CDF of Gamma(m, 1/m).
+        """
+        return special.gammaincinv(self.m, uniforms) / self.m
 
 
 @dataclasses.dataclass
 class LinkBudget:
-    """Combines the pieces into a received-power computation."""
+    """The pieces of a received-power computation."""
 
     path_loss: PropagationModel = dataclasses.field(
         default_factory=LogDistancePathLoss)
@@ -202,38 +226,15 @@ class LinkBudget:
     tx_antenna_gain_dbi: float = 3.0
     rx_antenna_gain_dbi: float = 3.0
 
-    def received_power_dbm(
-        self,
-        rng: np.random.Generator,
-        tx_power_dbm: float,
-        link: Tuple[str, str],
-        tx_pos: Tuple[float, float],
-        rx_pos: Tuple[float, float],
-    ) -> float:
-        """Received power (dBm) for one frame on *link*."""
-        distance = _dist(tx_pos, rx_pos)
-        power = (tx_power_dbm + self.tx_antenna_gain_dbi
-                 + self.rx_antenna_gain_dbi
-                 - self.path_loss.path_loss_db(distance))
-        if self.shadowing is not None:
-            power -= self.shadowing.shadowing_db(rng, link, tx_pos, rx_pos)
-        if self.fading is not None:
-            power += 10.0 * math.log10(self.fading.power_gain(rng))
-        return power
-
     def received_powers_dbm(self, tx_power_dbm: float,
                             tx_pos: Tuple[float, float], rx_x: np.ndarray,
                             rx_y: np.ndarray) -> np.ndarray:
-        """:meth:`received_power_dbm` at receivers (*rx_x*, *rx_y*).
+        """Path-loss received power (dBm) at receivers (*rx_x*, *rx_y*).
 
-        The same operations in the same order, on arrays; numpy's
-        ``hypot`` and ``log10`` may differ from :mod:`math`'s in the
-        last bit.  Only for a budget with no shadowing and no fading:
-        those draw per link from a shared generator, in link order.
+        Shadowing and fading are left out: the medium adds them from
+        its keyed draws.  numpy's ``hypot`` and ``log10`` may differ
+        from :mod:`math`'s in the last bit.
         """
-        if self.shadowing is not None or self.fading is not None:
-            raise ValueError("received_powers_dbm needs a budget without "
-                             "shadowing or fading")
         distance = np.hypot(tx_pos[0] - rx_x, tx_pos[1] - rx_y)
         return (tx_power_dbm + self.tx_antenna_gain_dbi
                 + self.rx_antenna_gain_dbi

@@ -185,7 +185,9 @@ class Simulator:
 
     def __init__(self, tie_break: str = "fifo",
                  tie_rng: Optional[Any] = None) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds (advanced by the kernel
+        #: only; a plain attribute, read on every hot path).
+        self.now = 0.0
         self._queue = EventQueue(tie_break, tie_rng)
         self._running = False
         self._stopped = False
@@ -201,11 +203,6 @@ class Simulator:
         self.tie_audit: Optional[TieAudit] = None
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def tie_break(self) -> str:
         """The active tie-break policy (``fifo``/``lifo``/``seeded``)."""
         return self._queue.tie_break
@@ -214,13 +211,13 @@ class Simulator:
         """Run *callback* after *delay* seconds of simulated time."""
         if delay < 0 or math.isnan(delay):
             raise SimulationError(f"cannot schedule with delay {delay!r}")
-        self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run *callback* at absolute simulated time *when*."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at t={when} (now is t={self._now})"
+                f"cannot schedule at t={when} (now is t={self.now})"
             )
         site = None
         audit = self.tie_audit
@@ -242,7 +239,7 @@ class Simulator:
             audit.record(when,
                          site if site is not None else UNKNOWN_SITE,
                          self._queue.peek_site())
-        self._now = when
+        self.now = when
         obs = self.obs
         callback()
         if obs is not None:
@@ -262,9 +259,9 @@ class Simulator:
 
     def run_until(self, until: float, max_events: int = 10_000_000) -> None:
         """Run events with time <= *until*, then set time to *until*."""
-        if until < self._now:
+        if until < self.now:
             raise SimulationError(
-                f"run_until({until}) but now is t={self._now}"
+                f"run_until({until}) but now is t={self.now}"
             )
         self._stopped = False
         executed = 0
@@ -277,7 +274,7 @@ class Simulator:
                     f"run_until() exceeded {max_events} events; likely a livelock"
                 )
         if not self._stopped:
-            self._now = until
+            self.now = until
 
     def peek(self) -> float:
         """Time of the next event, or +inf if the queue is empty."""

@@ -11,8 +11,9 @@ departures: the classes carry a ``Reference`` prefix, the MCS table is
 a module-level dict, :class:`ReferenceLocalFrame` builds
 :class:`~repro.geonet.position.GeoPosition` values (a plain value
 type), and :class:`ReferenceLinkBudget` takes the shadowing and
-fading models from :mod:`repro.net.propagation` (they draw from the
-caller's generator; nothing in them is a fixed constant).
+fading models from :mod:`repro.net.propagation` for their parameters
+alone: their values come from the caller's keyed draw,
+:class:`tests.reference.keyed.ReferenceKeyedReception`.
 
 Used by the differential tests ``tests/test_link_reference.py`` and,
 through :mod:`tests.reference.medium`, ``tests/test_medium_reference.py``.
@@ -24,9 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
 from scipy import special
 
 from repro.geonet.position import EARTH_RADIUS, GeoPosition
@@ -168,21 +168,24 @@ class ReferenceLinkBudget:
 
     def received_power_dbm(
         self,
-        rng: np.random.Generator,
+        draw: Any,
         tx_power_dbm: float,
         link: Tuple[str, str],
+        sequence: int,
         tx_pos: Tuple[float, float],
         rx_pos: Tuple[float, float],
     ) -> float:
-        """Received power (dBm) for one frame on *link*."""
+        """Received power (dBm) of the sender's frame number *sequence*
+        on *link*; *draw* keys the shadowing and fading."""
         distance = _dist(tx_pos, rx_pos)
         power = (tx_power_dbm + self.tx_antenna_gain_dbi
                  + self.rx_antenna_gain_dbi
                  - self.path_loss.path_loss_db(distance))
         if self.shadowing is not None:
-            power -= self.shadowing.shadowing_db(rng, link, tx_pos, rx_pos)
+            power -= draw.shadowing_db(self.shadowing, link, tx_pos, rx_pos)
         if self.fading is not None:
-            power += 10.0 * math.log10(self.fading.power_gain(rng))
+            power += 10.0 * math.log10(
+                draw.fading_gain(self.fading.m, link, sequence))
         return power
 
 

@@ -1,21 +1,22 @@
 """Reference oracle for the per-frame reception path of the medium.
 
-A verbatim copy of :class:`repro.net.medium.WirelessMedium` and
-:class:`repro.net.medium.OrderFreeReception` as they were before
+A copy of :class:`repro.net.medium.WirelessMedium` as it was before
 reception became per frame: every reception scans the active
 transmissions and the receiver's own 32-entry transmission log for
-half-duplex overlap, hashes its full order-free key, and recomputes
-the receiver's noise power and MCS.  The only departure is where the
-own-transmission log lives: the NIC no longer keeps one, so this
-medium keeps it per NIC, appended on every ``transmit`` exactly as
-``NetworkInterface.start_transmission`` used to.  The link math --
-received power, dBm/mW conversions and the SINR -> PER chain of the
-NIC's data rate -- comes from :mod:`tests.reference.link`, so none of
-the fast code's constants feed this oracle.
+half-duplex overlap, draws its own keyed value and recomputes the
+receiver's noise power and MCS.  Its random values come from a
+:class:`tests.reference.keyed.ReferenceKeyedReception`, one
+reception at a time, so it is the scalar twin of the keyed medium.
+The own-transmission log lives here, per NIC, appended on every
+``transmit`` exactly as ``NetworkInterface.start_transmission`` used
+to.  The link math -- received power, dBm/mW conversions and the SINR
+-> PER chain of the NIC's data rate -- comes from
+:mod:`tests.reference.link`, so none of the fast code's constants
+feed this oracle.
 
-Used only by the differential test ``tests/test_medium_reference.py``.
-Do not optimise this file: its value is being the old,
-obviously-correct code.
+Used only by the differential tests ``tests/test_medium_reference.py``
+and ``tests/test_keyed_reference.py``.  Do not optimise this file: its
+value is being the old, obviously-correct code.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import hashlib
 import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.net.frame import Frame
 from repro.net.medium import ChannelImpairment
 from repro.sim.kernel import Simulator
+from tests.reference.keyed import ReferenceKeyedReception
 from tests.reference.link import (
     MCS_TABLE,
     ReferenceLinkBudget,
@@ -43,24 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 OWN_TX_LOG = 32
 
 
-class ReferenceReception:
-    """Order-independent per-reception uniform draws.
-
-    The legacy medium draws every packet-error check from one shared
-    generator, so the value a reception sees depends on how many other
-    receptions ran before it -- harmless for one station pair, but at
-    fleet scale same-timestamp completions make the draw order a
-    function of the kernel's tie-break policy.  This draw is keyed by
-    ``(seed, sender, the sender's own transmission index, receiver)``
-    instead: a station serialises its own transmissions, so the key --
-    and therefore the draw -- is identical under fifo, lifo and seeded
-    tie-breaking.  Opt-in via ``WirelessMedium(reception_draw=...)``;
-    the default medium keeps the shared-rng draw that existing golden
-    traces pin.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
+class ReferenceReception(ReferenceKeyedReception):
+    """The keyed draws, with the packet-error draw the medium used
+    before splitmix64: the first eight bytes of a SHA-256 of the
+    seed, sender, sequence and receiver."""
 
     def uniform(self, sender: str, sequence: int, receiver: str) -> float:
         """A U[0, 1) value unique to one (transmission, receiver) pair."""
@@ -98,19 +84,16 @@ class ReferenceMedium:
     def __init__(
         self,
         sim: Simulator,
-        rng: np.random.Generator,
+        draw: ReferenceKeyedReception,
         budget: Optional[ReferenceLinkBudget] = None,
-        reception_draw: Optional[ReferenceReception] = None,
         cs_latency: float = 0.0,
     ):
         if cs_latency < 0.0:
             raise ValueError(f"cs_latency must be >= 0, got {cs_latency}")
         self.sim = sim
-        self.rng = rng
         self.budget = budget or ReferenceLinkBudget()
-        #: When set, packet-error draws come from this order-free hash
-        #: instead of the shared rng (fleet scenarios; see class doc).
-        self.reception_draw = reception_draw
+        #: Every random value: packet-error draws, fading, shadowing.
+        self.draw = draw
         #: Energy-detection latency (s).  0 keeps the legacy synchronous
         #: carrier sense.  A positive value (fleet: one CCA slot worth,
         #: ~4 us) defers the moment other stations sense a new frame, so
@@ -128,7 +111,7 @@ class ReferenceMedium:
         # O(N) instead of O(N * active).
         self._audible_count: Dict[str, int] = {}
         self._sending_count: Dict[str, int] = {}
-        # Per-sender transmission counters for OrderFreeReception keys.
+        # Per-sender transmission counters for the frame keys.
         self._tx_seq: Dict[str, int] = {}
         # Each NIC's own-transmission log, as the NIC used to keep it.
         self._own_tx_intervals: Dict[str, List[Tuple[float, float]]] = {}
@@ -237,9 +220,10 @@ class ReferenceMedium:
             if nic is sender:
                 continue
             power = self.budget.received_power_dbm(
-                self.rng,
+                self.draw,
                 tx_power_dbm=sender.phy.tx_power_dbm,
                 link=(sender.name, name),
+                sequence=seq,
                 tx_pos=tx_pos,
                 rx_pos=nic.position(),
             )
@@ -345,11 +329,7 @@ class ReferenceMedium:
         sinr_linear = dbm_to_mw(rx_power_dbm) / (noise_mw + interference_mw)
         mcs = MCS_TABLE[nic.phy.data_rate_bps]
         per = mcs.packet_error_rate(sinr_linear, tx.frame.wire_size)
-        if self.reception_draw is not None:
-            draw = self.reception_draw.uniform(
-                tx.sender.name, tx.sender_seq, nic.name)
-        else:
-            draw = float(self.rng.random())
+        draw = self.draw.uniform(tx.sender.name, tx.sender_seq, nic.name)
         if draw < per:
             if interference_mw > noise_mw:
                 self.frames_lost_collision += 1

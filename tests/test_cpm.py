@@ -72,7 +72,7 @@ class TestCpmCodec:
 def build_cp_pair(provider, rate=5.0, seed=3):
     sim = Simulator()
     streams = RandomStreams(seed)
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     rsu = ItsStation(
         sim, medium, streams, "rsu", 900, StationType.ROAD_SIDE_UNIT,

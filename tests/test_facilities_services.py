@@ -18,7 +18,7 @@ def build_stations(count=2, spacing=5.0, enable_cam=True, ca_config=None,
     """A line of stations; `mobile` maps index -> position list."""
     sim = Simulator()
     streams = RandomStreams(seed)
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     mobile = mobile or {}
     stations = []
@@ -322,7 +322,7 @@ class TestStationClock:
     def test_ntp_offsets_differ_between_stations(self):
         sim = Simulator()
         streams = RandomStreams(1)
-        medium = WirelessMedium(sim, streams.get("m"), LinkBudget())
+        medium = WirelessMedium(sim, streams.seed, LinkBudget())
         stations = [ItsStation(
             sim, medium, streams, f"s{i}", i, 5,
             position=lambda: FRAME.to_geo(0, 0),

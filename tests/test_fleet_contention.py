@@ -36,7 +36,7 @@ from repro.sim import Simulator
 def build_channel(n_senders, seed=1, cs_latency=0.0):
     sim = Simulator()
     medium = WirelessMedium(
-        sim, np.random.default_rng(seed),
+        sim, seed,
         LinkBudget(path_loss=LogDistancePathLoss()),
         cs_latency=cs_latency)
     receiver = NetworkInterface(sim, medium, "rx", lambda: (0.0, 0.0),
@@ -214,8 +214,7 @@ class TestDccRampBounds:
     @settings(max_examples=60, deadline=None)
     def test_single_step_transitions_and_etsi_t_off(self, tape):
         sim = Simulator()
-        medium = WirelessMedium(sim, np.random.default_rng(1),
-                                LinkBudget())
+        medium = WirelessMedium(sim, 1, LinkBudget())
         nic = NetworkInterface(sim, medium, "n", lambda: (0.0, 0.0),
                                rng=np.random.default_rng(2))
         gate = DccGatekeeper(sim, nic)
@@ -237,8 +236,7 @@ class TestDccRampBounds:
 
     def test_rising_cbr_walks_the_full_ramp(self):
         sim = Simulator()
-        medium = WirelessMedium(sim, np.random.default_rng(1),
-                                LinkBudget())
+        medium = WirelessMedium(sim, 1, LinkBudget())
         nic = NetworkInterface(sim, medium, "n", lambda: (0.0, 0.0),
                                rng=np.random.default_rng(2))
         gate = DccGatekeeper(sim, nic)
@@ -261,8 +259,7 @@ class TestGateNoOvertake:
         # slip through the momentarily-open gate ahead of the armed
         # timer, starving queued AC_VO traffic indefinitely.
         sim = Simulator()
-        medium = WirelessMedium(sim, np.random.default_rng(1),
-                                LinkBudget())
+        medium = WirelessMedium(sim, 1, LinkBudget())
         nic = NetworkInterface(sim, medium, "n", lambda: (0.0, 0.0),
                                rng=np.random.default_rng(2))
         gate = DccGatekeeper(sim, nic)
@@ -287,8 +284,7 @@ class TestGateNoOvertake:
 
     def test_open_gate_empty_queue_still_passes_immediately(self):
         sim = Simulator()
-        medium = WirelessMedium(sim, np.random.default_rng(1),
-                                LinkBudget())
+        medium = WirelessMedium(sim, 1, LinkBudget())
         nic = NetworkInterface(sim, medium, "n", lambda: (0.0, 0.0),
                                rng=np.random.default_rng(2))
         gate = DccGatekeeper(sim, nic)

@@ -192,7 +192,7 @@ def build_network(positions, seed=1):
     """NICs + routers at the given local (x, y) positions."""
     sim = Simulator()
     frame = LocalFrame()
-    medium = WirelessMedium(sim, np.random.default_rng(seed),
+    medium = WirelessMedium(sim, seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     routers = []
     for index, (x, y) in enumerate(positions):
@@ -282,7 +282,7 @@ class TestRouterGbc:
         sim = Simulator()
         frame = LocalFrame()
         medium = WirelessMedium(
-            sim, np.random.default_rng(1),
+            sim, 1,
             LinkBudget(path_loss=LogDistancePathLoss(exponent=3.0)))
         phy = PhyConfig(tx_power_dbm=-20.0)
         routers = []
@@ -337,7 +337,7 @@ class TestBeaconing:
         sim = Simulator()
         frame = LocalFrame()
         medium = WirelessMedium(
-            sim, np.random.default_rng(9),
+            sim, 9,
             LinkBudget(path_loss=LogDistancePathLoss()))
         routers = []
         for index, x in enumerate((0.0, 5.0)):
@@ -387,7 +387,7 @@ class TestGeoUnicast:
         sim = Simulator()
         frame = LocalFrame()
         medium = WirelessMedium(
-            sim, np.random.default_rng(seed),
+            sim, seed,
             LinkBudget(path_loss=LogDistancePathLoss(exponent=3.0)))
         phy = PhyConfig(tx_power_dbm=tx_power)
         routers = []

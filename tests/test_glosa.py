@@ -143,7 +143,7 @@ class TestGlosaClosesTheLoop:
         streams = RandomStreams(seed)
         frame = LocalFrame()
         medium = WirelessMedium(
-            sim, streams.get("medium"),
+            sim, streams.seed,
             LinkBudget(path_loss=LogDistancePathLoss()))
         vehicle = RoboticVehicle(
             sim, streams,

@@ -1,19 +1,18 @@
-"""Differential tests: the keyed (fleet) medium's numpy link pass and
-splitmix64 draws against the scalar oracle in :mod:`tests.reference.keyed`.
+"""Differential tests: the medium's numpy link pass and splitmix64
+draws against the scalar oracle in :mod:`tests.reference.keyed`.
 
 The oracle computes each reception with :mod:`math` and the same
 splitmix64 on Python ints.  Tolerances:
 
-* draws match bit for bit;
+* draws -- packet-error, fading and shadowing -- match bit for bit;
 * received power and PER match within 4 ulp: numpy's ``hypot``,
   ``log10``, ``log1p`` and ``expm1`` may differ from :mod:`math`'s in
   the last bit (the BER path, ``sqrt`` and ``erfc``, is bit-identical);
 * a delivery decision ``u < PER`` matches except where
-  ``|u - PER| < 1e-12``; those cases are counted, and must be rare;
-* whole random channels, keyed medium against the scalar reference
-  medium, agree on every counter, loss, carrier callback and
-  generator state, and on delivered powers and SINRs to a relative
-  1e-9 -- unless a decision came within 1e-12 of its threshold.
+  ``|u - PER| < 1e-12``; those cases are counted, and must be rare.
+
+Whole random channels, the medium against the scalar reference medium,
+are compared in ``tests/test_medium_reference.py``.
 
 A seeded statistical test shows the new draw adds no bias: over 20
 seeds, the delivery ratio per distance bin stays inside a 99 %
@@ -23,12 +22,12 @@ binomial interval of the SHA-256 draw the medium used before.
 import math
 import struct
 from typing import Any, Dict, List, Tuple
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from repro.net import AccessCategory, Frame, NetworkInterface, PhyConfig
 from repro.net.medium import OrderFreeReception, WirelessMedium
@@ -47,14 +46,10 @@ from tests.reference.link import (
     MCS_TABLE,
     ReferenceLinkBudget,
     ReferenceLogDistance,
-    ReferenceMcs,
 )
 from tests.reference.medium import ReferenceMedium, ReferenceReception
 from tests.test_link_reference import bits
-from tests.test_medium_reference import channels, run_channel, seeded_channel
-
-#: A decision closer than this to its threshold may flip on an ulp.
-NEAR = 1e-12
+from tests.test_medium_reference import NEAR
 
 
 def ulps(a: float, b: float) -> int:
@@ -66,6 +61,22 @@ def ulps(a: float, b: float) -> int:
 
 
 NAMES = st.text(min_size=1, max_size=12)
+
+
+def unmix64(z: int) -> int:
+    """The inverse of the splitmix64 output mix."""
+    def unshift(z: int, shift: int) -> int:
+        # Undo z ^= z >> shift.
+        out = z
+        for _ in range(64 // shift + 1):
+            out = z ^ (out >> shift)
+        return out & ref.MASK64
+
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & ref.MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & ref.MASK64
+    return unshift(z, 30)
 
 
 class TestDraws:
@@ -87,6 +98,53 @@ class TestDraws:
             assert bits(draw.uniform(sender, sequence, receiver)) == \
                 bits(expected)
             assert 0.0 <= value < 1.0
+
+    @given(seed=st.integers(-2 ** 70, 2 ** 70), sender=NAMES,
+           sequence=st.integers(0, 10 ** 9),
+           receivers=st.lists(NAMES, min_size=1, max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_fading_draws_match_bitwise(self, seed, sender, sequence,
+                                        receivers):
+        draw = OrderFreeReception(seed)
+        oracle = ref.ReferenceKeyedReception(seed)
+        keys = np.array([draw.station_key(r) for r in receivers],
+                        dtype=np.uint64)
+        frame_key = draw.frame_key(draw.station_key(sender), sequence)
+        values = OrderFreeReception.fading_uniforms(frame_key, keys).tolist()
+        for receiver, value in zip(receivers, values):
+            expected = oracle.fading_uniform(sender, sequence, receiver)
+            assert bits(value) == bits(expected)
+            assert 0.0 < value < 1.0
+            # Independent of the packet-error draw of the same pair.
+            assert value != oracle.uniform(sender, sequence, receiver)
+
+    @given(seed=st.integers(-2 ** 70, 2 ** 70), sender=NAMES,
+           receiver=NAMES, epoch=st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_shadowing_draws_match_bitwise(self, seed, sender, receiver,
+                                           epoch):
+        draw = OrderFreeReception(seed)
+        value = draw.link_uniform(draw.station_key(sender),
+                                  draw.station_key(receiver), epoch)
+        assert bits(value) == bits(ref.ReferenceKeyedReception(
+            seed).link_uniform(sender, receiver, epoch))
+        assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("z, u", [
+        (0, 2.0 ** -53), ((1 << 64) - 1, 1.0 - 2.0 ** -53)])
+    def test_open_uniforms_stay_inside_the_unit_interval(self, z, u):
+        # A receiver key chosen so that the mixed value is z: the
+        # extreme uniforms still give finite shadowing and fading.
+        frame_key = OrderFreeReception(3).frame_key(5, 0)
+        fading_key = ref.mix64(frame_key ^ ref.FADING_SALT)
+        keys = np.array([unmix64(z) ^ fading_key], dtype=np.uint64)
+        value = OrderFreeReception.fading_uniforms(frame_key, keys)[0]
+        assert bits(value) == bits(u) == bits(ref.open_unit(z))
+        assert math.isfinite(float(special.ndtri(value)))
+        for m in (0.5, 1.0, 3.0, 10.0):
+            gain = NakagamiFading(m).power_gains(np.array([value]))[0]
+            assert 0.0 < gain < math.inf
+            assert math.isfinite(10.0 * math.log10(gain))
 
     def test_station_key_is_the_name_hash(self):
         for name in ("obu-0", "rsu-1", "ü", ""):
@@ -132,7 +190,7 @@ class TestLinkMath:
         powers = fast.received_powers_dbm(tx_power, tx_pos, xs, ys).tolist()
         for pos, power in zip(rx, powers):
             expected = old.received_power_dbm(None, tx_power, ("a", "b"),
-                                              tx_pos, pos)
+                                              0, tx_pos, pos)
             assert ulps(power, expected) <= 4, (power, expected)
 
     @given(distances=st.lists(st.floats(0.0, 5000.0), min_size=1,
@@ -220,97 +278,38 @@ class TestDecisions:
         assert near <= decisions * 1e-6
 
 
-def assert_runs_match(fast: Dict[str, Any], old: Dict[str, Any]) -> None:
-    """Everything equal: every delivery is a ``(payload, sim.now)``
-    pair, and the link math's received power is compared within 4 ulp
-    by :class:`TestLinkMath`."""
-    for key in ("stats", "now", "delivered", "lost", "carrier", "rng",
-                "mac_rngs"):
-        assert fast[key] == old[key], key
-
-
-def run_reference_recording(spec: Dict[str, Any]) -> Tuple[Dict[str, Any],
-                                                           int]:
-    """The reference keyed run and its count of near-threshold cases:
-    a draw within 1e-12 of its PER, or a power within 1e-9 dB of a
-    sensitivity or carrier-sense threshold."""
-    pers: List[float] = []
-    draws: List[float] = []
-    powers: List[float] = []
-    original_per = ReferenceMcs.packet_error_rate
-    original_uniform = ref.ReferenceKeyedReception.uniform
-    original_power = ReferenceLinkBudget.received_power_dbm
-
-    def per(mcs, sinr_linear, size_bytes):
-        pers.append(original_per(mcs, sinr_linear, size_bytes))
-        return pers[-1]
-
-    def uniform(self, sender, sequence, receiver):
-        draws.append(original_uniform(self, sender, sequence, receiver))
-        return draws[-1]
-
-    def power(self, *args, **kwargs):
-        powers.append(original_power(self, *args, **kwargs))
-        return powers[-1]
-
-    with mock.patch.object(ReferenceMcs, "packet_error_rate", per), \
-            mock.patch.object(ref.ReferenceKeyedReception, "uniform",
-                              uniform), \
-            mock.patch.object(ReferenceLinkBudget, "received_power_dbm",
-                              power):
-        out = run_channel(spec, reference=True)
-    assert len(pers) == len(draws)
-    thresholds = {PhyConfig().rx_sensitivity_dbm} | {
-        station["cs_threshold_dbm"] for station in spec["stations"]}
-    near = sum(abs(u - p) < NEAR for u, p in zip(draws, pers))
-    near += sum(abs(p - t) < 1e-9 for p in powers for t in thresholds)
-    return out, near
-
-
-class TestKeyedMediumMatchesReference:
-    @given(spec=channels(keyed=True))
-    @settings(max_examples=120, deadline=None)
-    def test_random_channels(self, spec):
-        old, near = run_reference_recording(spec)
-        if near:
-            return
-        assert_runs_match(run_channel(spec, reference=False), old)
-
-    def test_seeded_channels_reach_every_outcome(self):
-        totals: Dict[str, int] = {}
-        reasons = set()
-        near_runs = 0
-        for seed in range(30):
-            spec = seeded_channel(seed, keyed=True)
-            fast = run_channel(spec, reference=False)
-            old, near = run_reference_recording(spec)
-            if near:
-                near_runs += 1
-                continue
-            assert_runs_match(fast, old)
-            for key, value in fast["stats"].items():
-                totals[key] = totals.get(key, 0) + value
-            reasons.update(reason for losses in fast["lost"].values()
-                           for _payload, reason in losses)
-        assert near_runs <= 1
-        assert all(value > 0 for value in totals.values()), totals
-        assert reasons == {"fault", "half-duplex", "collision", "noise"}
-
-
 class TestConstruction:
     @pytest.mark.parametrize("budget", [
         LinkBudget(shadowing=ShadowingModel(sigma_db=4.0)),
         LinkBudget(fading=NakagamiFading(m=1.0)),
+        LinkBudget(shadowing=ShadowingModel(sigma_db=4.0),
+                   fading=NakagamiFading(m=1.0)),
     ])
-    def test_keyed_medium_refuses_random_link_budgets(self, budget):
-        with pytest.raises(ValueError, match="shadowing or fading"):
-            WirelessMedium(Simulator(), np.random.default_rng(0), budget,
-                           reception_draw=OrderFreeReception(1))
-        with pytest.raises(ValueError, match="shadowing or fading"):
-            budget.received_powers_dbm(0.0, (0.0, 0.0), np.zeros(1),
-                                       np.zeros(1))
-        # The shared-rng medium takes them.
-        WirelessMedium(Simulator(), np.random.default_rng(0), budget)
+    def test_medium_accepts_random_link_budgets(self, budget):
+        sim = Simulator()
+        medium = WirelessMedium(sim, 1, budget)
+        heard: List[Frame] = []
+        a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0),
+                             rng=np.random.default_rng(1))
+        b = NetworkInterface(sim, medium, "b", lambda: (200.0, 0.0),
+                             rng=np.random.default_rng(2))
+        b.on_receive(heard.append)
+        for index in range(40):
+            sim.schedule(index * 1e-3, lambda: a.send(Frame(
+                payload=b"x", size=300, source="a",
+                category=AccessCategory.AC_VO)))
+        sim.run()
+        assert medium.frames_sent == 40
+        assert 0 < len(heard) <= 40
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(0), 1.5, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(TypeError):
+            WirelessMedium(Simulator(), seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        assert (OrderFreeReception(np.int64(7)).uniform("a", 0, "b")
+                == OrderFreeReception(7).uniform("a", 0, "b"))
 
 
 #: Receivers spread across the lossy edge of an 18 dBm QPSK 1/2 link
@@ -327,14 +326,11 @@ def delivery_by_bin(seed: int, keyed: bool) -> List[Tuple[int, int]]:
     budget: Any
     if keyed:
         budget = LinkBudget(path_loss=LogDistancePathLoss(exponent=2.8))
-        medium: Any = WirelessMedium(sim, np.random.default_rng(seed),
-                                     budget,
-                                     reception_draw=OrderFreeReception(seed))
+        medium: Any = WirelessMedium(sim, seed, budget)
     else:
         budget = ReferenceLinkBudget(
             path_loss=ReferenceLogDistance(exponent=2.8))
-        medium = ReferenceMedium(sim, np.random.default_rng(seed), budget,
-                                 reception_draw=ReferenceReception(seed))
+        medium = ReferenceMedium(sim, ReferenceReception(seed), budget)
     sender = NetworkInterface(sim, medium, "tx", lambda: (0.0, 0.0),
                               rng=np.random.default_rng(seed))
     delivered: Dict[str, int] = {}

@@ -12,13 +12,14 @@ above it.
 
 import math
 import struct
-from typing import Any, Tuple
+from typing import Tuple
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geonet.position import GeoPosition, LocalFrame
+from repro.net.medium import OrderFreeReception
 from repro.net.phy import McsTable
 from repro.net.propagation import (
     FreeSpacePathLoss,
@@ -30,6 +31,7 @@ from repro.net.propagation import (
     dbm_to_mw,
     mw_to_dbm,
 )
+from tests.reference import keyed as ref_keyed
 from tests.reference import link as ref
 
 RATES = sorted(McsTable.ENTRIES)
@@ -156,33 +158,51 @@ class TestLinkBudget:
            tx_power=st.sampled_from([0.0, 18.0, 23.0]),
            exponent=st.floats(1.5, 5.0),
            gains=st.tuples(st.floats(-3.0, 10.0), st.floats(-3.0, 10.0)),
-           randomised=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+           m=st.sampled_from([0.5, 1.0, 3.0, 10.0]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           sequence=st.integers(0, 10 ** 6),
+           moves=st.lists(POINTS, max_size=4))
     @settings(max_examples=200, deadline=None)
-    def test_received_power_matches_bitwise(self, tx_pos, rx_pos, tx_power,
-                                            exponent, gains, randomised,
-                                            seed):
-        def build(reference: bool) -> Any:
-            kwargs = dict(
-                shadowing=ShadowingModel(sigma_db=4.0) if randomised
-                else None,
-                fading=NakagamiFading(m=1.0) if randomised else None,
-                tx_antenna_gain_dbi=gains[0], rx_antenna_gain_dbi=gains[1])
-            if reference:
-                return ref.ReferenceLinkBudget(
-                    path_loss=ref.ReferenceLogDistance(exponent), **kwargs)
-            return LinkBudget(path_loss=LogDistancePathLoss(exponent),
-                              **kwargs)
-
-        fast_rng, old_rng = (np.random.default_rng(seed),
-                             np.random.default_rng(seed))
-        fast = build(False).received_power_dbm(
-            fast_rng, tx_power, ("a", "b"), tx_pos, rx_pos)
-        old = build(True).received_power_dbm(
-            old_rng, tx_power, ("a", "b"), tx_pos, rx_pos)
-        assert bits(fast) == bits(old)
-        assert fast_rng.bit_generator.state == old_rng.bit_generator.state
-        assert bits(dbm_to_mw(fast)) == bits(ref.dbm_to_mw(old))
-        assert bits(mw_to_dbm(dbm_to_mw(fast))) == bits(
+    def test_keyed_shadowing_and_fading_match_bitwise(
+            self, tx_pos, rx_pos, tx_power, exponent, gains, m, seed,
+            sequence, moves):
+        # The medium's keyed shadowing, per link and epoch, and its
+        # fading gain, per (frame, receiver), as the reference computes
+        # them one link at a time.
+        draw = OrderFreeReception(seed)
+        oracle = ref_keyed.ReferenceKeyedReception(seed)
+        shadowing = ShadowingModel(sigma_db=4.0, decorrelation_distance=5.0)
+        link = (draw.station_key("a"), draw.station_key("b"))
+        for pos in [rx_pos, *moves]:
+            fast = shadowing.shadowing_db(draw, link, tx_pos, pos)
+            old = oracle.shadowing_db(shadowing, ("a", "b"), tx_pos, pos)
+            assert bits(fast) == bits(old)
+        frame_key = draw.frame_key(link[0], sequence)
+        fast_gain = NakagamiFading(m).power_gains(
+            OrderFreeReception.fading_uniforms(
+                frame_key, np.array([link[1]], dtype=np.uint64)))[0]
+        assert bits(fast_gain) == bits(
+            oracle.fading_gain(m, ("a", "b"), sequence))
+        # The whole budget: the deterministic part bit for bit, the
+        # keyed terms through the same dBm/mW conversions.
+        budget = ref.ReferenceLinkBudget(
+            path_loss=ref.ReferenceLogDistance(exponent),
+            shadowing=ShadowingModel(sigma_db=4.0), fading=NakagamiFading(m),
+            tx_antenna_gain_dbi=gains[0], rx_antenna_gain_dbi=gains[1])
+        old = budget.received_power_dbm(
+            ref_keyed.ReferenceKeyedReception(seed), tx_power, ("a", "b"),
+            sequence, tx_pos, rx_pos)
+        deterministic = (tx_power + gains[0] + gains[1]
+                         - LogDistancePathLoss(exponent).path_loss_db(
+                             math.hypot(tx_pos[0] - rx_pos[0],
+                                        tx_pos[1] - rx_pos[1])))
+        fast_power = (deterministic
+                      - ShadowingModel(sigma_db=4.0).shadowing_db(
+                          draw, link, tx_pos, rx_pos)
+                      + 10.0 * math.log10(fast_gain))
+        assert bits(fast_power) == bits(old)
+        assert bits(dbm_to_mw(fast_power)) == bits(ref.dbm_to_mw(old))
+        assert bits(mw_to_dbm(dbm_to_mw(fast_power))) == bits(
             ref.mw_to_dbm(ref.dbm_to_mw(old)))
 
 

@@ -20,7 +20,7 @@ from repro.sim import Simulator
 
 def build_nic(seed=1, extra_nics=0):
     sim = Simulator()
-    medium = WirelessMedium(sim, np.random.default_rng(seed),
+    medium = WirelessMedium(sim, seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     nic = NetworkInterface(sim, medium, "main", lambda: (0.0, 0.0),
                            rng=np.random.default_rng(seed + 1))

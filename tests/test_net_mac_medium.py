@@ -18,8 +18,7 @@ from repro.sim import Simulator
 
 def build_pair(distance=5.0, phy=None, seed=1):
     sim = Simulator()
-    rng = np.random.default_rng(seed)
-    medium = WirelessMedium(sim, rng,
+    medium = WirelessMedium(sim, seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0), phy=phy,
                          rng=np.random.default_rng(seed + 1))
@@ -150,8 +149,7 @@ class TestContention:
         # mostly resolves it, but the channel sees real collisions
         # under pressure; all sent frames are accounted for.
         sim = Simulator()
-        rng = np.random.default_rng(3)
-        medium = WirelessMedium(sim, rng,
+        medium = WirelessMedium(sim, 3,
                                 LinkBudget(path_loss=LogDistancePathLoss()))
         nics = [NetworkInterface(sim, medium, f"n{i}",
                                  lambda i=i: (float(i), 0.0),
@@ -206,7 +204,7 @@ class TestHalfDuplex:
         # cannot decode that frame (half-duplex loss).
         sim = Simulator()
         medium = WirelessMedium(
-            sim, np.random.default_rng(1),
+            sim, 1,
             LinkBudget(path_loss=LogDistancePathLoss()))
         a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0),
                              rng=np.random.default_rng(2))
@@ -234,7 +232,7 @@ class TestHalfDuplex:
 
         sim = Simulator()
         medium = WirelessMedium(
-            sim, np.random.default_rng(1),
+            sim, 1,
             LinkBudget(path_loss=LogDistancePathLoss()))
         medium.impairment = RadioDown()
         a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net.medium import OrderFreeReception
 from repro.net.propagation import (
     FreeSpacePathLoss,
     LinkBudget,
@@ -72,53 +73,85 @@ class TestLogDistance:
             LogDistancePathLoss(reference_distance=d0)
 
 
+def gains(fading, count, seed=1):
+    """*count* Nakagami gains, one per (frame, receiver) key: 100
+    receivers per frame."""
+    draw = OrderFreeReception(seed)
+    keys = np.array([draw.station_key(f"r{i}") for i in range(100)],
+                    dtype=np.uint64)
+    sender = draw.station_key("tx")
+    return np.concatenate([
+        fading.power_gains(OrderFreeReception.fading_uniforms(
+            draw.frame_key(sender, seq), keys))
+        for seq in range(count // 100)])
+
+
+A, B = OrderFreeReception.station_key("a"), OrderFreeReception.station_key("b")
+
+
 class TestShadowing:
     def test_disabled_when_sigma_zero(self):
         model = ShadowingModel(sigma_db=0.0)
-        rng = np.random.default_rng(1)
-        assert model.shadowing_db(rng, ("a", "b"), (0, 0), (5, 0)) == 0.0
+        draw = OrderFreeReception(1)
+        assert model.shadowing_db(draw, (A, B), (0, 0), (5, 0)) == 0.0
 
     def test_stable_while_stationary(self):
         model = ShadowingModel(sigma_db=4.0)
-        rng = np.random.default_rng(1)
-        first = model.shadowing_db(rng, ("a", "b"), (0, 0), (5, 0))
-        second = model.shadowing_db(rng, ("a", "b"), (0, 0), (5, 0))
+        draw = OrderFreeReception(1)
+        first = model.shadowing_db(draw, (A, B), (0, 0), (5, 0))
+        second = model.shadowing_db(draw, (A, B), (0, 0), (5, 0))
         assert first == second
 
     def test_redrawn_after_decorrelation_distance(self):
         model = ShadowingModel(sigma_db=4.0, decorrelation_distance=1.0)
-        rng = np.random.default_rng(1)
-        first = model.shadowing_db(rng, ("a", "b"), (0, 0), (5, 0))
-        moved = model.shadowing_db(rng, ("a", "b"), (0, 0), (25, 0))
+        draw = OrderFreeReception(1)
+        first = model.shadowing_db(draw, (A, B), (0, 0), (5, 0))
+        moved = model.shadowing_db(draw, (A, B), (0, 0), (25, 0))
         assert first != moved
 
     def test_links_are_independent(self):
         model = ShadowingModel(sigma_db=4.0)
-        rng = np.random.default_rng(1)
-        ab = model.shadowing_db(rng, ("a", "b"), (0, 0), (5, 0))
-        ba = model.shadowing_db(rng, ("b", "a"), (5, 0), (0, 0))
+        draw = OrderFreeReception(1)
+        ab = model.shadowing_db(draw, (A, B), (0, 0), (5, 0))
+        ba = model.shadowing_db(draw, (B, A), (5, 0), (0, 0))
         assert ab != ba
+
+    def test_value_is_keyed_by_link_and_epoch(self):
+        # The same (seed, link, epoch) gives the same value whatever
+        # else was drawn before it; a new epoch gives a new one.
+        fresh = ShadowingModel(sigma_db=4.0, decorrelation_distance=1.0)
+        busy = ShadowingModel(sigma_db=4.0, decorrelation_distance=1.0)
+        draw = OrderFreeReception(1)
+        for other in range(50):
+            busy.shadowing_db(draw, (other, B), (0, 0), (5, 0))
+        assert (fresh.shadowing_db(draw, (A, B), (0, 0), (5, 0))
+                == busy.shadowing_db(draw, (A, B), (0, 0), (5, 0)))
+        values = [fresh.shadowing_db(draw, (A, B), (0, 0), (5 + 2 * k, 0))
+                  for k in range(1, 5)]
+        assert len(set(values)) == 4
+
+    def test_log_normal_spread(self):
+        # sigma * ndtri(u) over fresh links: zero mean, sigma spread.
+        model = ShadowingModel(sigma_db=4.0)
+        draw = OrderFreeReception(1)
+        values = np.array([model.shadowing_db(draw, (A, k), (0, 0), (5, 0))
+                           for k in range(20000)])
+        assert abs(values.mean()) < 0.1
+        assert abs(values.std() - 4.0) < 0.1
 
 
 class TestNakagami:
     def test_unit_mean(self):
-        fading = NakagamiFading(m=3.0)
-        rng = np.random.default_rng(1)
-        gains = [fading.power_gain(rng) for _ in range(20000)]
-        assert abs(np.mean(gains) - 1.0) < 0.03
+        assert abs(np.mean(gains(NakagamiFading(m=3.0), 20000)) - 1.0) < 0.03
 
     def test_higher_m_less_variance(self):
-        rng1 = np.random.default_rng(1)
-        rng2 = np.random.default_rng(1)
-        deep = [NakagamiFading(m=1.0).power_gain(rng1)
-                for _ in range(5000)]
-        mild = [NakagamiFading(m=10.0).power_gain(rng2)
-                for _ in range(5000)]
+        deep = gains(NakagamiFading(m=1.0), 5000)
+        mild = gains(NakagamiFading(m=10.0), 5000)
         assert np.var(deep) > np.var(mild)
 
     def test_invalid_m_rejected(self):
         with pytest.raises(ValueError):
-            NakagamiFading(m=0.0).power_gain(np.random.default_rng(1))
+            NakagamiFading(m=0.0).power_gains(np.array([0.5]))
 
     @pytest.mark.parametrize("m", [0.0, -2.0])
     def test_invalid_m_rejected_at_construction(self, m):
@@ -126,24 +159,20 @@ class TestNakagami:
             NakagamiFading(m=m)
 
 
+def power(budget, rx):
+    """The budget's received power at one receiver, 18 dBm from (0, 0)."""
+    return budget.received_powers_dbm(18.0, (0, 0), np.array([rx[0]]),
+                                      np.array([rx[1]]))[0]
+
+
 class TestLinkBudget:
     def test_deterministic_without_randomness(self):
         budget = LinkBudget(path_loss=LogDistancePathLoss())
-        rng = np.random.default_rng(1)
-        p1 = budget.received_power_dbm(rng, 18.0, ("a", "b"),
-                                       (0, 0), (10, 0))
-        p2 = budget.received_power_dbm(rng, 18.0, ("a", "b"),
-                                       (0, 0), (10, 0))
-        assert p1 == p2
+        assert power(budget, (10, 0)) == power(budget, (10, 0))
 
     def test_power_decreases_with_distance(self):
         budget = LinkBudget(path_loss=LogDistancePathLoss())
-        rng = np.random.default_rng(1)
-        near = budget.received_power_dbm(rng, 18.0, ("a", "b"),
-                                         (0, 0), (2, 0))
-        far = budget.received_power_dbm(rng, 18.0, ("a", "b"),
-                                        (0, 0), (50, 0))
-        assert near > far
+        assert power(budget, (2, 0)) > power(budget, (50, 0))
 
     def test_antenna_gains_add(self):
         no_gain = LinkBudget(path_loss=LogDistancePathLoss(),
@@ -152,11 +181,8 @@ class TestLinkBudget:
         with_gain = LinkBudget(path_loss=LogDistancePathLoss(),
                                tx_antenna_gain_dbi=3.0,
                                rx_antenna_gain_dbi=3.0)
-        rng = np.random.default_rng(1)
-        p0 = no_gain.received_power_dbm(rng, 18.0, ("a", "b"),
-                                        (0, 0), (10, 0))
-        p6 = with_gain.received_power_dbm(rng, 18.0, ("a", "b"),
-                                          (0, 0), (10, 0))
+        p0 = power(no_gain, (10, 0))
+        p6 = power(with_gain, (10, 0))
         assert p6 - p0 == pytest.approx(6.0)
 
 

@@ -137,7 +137,7 @@ class TestDccInstrumentation:
         sim = Simulator()
         ctx = ObsContext().bind(sim)
         medium = WirelessMedium(
-            sim, np.random.default_rng(1),
+            sim, 1,
             LinkBudget(path_loss=LogDistancePathLoss()))
         nic = NetworkInterface(sim, medium, "main",
                                lambda: (0.0, 0.0),

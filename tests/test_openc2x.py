@@ -97,7 +97,7 @@ class TestHttp:
 def build_units(seed=5):
     sim = Simulator()
     streams = RandomStreams(seed)
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     obu = OnBoardUnit(
         sim, medium, streams, "obu", 101, StationType.PASSENGER_CAR,

@@ -38,7 +38,7 @@ class TestMediumConservation:
             shadowing=ShadowingModel(sigma_db=3.0),
             fading=NakagamiFading(m=1.5),
         )
-        medium = WirelessMedium(sim, np.random.default_rng(seed), budget)
+        medium = WirelessMedium(sim, seed, budget)
         nics = [
             NetworkInterface(sim, medium, f"n{i}",
                              lambda i=i: (i * spacing, 0.0),
@@ -65,7 +65,7 @@ class TestMediumConservation:
     def test_no_duplicate_delivery(self, seed):
         sim = Simulator()
         medium = WirelessMedium(
-            sim, np.random.default_rng(seed),
+            sim, seed,
             LinkBudget(path_loss=LogDistancePathLoss()))
         a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0),
                              rng=np.random.default_rng(seed + 1))
@@ -87,7 +87,7 @@ class TestMacOrdering:
     def test_same_category_fifo(self, seed, count):
         sim = Simulator()
         medium = WirelessMedium(
-            sim, np.random.default_rng(seed),
+            sim, seed,
             LinkBudget(path_loss=LogDistancePathLoss()))
         a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0),
                              rng=np.random.default_rng(seed + 1))

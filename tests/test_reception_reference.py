@@ -257,7 +257,7 @@ def run_stations(frames: List[Tuple[int, Frame]], observed: bool,
     sim = Simulator()
     obs = ObsContext().bind(sim) if observed else None
     streams = RandomStreams(seed=7)
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     log: List[Tuple[Any, ...]] = []
     stations = [build_station(sim, medium, streams, name, log)
@@ -469,7 +469,7 @@ class TestFramePosition:
             sim = Simulator()
             streams = RandomStreams(seed=1)
             medium = WirelessMedium(
-                sim, streams.get("medium"),
+                sim, streams.seed,
                 LinkBudget(path_loss=LogDistancePathLoss()))
             return ItsStation(sim, medium, streams, name="a",
                               station_id=1, station_type=5,
@@ -490,7 +490,7 @@ class TestFramePosition:
 
 
 # ---------------------------------------------------------------------------
-# Antenna positions read as arrays by the keyed medium
+# Antenna positions read as arrays by the medium
 # ---------------------------------------------------------------------------
 
 COORD = st.one_of(st.floats(-60.0, 60.0), st.floats(-2e5, 2e5))
@@ -536,7 +536,7 @@ class TestAntennaReader:
            churn=st.lists(st.integers(0, 9), max_size=4, unique=True))
     def test_arrays_equal_scalar_reads(self, laws, times, churn):
         sim = Simulator()
-        medium = WirelessMedium(sim, np.random.default_rng(0))
+        medium = WirelessMedium(sim, 0)
         nics = [NetworkInterface(sim, medium, f"s{index}",
                                  antenna_of(sim, ORIGINS[origin], law))
                 for index, (origin, law) in enumerate(laws)]
@@ -559,7 +559,7 @@ class TestAntennaReader:
 
     def test_every_law_in_one_layout(self):
         sim = Simulator()
-        medium = WirelessMedium(sim, np.random.default_rng(0))
+        medium = WirelessMedium(sim, 0)
         laws = [("fixed", 3.0, 4.0, 0.0), ("line", -12.5, 0.6, 1.7),
                 ("callable", 1.0, 2.0, 0.5), ("plain", 7.0, 8.0, -1.0),
                 ("line", 40.0, 1.2, -1.7), ("fixed", -1e5, 2e5, 0.0)]

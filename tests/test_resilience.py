@@ -33,7 +33,7 @@ def build_lossy_pair(distance, seed=1, fading_m=1.0):
         shadowing=ShadowingModel(sigma_db=4.0),
         fading=NakagamiFading(m=fading_m),
     )
-    medium = WirelessMedium(sim, streams.get("medium"), budget)
+    medium = WirelessMedium(sim, streams.seed, budget)
     sender = ItsStation(
         sim, medium, streams, "rsu", 900, StationType.ROAD_SIDE_UNIT,
         position=lambda: FRAME.to_geo(0.0, 0.0), is_rsu=True,
@@ -176,7 +176,7 @@ class TestPartialFailures:
             sim = Simulator()
             streams = RandomStreams(5)
             medium = WirelessMedium(
-                sim, streams.get("medium"),
+                sim, streams.seed,
                 LinkBudget(path_loss=LogDistancePathLoss(exponent=2.8)))
             phy = PhyConfig(tx_power_dbm=power)
             sender = ItsStation(

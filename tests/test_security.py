@@ -232,7 +232,7 @@ class TestPseudonyms:
 def build_secured_pair(seed=5, tamper=False):
     sim = Simulator()
     rng, root, authority, store = make_pki(seed)
-    medium = WirelessMedium(sim, np.random.default_rng(seed),
+    medium = WirelessMedium(sim, seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     routers = []
     for index, x in enumerate((0.0, 5.0)):
@@ -264,7 +264,7 @@ class TestSecuredRouting:
             sim = Simulator()
             rng, root, authority, store = make_pki(5)
             medium = WirelessMedium(
-                sim, np.random.default_rng(5),
+                sim, 5,
                 LinkBudget(path_loss=LogDistancePathLoss()))
             routers = []
             for index, x in enumerate((0.0, 5.0)):
@@ -308,7 +308,7 @@ class TestSecuredRouting:
         # configured permissively during rollout).
         sim = Simulator()
         rng, root, authority, store = make_pki(7)
-        medium = WirelessMedium(sim, np.random.default_rng(7),
+        medium = WirelessMedium(sim, 7,
                                 LinkBudget(path_loss=LogDistancePathLoss()))
         nic_a = NetworkInterface(sim, medium, "a", lambda: (0.0, 0.0),
                                  rng=np.random.default_rng(8))

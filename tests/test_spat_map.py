@@ -110,7 +110,7 @@ class TestSignalPlan:
 def build_intersection(seed=3, spat_rate=2.0):
     sim = Simulator()
     streams = RandomStreams(seed)
-    medium = WirelessMedium(sim, streams.get("medium"),
+    medium = WirelessMedium(sim, streams.seed,
                             LinkBudget(path_loss=LogDistancePathLoss()))
     rsu = ItsStation(
         sim, medium, streams, "rsu", 900, StationType.ROAD_SIDE_UNIT,
