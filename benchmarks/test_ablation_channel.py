@@ -6,8 +6,12 @@ model attenuation, either by interference or shadowing".  This
 ablation stresses exactly that: background stations loading the
 channel with broadcast traffic (DENM access delay grows), and link
 distance under log-distance + shadowing + Nakagami fading (delivery
-ratio falls).
+ratio falls).  A far-link delivery ratio hangs on each link's
+shadowing sample, so the distance sweep averages a ring of receivers,
+one independent shadowing value each, rather than reading one link.
 """
+
+import math
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from benchmarks.conftest import fmt
 LOADS = (0, 4, 8, 16, 32)      # background stations
 DISTANCES = (5.0, 50.0, 150.0, 300.0, 450.0)
 DENMS = 200
+RING = 128                      # receivers per distance, one link each
 
 
 def measure_load(background_stations, seed=1):
@@ -84,7 +89,7 @@ def measure_load(background_stations, seed=1):
 
 
 def measure_distance(distance, seed=1):
-    """Delivery ratio over a fading link at the given distance."""
+    """Mean delivery ratio over a ring of fading links at ``distance``."""
     sim = Simulator()
     budget = LinkBudget(
         path_loss=LogDistancePathLoss(exponent=2.5),
@@ -94,11 +99,19 @@ def measure_distance(distance, seed=1):
     medium = WirelessMedium(sim, seed, budget)
     rsu = NetworkInterface(sim, medium, "rsu", lambda: (0.0, 0.0),
                            rng=np.random.default_rng(seed + 1))
-    obu = NetworkInterface(sim, medium, "obu",
-                           lambda: (distance, 0.0),
-                           rng=np.random.default_rng(seed + 2))
-    received = []
-    obu.on_receive(lambda f: received.append(f))
+    received = [0] * RING
+    for index in range(RING):
+        bearing = 2.0 * math.pi * index / RING
+        position = (distance * math.cos(bearing),
+                    distance * math.sin(bearing))
+        obu = NetworkInterface(sim, medium, f"obu{index}",
+                               lambda position=position: position,
+                               rng=np.random.default_rng(seed + 2 + index))
+
+        def on_rx(_frame, index=index):
+            received[index] += 1
+
+        obu.on_receive(on_rx)
 
     count = [0]
 
@@ -111,7 +124,7 @@ def measure_distance(distance, seed=1):
 
     sim.schedule(0.0, fire)
     sim.run_until(DENMS * 0.01 + 1.0)
-    return len(received) / DENMS
+    return sum(received) / (RING * DENMS)
 
 
 def run_sweeps():
@@ -131,7 +144,8 @@ def test_ablation_channel_load_and_distance(benchmark, report):
                  [(n, fmt(delay, 2), fmt(ratio, 3))
                   for n, delay, ratio in load_rows])
     report.line()
-    report.line("Distance (shadowing sigma=3 dB, Nakagami m=3):")
+    report.line(f"Distance (shadowing sigma=3 dB, Nakagami m=3; mean over "
+                f"{RING} links):")
     report.table(("distance (m)", "delivery"),
                  [(fmt(d, 0), fmt(ratio, 3))
                   for d, ratio in distance_rows])
@@ -146,8 +160,10 @@ def test_ablation_channel_load_and_distance(benchmark, report):
     delays = [delay for _n, delay, _r in load_rows]
     assert all(b >= a - 0.02 for a, b in zip(delays, delays[1:]))
     assert load_rows[-1][1] > 1.8 * load_rows[0][1]
-    # Delivery ratio decays with distance; far link is clearly lossy.
+    # Delivery ratio decays with distance; far links are clearly lossy.
+    # Over the ring the 450 m mean is ~0.68 with a seed-to-seed spread
+    # of ~0.026, so 0.8 sits more than four spreads above it.
     ratios = [ratio for _d, ratio in distance_rows]
     assert ratios[0] > 0.99
-    assert ratios[-1] < 0.7
+    assert ratios[-1] < 0.8
     assert all(a >= b - 0.05 for a, b in zip(ratios, ratios[1:]))

@@ -25,11 +25,6 @@ from scipy import special
 _SQRT2 = math.sqrt(2.0)
 
 
-def q_function(x: float) -> float:
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * float(special.erfc(x / _SQRT2))
-
-
 #: Per modulation, the AWGN bit error rate ``factor * Q(sqrt(sinr /
 #: divisor))`` as ``(divisor, factor)``: BPSK Q(sqrt(2 sinr)), QPSK
 #: Q(sqrt(sinr)), 16-QAM 3/4 Q(sqrt(sinr / 5)), 64-QAM 7/12
@@ -71,47 +66,27 @@ class Mcs:
 
     @property
     def ber_constants(self) -> Tuple[float, float, float]:
-        """``(coding gain, divisor, factor)`` of :meth:`bit_error_rate`."""
+        """``(coding gain, divisor, factor)`` of :func:`packet_error_rates`."""
         divisor, factor = self._ber_terms
         return self._coding_gain, divisor, factor
-
-    def bit_error_rate(self, sinr_linear: float) -> float:
-        """Coded BER approximation for an AWGN channel at this MCS.
-
-        Uses the uncoded BER of the modulation at the per-bit SNR and
-        applies an effective coding gain (~5 dB at rate 1/2 scaling
-        down with rate), a standard simulator-grade approximation.
-        """
-        if sinr_linear <= 0:
-            return 0.5
-        divisor, factor = self._ber_terms
-        sinr = sinr_linear * self._coding_gain
-        return factor * q_function(math.sqrt(sinr / divisor))
-
-    def packet_error_rate(self, sinr_linear: float, size_bytes: int) -> float:
-        """Probability the whole frame fails at this SINR."""
-        ber = self.bit_error_rate(sinr_linear)
-        bits = size_bytes * 8
-        if ber <= 0.0:
-            return 0.0
-        # 1 - (1-ber)^bits, computed stably.
-        return -math.expm1(bits * math.log1p(-min(ber, 0.5)))
 
 
 def packet_error_rates(sinr_linear: np.ndarray, coding_gain: np.ndarray,
                        divisor: np.ndarray, factor: np.ndarray,
                        size_bytes: int) -> np.ndarray:
-    """:meth:`Mcs.packet_error_rate` of one frame at many receivers.
+    """Probability that one frame fails, at each of many receivers.
 
     *sinr_linear* (>= 0) and each receiver's :attr:`Mcs.ber_constants`
-    are arrays.  The BER takes the scalar path's operations in its
-    order, so it matches bit for bit; numpy's ``log1p`` and ``expm1``
-    may differ from :mod:`math`'s in the last bit.
+    are arrays.  The BER is the modulation's uncoded AWGN BER at the
+    SINR raised by an effective coding gain (~5 dB at rate 1/2,
+    scaling down with rate), a standard simulator-grade approximation;
+    an SINR of 0 gives a BER of 0.5.  The frame fails unless all of
+    its bits survive: ``1 - (1 - ber)**bits``, computed stably.
     """
     sinr = sinr_linear * coding_gain
     ber = factor * (0.5 * special.erfc(np.sqrt(sinr / divisor) / _SQRT2))
     ber = np.where(sinr_linear > 0.0, ber, 0.5)
-    # 0.0 - (-0.0): a BER of 0.0 gives a PER of +0.0, as the scalar does.
+    # 0.0 - (-0.0): a BER of 0.0 gives a PER of +0.0, not -0.0.
     return 0.0 - np.expm1(size_bytes * 8 * np.log1p(-np.minimum(ber, 0.5)))
 
 

@@ -20,7 +20,6 @@ binomial interval of the SHA-256 draw the medium used before.
 """
 
 import math
-import struct
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -48,16 +47,8 @@ from tests.reference.link import (
     ReferenceLogDistance,
 )
 from tests.reference.medium import ReferenceMedium, ReferenceReception
-from tests.test_link_reference import bits
+from tests.test_link_reference import bits, ulps
 from tests.test_medium_reference import NEAR
-
-
-def ulps(a: float, b: float) -> int:
-    """How many doubles lie between *a* and *b* (0 when equal)."""
-    def ordered(x: float) -> int:
-        i = struct.unpack("<q", struct.pack("<d", x))[0]
-        return i if i >= 0 else -(i + 2 ** 63)
-    return abs(ordered(a) - ordered(b))
 
 
 NAMES = st.text(min_size=1, max_size=12)

@@ -1,8 +1,15 @@
 """Tests for the 802.11p PHY model."""
 
+import numpy as np
 import pytest
 
-from repro.net.phy import Mcs, McsTable, PhyConfig
+from repro.net.phy import Mcs, McsTable, PhyConfig, packet_error_rates
+
+
+def per(mcs, sinr, size):
+    """One receiver's packet error rate at *mcs*."""
+    constants = np.array([mcs.ber_constants]).T
+    return packet_error_rates(np.array([sinr]), *constants, size).item()
 
 
 class TestMcsTable:
@@ -25,24 +32,29 @@ class TestMcsTable:
 
 
 class TestBer:
+    # The BER is seen through the PER of a fixed-size frame, which is
+    # monotone in it: 1 - (1 - ber)**bits.
+
     def test_ber_decreases_with_sinr(self):
         mcs = McsTable.get(6e6)
-        bers = [mcs.bit_error_rate(10 ** (snr / 10.0))
+        pers = [per(mcs, 10 ** (snr / 10.0), 100)
                 for snr in range(-5, 30, 5)]
-        assert all(a >= b for a, b in zip(bers, bers[1:]))
+        assert all(a >= b for a, b in zip(pers, pers[1:]))
 
     def test_zero_sinr_is_half(self):
-        assert McsTable.get(6e6).bit_error_rate(0.0) == 0.5
+        # A one-byte frame survives a BER of 0.5 with 2**-8.
+        assert per(McsTable.get(6e6), 0.0, 1) == pytest.approx(
+            1.0 - 0.5 ** 8)
 
     def test_higher_order_modulation_needs_more_snr(self):
         sinr = 10 ** (10.0 / 10.0)  # 10 dB
-        qpsk = McsTable.get(6e6).bit_error_rate(sinr)
-        qam64 = McsTable.get(27e6).bit_error_rate(sinr)
+        qpsk = per(McsTable.get(6e6), sinr, 100)
+        qam64 = per(McsTable.get(27e6), sinr, 100)
         assert qam64 > qpsk
 
     def test_unknown_modulation_rejected(self):
-        # At construction, not at the first bit_error_rate (which an
-        # SINR <= 0 would never reach).
+        # At construction, not at the first PER (which an SINR <= 0
+        # would never reach).
         with pytest.raises(ValueError, match="unknown modulation 'qam1024'"):
             Mcs(1e6, "qam1024", 0.5, 10)
 
@@ -51,21 +63,19 @@ class TestPer:
     def test_per_increases_with_size(self):
         mcs = McsTable.get(6e6)
         sinr = 10 ** (0.6)  # ~6 dB, lossy region
-        small = mcs.packet_error_rate(sinr, 50)
-        large = mcs.packet_error_rate(sinr, 1500)
+        small = per(mcs, sinr, 50)
+        large = per(mcs, sinr, 1500)
         assert large > small
 
     def test_per_bounds(self):
         mcs = McsTable.get(6e6)
-        assert mcs.packet_error_rate(10 ** 5.0, 100) == pytest.approx(
-            0.0, abs=1e-9)
-        assert 0.99 < mcs.packet_error_rate(1e-3, 1500) <= 1.0
+        assert per(mcs, 10 ** 5.0, 100) == pytest.approx(0.0, abs=1e-9)
+        assert 0.99 < per(mcs, 1e-3, 1500) <= 1.0
 
     def test_good_sinr_reliable_delivery(self):
         # 25 dB SINR: a short safety message should essentially always
         # get through.
-        mcs = McsTable.get(6e6)
-        assert mcs.packet_error_rate(10 ** 2.5, 100) < 1e-6
+        assert per(McsTable.get(6e6), 10 ** 2.5, 100) < 1e-6
 
 
 class TestPhyConfig:

@@ -31,7 +31,6 @@ import struct
 from typing import Any, Callable, Dict, List, Tuple
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
