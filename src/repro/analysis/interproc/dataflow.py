@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.analysis.interproc.symbols import SymbolTable, _dotted
 from repro.analysis.rules import ModuleContext, resolve_target
@@ -140,23 +140,28 @@ def evaluate_delay(resolver: Scope,
     return DelayValue(kind="unknown")
 
 
-def _fold(resolver: Scope, expr: ast.expr
+def _fold(resolver: Scope, expr: ast.expr,
+          seen: FrozenSet[str] = frozenset()
           ) -> Optional[Tuple[str, float, str]]:
-    """(kind, value, origin) for foldable expressions, else None."""
+    """(kind, value, origin) for foldable expressions, else None.
+
+    *seen* holds the local names being folded further up, so a cycle
+    of assignments (``a = b + 1`` ... ``b = a``) folds to None.
+    """
     if isinstance(expr, ast.Constant) and \
             isinstance(expr.value, (int, float)) and \
             not isinstance(expr.value, bool):
         return ("literal", float(expr.value), "")
     if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
-        inner = _fold(resolver, expr.operand)
+        inner = _fold(resolver, expr.operand, seen)
         if inner is not None:
             kind, value, origin = inner
             return (kind, -value, origin)
         return None
     if isinstance(expr, ast.BinOp) and \
             isinstance(expr.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        left = _fold(resolver, expr.left)
-        right = _fold(resolver, expr.right)
+        left = _fold(resolver, expr.left, seen)
+        right = _fold(resolver, expr.right, seen)
         if left is None or right is None:
             return None
         value = _apply(expr.op, left[1], right[1])
@@ -167,7 +172,7 @@ def _fold(resolver: Scope, expr: ast.expr
         origin = left[2] or right[2]
         return (kind, value, origin)
     if isinstance(expr, ast.Name):
-        return _fold_name(resolver, expr.id)
+        return _fold_name(resolver, expr.id, seen)
     if isinstance(expr, ast.Attribute):
         return _fold_attribute(resolver, expr)
     return None
@@ -186,8 +191,11 @@ def _apply(op: ast.operator, left: float,
     return None
 
 
-def _fold_name(resolver: Scope, name: str
+def _fold_name(resolver: Scope, name: str, seen: FrozenSet[str]
                ) -> Optional[Tuple[str, float, str]]:
+    if name in seen:
+        return None
+    seen = seen | {name}
     table = resolver.table
     # Local assignment of a foldable value in this body or, for a
     # closure, in the defs enclosing it.
@@ -196,7 +204,7 @@ def _fold_name(resolver: Scope, name: str
             if isinstance(sub, ast.Assign) and len(sub.targets) == 1 \
                     and isinstance(sub.targets[0], ast.Name) and \
                     sub.targets[0].id == name:
-                folded = _fold(resolver, sub.value)
+                folded = _fold(resolver, sub.value, seen)
                 if folded is not None:
                     return folded
     # Module-level constant, local or imported.

@@ -166,11 +166,12 @@ class _ScriptedCrosser:
     """The non-ITS road user: constant speed along -y towards/through
     the intersection.
 
-    Position reads pull the update due at the current sim time (the
-    same catch-up discipline as
-    :class:`~repro.vehicle.dynamics.VehicleDynamics`), so observers
-    tied with the movement tick see identical positions under any
-    kernel tie-break order.
+    It moves in steps of ``dt`` on its own grid with no event of its
+    own: :meth:`position` first takes every step due at or before
+    ``sim.now`` (the catch-up discipline of
+    :class:`~repro.vehicle.dynamics.VehicleDynamics`), so every reader
+    at a given sim time sees the same position under any kernel
+    tie-break order.
     """
 
     def __init__(self, sim: Simulator, start_y: float, speed: float,
@@ -182,18 +183,11 @@ class _ScriptedCrosser:
         self.heading = -math.pi / 2.0
         self.dt = dt
         self._due = sim.now + dt
-        sim.schedule(dt, self._tick)
-
-    def _tick(self) -> None:
-        self._catch_up()
-        self.sim.schedule(
-            # detlint: ignore[SCH001] -- benign: position() pulls via
-            # _catch_up, so same-time tick order is immaterial
-            self.dt, self._tick)
 
     def _catch_up(self) -> None:
-        if self.sim.now >= self._due:
-            self._due = self.sim.now + self.dt
+        now = self.sim.now
+        while now >= self._due:
+            self._due += self.dt
             self.y -= self.speed * self.dt
 
     def position(self) -> Tuple[float, float]:

@@ -44,8 +44,10 @@ RSU_STATION_ID = 900
 class ScaleTestbed:
     """One instantiated run of the emergency-braking experiment."""
 
-    #: Action-point watcher period (s).
+    #: Action-point watcher grid period (s).
     WATCH_PERIOD = 1e-3
+    #: Longest the watcher sleeps between checks (s).
+    MAX_SLEEP = 1.0
 
     def __init__(self, scenario: Optional[EmergencyBrakeScenario] = None,
                  run_id: int = 0, trace: bool = False,
@@ -276,9 +278,21 @@ class ScaleTestbed:
         self.vehicle.planner.emergency_stop(reason="denm-push")
 
     def _watch_action_point(self) -> None:
+        """Record step 1 at the first watch-grid point inside the action
+        distance.
+
+        The grid is ``WATCH_PERIOD``, ``2 * WATCH_PERIOD``, ... (each
+        point the float sum of the one before and the period).  Between
+        wakes the watcher sleeps past every point the vehicle provably
+        cannot reach: :meth:`VehicleDynamics.reach` bounds the distance
+        it can cover by then, and the camera distance moves by no more.
+        So it records at the grid point, speed and odometer a check at
+        every point would, at a few wakes per run.
+        """
         if self.timeline.has(Steps.ACTION_POINT):
             return
-        if self.distance_to_camera() <= self.scenario.action_distance:
+        gap = self.distance_to_camera() - self.scenario.action_distance
+        if gap <= 0.0:
             self._trace("steps", "action_point_crossed",
                         speed=self.vehicle.speed)
             self._action_point_odometer = self.vehicle.dynamics.odometer
@@ -286,11 +300,23 @@ class ScaleTestbed:
                 Steps.ACTION_POINT, sim_time=self.sim.now,
                 speed=self.vehicle.speed)
             return
-        self.sim.schedule(
-            # detlint: ignore[SCH001] -- benign: the watcher pulls
-            # vehicle state via catch-up reads, so tick order at
-            # shared sim-times is immaterial
-            self.WATCH_PERIOD, self._watch_action_point)
+        now = self.sim.now
+        period = self.WATCH_PERIOD
+        reach = self.vehicle.dynamics.reach
+        wake = now + period
+        # reach() grows with the horizon, so a run of points is ruled
+        # out once its last point is: try runs of 64, then 8, then 1.
+        # A vehicle that cannot close the gap is re-checked every
+        # MAX_SLEEP, so one wake does a bounded amount of work.
+        for run in (64, 8, 1):
+            while wake < now + self.MAX_SLEEP:
+                last = wake
+                for _ in range(run - 1):
+                    last += period
+                if reach(last - now) >= gap:
+                    break
+                wake = last + period
+        self.sim.schedule_at(wake, self._watch_action_point)
 
     def _on_edge_event(self, event: str, record: Dict[str, Any]) -> None:
         if event != "hazard_detected":

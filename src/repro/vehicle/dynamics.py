@@ -24,8 +24,6 @@ import dataclasses
 import math
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.sim.kernel import Simulator
 
 
@@ -82,23 +80,20 @@ class VehicleState:
 
 
 class VehicleDynamics:
-    """Integrates the vehicle state on the simulation clock.
+    """Integrates the vehicle state on the simulation clock, on demand.
 
-    A fixed-step integrator tick runs every ``dt`` simulated seconds;
-    commands (throttle / steering / mode) take effect at the next tick,
-    which adds the sub-tick actuation granularity real ESCs have (PWM
-    period ~ 10 ms, modelled separately in the actuation path).
-
-    **Same-time ordering.** Observers (watchdogs, sensors, planners)
-    often tick on grids that alias the integration grid, so their
-    events share exact timestamps with ``_tick``.  Which ran first
-    used to depend on the kernel's tie-break order.  Reads now pull:
-    :attr:`state` first folds in any integration step due at the
-    current sim time, so a same-timestamp reader sees the post-step
-    state no matter how the kernel ordered the tie.  The scheduled
-    tick then detects the step has already been taken and only
-    re-arms.  Event order at a shared timestamp therefore cannot leak
-    into results (the ``tie-audit`` workflow verifies this).
+    The state advances in fixed steps of ``dt`` on a grid that starts
+    ``dt`` after construction; each grid point is the float sum of the
+    one before and ``dt``.  Nothing is scheduled: every read
+    (:attr:`state`, :attr:`odometer`, :meth:`reach`), every command and
+    every change of :attr:`params` first takes all steps due at or
+    before ``sim.now`` (:meth:`_catch_up`).  A reader at time ``t``
+    therefore sees the state after every step whose grid point is
+    ``<= t``, whoever reads first and whatever order the kernel gives
+    events that share ``t``, and a command takes effect from the first
+    step after its arrival.  Code that reaches past these entry points
+    (``_state``, ``_odometer``) sees the state as of the last read, not
+    as of ``sim.now``.
     """
 
     def __init__(
@@ -107,32 +102,39 @@ class VehicleDynamics:
         params: Optional[VehicleParams] = None,
         state: Optional[VehicleState] = None,
         dt: float = 2e-3,
-        process_noise_std: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
     ):
         self.sim = sim
-        self.params = params or VehicleParams()
+        self._params = params or VehicleParams()
         self._state = state or VehicleState()
         self.dt = dt
-        self.process_noise_std = process_noise_std
-        self.rng = rng or np.random.default_rng(0)
         self.mode = "coast"               # drive | coast | brake
         self.throttle = 0.0               # 0..1
         self.steering_command = 0.0       # rad
-        self.odometer = 0.0
+        self._odometer = 0.0
         self._due = sim.now + dt
-        sim.schedule(self.dt, self._tick)
 
     @property
     def state(self) -> VehicleState:
-        """Pose and speed, current as of ``sim.now``.
-
-        Reading forces any integration step due at the current sim
-        time, so same-timestamp observers see identical state
-        regardless of event order (see the class docstring).
-        """
+        """Pose and speed, current as of ``sim.now``."""
         self._catch_up()
         return self._state
+
+    @property
+    def odometer(self) -> float:
+        """Distance driven (m), current as of ``sim.now``."""
+        self._catch_up()
+        return self._odometer
+
+    @property
+    def params(self) -> VehicleParams:
+        """Physical parameters of the integrated vehicle."""
+        return self._params
+
+    @params.setter
+    def params(self, params: VehicleParams) -> None:
+        # Like a command: steps due up to now keep the old parameters.
+        self._catch_up()
+        self._params = params
 
     # ------------------------------------------------------------------
     # Commands (called by the actuation path)
@@ -144,8 +146,8 @@ class VehicleDynamics:
         Takes effect from the current sim time onward: any integration
         step due *now* is folded in first, so a command can never
         retroactively alter the interval that ends at its arrival
-        (PWM edges land exactly on integration-tick timestamps, so
-        this tie is routine -- see the class docstring).
+        (PWM edges land exactly on integration grid points, so this
+        tie is routine -- see the class docstring).
         """
         self._catch_up()
         self.throttle = float(min(max(throttle, 0.0), 1.0))
@@ -154,7 +156,7 @@ class VehicleDynamics:
     def set_steering(self, angle: float) -> None:
         """Command the steering servo to *angle* radians (from now on)."""
         self._catch_up()
-        limit = self.params.max_steering
+        limit = self._params.max_steering
         self.steering_command = float(min(max(angle, -limit), limit))
 
     def cut_power(self, brake: bool = True) -> None:
@@ -167,29 +169,50 @@ class VehicleDynamics:
     # Integration
     # ------------------------------------------------------------------
 
-    def _tick(self) -> None:
-        self._catch_up()
-        self.sim.schedule(
-            # detlint: ignore[SCH001] -- benign: every reader pulls
-            # through _catch_up, so same-time tick order is immaterial
-            self.dt, self._tick)
-
     def _catch_up(self) -> None:
-        """Fold in the integration step due now, if not yet taken.
+        """Take every integration step due at or before ``sim.now``.
 
-        Idempotent at a given sim time: whoever touches the state
-        first at a tick's timestamp (the scheduled tick itself or a
-        same-timestamp reader) performs the step; everyone later sees
-        it already taken.  ``_due`` mirrors the pending tick's
-        timestamp exactly (both are computed as ``sim.now + dt`` at
-        the previous step, so the floats match bit for bit).
+        Idempotent at a given sim time: the first entry point touched
+        at or after a grid point takes the steps due, everyone later
+        finds them taken.  ``_due`` is the next grid point, advanced by
+        ``+= dt`` -- the float sequence a self-rescheduling ``dt`` tick
+        would run on.
         """
-        if self.sim.now >= self._due:
-            self._due = self.sim.now + self.dt
+        now = self.sim.now
+        while now >= self._due:
+            self._due += self.dt
             self._integrate(self.dt)
 
+    def reach(self, horizon: float) -> float:
+        """Bound (m) on the path covered in the next *horizon* seconds.
+
+        The bound holds under any command.  At most
+        ``K = ceil(horizon / dt) + 1`` steps fall due in that time.  A
+        step raises the speed by at most ``a * dt`` with
+        ``a = max_motor_force / mass`` (drag, rolling resistance and
+        the brake only slow the vehicle) and moves the pose by
+        ``mean_speed * dt`` in the heading's direction, so ``K`` steps
+        cover at most ``K dt (|v| + a K dt)`` of path; a straight-line
+        distance such as ``hypot`` moves by no more.  Float rounding is
+        absorbed by a relative margin on the products, an ulp of the
+        peak speed per step on the speed, and two ulps of the
+        coordinates per step, and per ``hypot`` at either end, on the
+        pose.  It is a bound only because the model is deterministic and
+        its parameters are physical (non-negative forces, resistances
+        and braking): an unbounded random term, such as Gaussian process
+        noise on the acceleration, would break it.
+        """
+        s = self.state
+        p = self._params
+        steps = math.ceil(horizon / self.dt) + 1
+        span = steps * self.dt
+        top_speed = abs(s.speed) + max(p.max_motor_force, 0.0) / p.mass * span
+        bound = span * (top_speed + steps * math.ulp(top_speed))
+        rounding = (steps + 2) * 2.0 * math.ulp(abs(s.x) + abs(s.y) + bound)
+        return bound * (1.0 + 1e-9) + rounding
+
     def _integrate(self, dt: float) -> None:
-        p = self.params
+        p = self._params
         s = self._state
         # Steering servo slews towards the command.
         max_delta = p.steering_rate * dt
@@ -211,9 +234,6 @@ class VehicleDynamics:
         acceleration = (force - resistance) / p.mass
         if self.mode == "brake" and s.speed > 0:
             acceleration -= p.max_braking
-        if self.process_noise_std > 0:
-            acceleration += float(self.rng.normal(
-                0.0, self.process_noise_std))
         new_speed = max(0.0, s.speed + acceleration * dt)
         # Kinematic bicycle pose update at the average speed.
         mean_speed = 0.5 * (s.speed + new_speed)
@@ -223,7 +243,7 @@ class VehicleDynamics:
             s.heading += (mean_speed / p.wheelbase) * math.tan(s.steering) \
                 * dt
             s.heading = (s.heading + math.pi) % (2 * math.pi) - math.pi
-        self.odometer += mean_speed * dt
+        self._odometer += mean_speed * dt
         s.speed = new_speed
 
     # ------------------------------------------------------------------

@@ -58,8 +58,7 @@ class RoboticVehicle:
             sim, scoped.get("clock"), ntp or NtpModel.lan_default(),
             name=f"{name}.clock")
         self.dynamics = VehicleDynamics(
-            sim, params=params, state=initial_state,
-            rng=scoped.get("dynamics"))
+            sim, params=params, state=initial_state)
         self.ros = RosGraph(sim, scoped.get("ros"), ros_config)
         view = view or LineViewConfig()
         frames_topic = self.ros.topic("camera/frames")

@@ -147,6 +147,27 @@ class TestInterprocLayer:
         assert flush.delay.value == 0.02
         assert flush.delay.origin == "demo.devices.Logger.period"
 
+    def test_delay_folding_survives_cyclic_assignments(self):
+        # wake -> last -> wake: folding must stop, not recurse forever.
+        source = ("class Watcher:\n"
+                  "    PERIOD = 0.001\n"
+                  "\n"
+                  "    def __init__(self, sim):\n"
+                  "        self.sim = sim\n"
+                  "        sim.schedule(self.PERIOD, self._wake)\n"
+                  "\n"
+                  "    def _wake(self):\n"
+                  "        wake = self.sim.now + self.PERIOD\n"
+                  "        while wake < 1.0:\n"
+                  "            last = wake\n"
+                  "            wake = last + self.PERIOD\n"
+                  "        self.sim.schedule_at(wake, self._wake)\n")
+        project = build_project([_ctx(source, "src/demo/watch.py")])
+        by_caller = {site.caller: site for site in project.sites}
+        wake = by_caller["demo.watch.Watcher._wake"]
+        assert wake.callback == "demo.watch.Watcher._wake"
+        assert wake.delay.kind == "unknown"
+
     def test_run_roots_mark_the_builder(self):
         project = self._project()
         roots = project.caller_roots["demo.devices.Sensor._tick"]

@@ -182,7 +182,7 @@ class TestSimDigestPins:
         run_campaign_parallel(EmergencyBrakeScenario(), runs=3,
                               base_seed=1, workers=1, obs=aggregate)
         assert aggregate.sim_digest() == (
-            "5c8cfe246e88049690bdb710d47532cd201118bddc18a059a6737a013a477ab3")
+            "5ee8f3764bb8db6bb0cce93244c5d7df5f4a1c588d1d58e9fc457d66bf86de5b")
 
     def test_fleet_campaign_pinned(self):
         from repro.core.fleet import FleetScenario, run_fleet_campaign
@@ -217,9 +217,9 @@ class TestSimDigestPins:
     DEGRADED_RESULT = (
         "595c4bdb194312b256d33d6a90a8ea413a695d6a6d70c6b3dc4a325939b1df13")
     DEGRADED_OBS = {
-        "fifo": "f7ca009c437976eeda73004a7e4b6e62845267c32108c2627a11768f952e2bb1",
-        "lifo": "214f25bd79806fefea33e58731903d92d11ec49b5718cc847accfa774aaf16aa",
-        "seeded": "56b04daf7bd42b8086a380da8fbc0ddf66a6efe69aebca1a9e5b48944292f6fb",
+        "fifo": "f99e98f7f6604e67ca22c564b745a9184e2a9bb7d70b3e84dbf8b4bd55c1e1d7",
+        "lifo": "0174e572bd5b6c90015f61dbeb93ab5e9df2469d9c5098686ac29846e545a41e",
+        "seeded": "2746235163ed039495b79040644bc138de44daef07369bacac079f045f35a2a9",
     }
 
     @pytest.mark.parametrize("policy", ["fifo", "lifo", "seeded"])
