@@ -2,11 +2,15 @@
 
 Not a paper artefact: these track the simulator's own throughput so
 regressions in the hot paths (kernel, UPER codec, vision pipeline,
-whole-testbed run) show up in CI benchmark history.
+whole-testbed run, detlint) show up in CI benchmark history.
 """
+
+import os
 
 import numpy as np
 
+from repro.analysis.engine import discover_files
+from repro.analysis.suppressions import parse_suppressions
 from repro.core import EmergencyBrakeScenario, ScaleTestbed
 from repro.messages import ActionId, Cam, Denm, ReferencePosition, StationType
 from repro.sim import Simulator
@@ -92,3 +96,19 @@ def test_perf_full_testbed_run(benchmark):
 
     measurement = benchmark.pedantic(run, rounds=3, iterations=1)
     assert measurement.completed
+
+
+def test_perf_suppression_scan(benchmark):
+    """detlint reading suppression comments over the whole ``src``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    corpus = []
+    for path in discover_files([src]):
+        with open(path, "r", encoding="utf-8") as handle:
+            corpus.append((handle.read(), path))
+
+    def scan():
+        return sum(len(parse_suppressions(source, path)[0])
+                   for source, path in corpus)
+
+    assert benchmark.pedantic(scan, rounds=5, iterations=1) > 0

@@ -12,6 +12,12 @@ accumulates bare, unexplained escapes.  Malformed comments and
 suppressions that silenced nothing are themselves reported under the
 meta-rule :data:`META_RULE` (DET000), which keeps the suppression
 inventory honest.
+
+Only a source whose text contains ``detlint`` is tokenized.  Every
+comment this module acts on must match :data:`_MENTION_RE`, and a
+comment token is a slice of the source, so a source without the word
+has no suppression and no malformed one: skipping the tokenizer there
+returns exactly what tokenizing it would.
 """
 
 from __future__ import annotations
@@ -92,9 +98,13 @@ def parse_suppressions(
     Returns ``(by_line, problems)``: the valid suppressions keyed by
     physical line number (1-based), and DET000 findings for malformed
     ones (missing reason, unknown rule id, unparsable syntax).
+    A source that never mentions ``detlint`` returns ``({}, [])``
+    without being tokenized (exact: see the module docstring).
     """
     by_line: Dict[int, Suppression] = {}
     problems: List[Finding] = []
+    if "detlint" not in source:
+        return by_line, problems
     for lineno, column, text in _comments(source):
         if not _MENTION_RE.search(text):
             continue
@@ -141,7 +151,10 @@ def _comments(source: str) -> List[Tuple[int, int, str]]:
     syntax inside docstrings and string literals -- like the examples
     in this very module -- from being parsed as live suppressions.
     Unterminated sources fall back to no comments; the engine
-    reports the syntax error separately.
+    reports the syntax error separately.  The pure-Python tokenizer
+    is the costliest step of reading suppressions, so
+    :func:`parse_suppressions` calls this only for sources that
+    contain ``detlint``.
     """
     out: List[Tuple[int, int, str]] = []
     try:
