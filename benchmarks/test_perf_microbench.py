@@ -13,6 +13,9 @@ from repro.analysis.engine import discover_files
 from repro.analysis.suppressions import parse_suppressions
 from repro.core import EmergencyBrakeScenario, ScaleTestbed
 from repro.messages import ActionId, Cam, Denm, ReferencePosition, StationType
+from repro.net import AccessCategory, Frame, NetworkInterface, WirelessMedium
+from repro.net.dcc import DccGatekeeper
+from repro.net.propagation import LinkBudget, LogDistancePathLoss
 from repro.sim import Simulator
 from repro.vision import canny, probabilistic_hough, render_line_view
 
@@ -112,3 +115,37 @@ def test_perf_suppression_scan(benchmark):
                    for source, path in corpus)
 
     assert benchmark.pedantic(scan, rounds=5, iterations=1) > 0
+
+
+def test_perf_cbr_read(benchmark):
+    """One DCC state update reading the first second of a loaded
+    channel: two neighbours each send a 1400-byte frame every 2.5 ms."""
+
+    def loaded():
+        sim = Simulator()
+        medium = WirelessMedium(sim, 1,
+                                LinkBudget(path_loss=LogDistancePathLoss()))
+        nic = NetworkInterface(sim, medium, "m", lambda: (0.0, 0.0),
+                               rng=np.random.default_rng(1))
+        gate = DccGatekeeper(sim, nic)
+        for index in range(2):
+            other = NetworkInterface(sim, medium, f"o{index}",
+                                     lambda index=index: (3.0 + index, 0.0),
+                                     rng=np.random.default_rng(2 + index))
+
+            def spam(other=other):
+                other.send(Frame(payload=b"x", size=1400, source="",
+                                 category=AccessCategory.AC_VI))
+                sim.schedule(0.0025, spam)
+
+            sim.schedule(0.001 * (index + 1), spam)
+        # Up to just before the gate's own first update at 1 s.
+        sim.run_until(1.0 - 1e-6)
+        return (gate,), {}
+
+    def read(gate):
+        gate._update_state()
+        return gate
+
+    gate = benchmark.pedantic(read, setup=loaded, rounds=10, iterations=1)
+    assert gate.state > 0

@@ -712,6 +712,11 @@ class PoolBoundaryRule(Rule):
     #: Modules whose dataclasses cross the pool boundary by design.
     BOUNDARY_MODULES = ("repro.core.scenario", "repro.faults.plan")
 
+    #: Process-pool constructors (``concurrent.futures``,
+    #: ``multiprocessing``): what their ``submit``/``map`` take is
+    #: pickled.
+    POOL_CONSTRUCTORS = ("ProcessPoolExecutor", "Pool")
+
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         yield from self._check_submissions(ctx)
         if any(ctx.module == prefix
@@ -726,7 +731,8 @@ class PoolBoundaryRule(Rule):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in ("submit", "map")
-                        and node.args):
+                        and node.args
+                        and self._may_be_pool(body, node.func.value)):
                     continue
                 callee = node.args[0]
                 if isinstance(callee, ast.Lambda):
@@ -742,6 +748,61 @@ class PoolBoundaryRule(Rule):
                         f"{callee.id!r} submitted to a process "
                         f"pool cannot be pickled; hoist it to "
                         f"module level")
+
+    def _may_be_pool(self, body: Body, receiver: ast.expr) -> bool:
+        """Whether *receiver* is, or may be, a process pool.
+
+        A call is one when it calls a pool constructor.  A name stands
+        for its binding (``with ... as`` or ``=``) in the innermost
+        scope that binds it, the last one above the use.  A parameter,
+        an attribute or any name the module does not bind may be a
+        pool.  So a Hypothesis strategy -- a call such as
+        ``st.floats(...)``, or a name bound to one -- is not a pool,
+        and neither is a thread pool.
+        """
+        if isinstance(receiver, ast.Name):
+            bound = self._binding(body, receiver.id, receiver.lineno)
+            if bound is None:
+                return True
+            receiver = bound
+        if not isinstance(receiver, ast.Call):
+            return True
+        func = receiver.func
+        name = (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", ""))
+        return name in self.POOL_CONSTRUCTORS
+
+    @staticmethod
+    def _binding(body: Body, name: str, line: int) -> Optional[ast.expr]:
+        """The value *name* is bound to at *line*, as :meth:`_may_be_pool`
+        reads it; None for a parameter or a name bound nowhere."""
+        scope: Optional[Body] = body
+        while scope is not None:
+            node = scope.node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          args.vararg, args.kwarg]
+                if any(arg is not None and arg.arg == name
+                       for arg in params):
+                    return None
+            values: List[Tuple[int, ast.expr]] = []
+            for stmt in scope.nodes:
+                if isinstance(stmt, (ast.With, ast.AsyncWith)):
+                    values += [
+                        (stmt.lineno, item.context_expr)
+                        for item in stmt.items
+                        if isinstance(item.optional_vars, ast.Name)
+                        and item.optional_vars.id == name]
+                elif isinstance(stmt, ast.Assign) and any(
+                        isinstance(target, ast.Name) and target.id == name
+                        for target in stmt.targets):
+                    values.append((stmt.lineno, stmt.value))
+            if values:
+                above = [value for at, value in values if at <= line]
+                return (above or [value for _, value in values])[-1]
+            scope = scope.parent
+        return None
 
     @staticmethod
     def _is_local_def(body: Body, name: ast.Name) -> bool:

@@ -12,11 +12,15 @@ state machine driven by the measured Channel Busy Ratio (CBR):
     ACTIVE_3      < 0.43            400 ms  (2.5 Hz)
     RESTRICTIVE   >= 0.43          1000 ms  ( 1 Hz)
 
-State transitions use the standard's asymmetric smoothing: stepping
-*up* (towards RESTRICTIVE) looks at the most recent CBR sample window
-(1 s); stepping *down* requires the longer 5 s window to agree, which
-damps oscillation.  Frames arriving while the gate is closed queue up
-(safety-priority first); the gate never reorders within a priority.
+The CBR is a busy fraction over a window, as the standard defines it:
+:class:`ChannelBusyMonitor` counts busy points of a fixed sample grid,
+read on demand from the medium's log of carrier-sense flips, with no
+sampling event.  State transitions use the standard's asymmetric
+smoothing: stepping *up* (towards RESTRICTIVE) looks at the most
+recent window (1 s); stepping *down* requires the longer 5 s window to
+agree, which damps oscillation.  Frames arriving while the gate is
+closed queue up (safety-priority first); the gate never reorders
+within a priority.
 
 OpenC2X implements exactly this entity; the paper's single-DENM
 experiment never trips it, but the channel-load ablation does.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -52,7 +57,7 @@ class DccParameters:
     cbr_thresholds: Tuple[float, ...] = (0.19, 0.27, 0.35, 0.43)
     #: Minimum packet interval per state (s).
     t_off: Tuple[float, ...] = (0.025, 0.1, 0.2, 0.4, 1.0)
-    #: CBR sampling period (s).
+    #: Spacing of the CBR sample grid (s).
     sample_period: float = 1e-3
     #: Window for stepping towards more restrictive states (s).
     up_window: float = 1.0
@@ -72,31 +77,81 @@ class DccParameters:
 class ChannelBusyMonitor:
     """Measures the Channel Busy Ratio seen by one NIC.
 
-    Samples carrier sense every ``sample_period`` and exposes the busy
-    fraction over arbitrary windows.
+    The busy fraction over a window is the share of busy samples of
+    carrier sense on a fixed grid: the first point ``start_offset``
+    (default ``sample_period``) after construction, every next one the
+    float sum of the one before and ``sample_period`` -- the sequence a
+    self-rescheduling sampler would run on.  Nothing is scheduled: the
+    medium logs the time of every busy/idle flip of the NIC
+    (:meth:`~repro.net.medium.WirelessMedium.flip_log`), and
+    :meth:`cbr` first fills the sample history from that log up to
+    ``sim.now``.
+
+    Where times coincide, one rule holds under every tie-break policy:
+
+    * a grid point sees the state *before* any flip at the same
+      instant (a sampler scheduled one period earlier runs first under
+      fifo, ahead of the MAC timers, carrier-sense updates and frame
+      ends of frames shorter than a period that cause flips);
+    * a read inside an event at a grid point leaves that point out (a
+      reader scheduled earlier than the sampler runs first under
+      fifo, like the gatekeeper's state update); a read after
+      ``run_until`` returned counts a point at ``sim.now``
+      (:attr:`~repro.sim.kernel.Simulator.settled`).
+
+    The flip log holds only the flips since the last read: every read
+    deletes those it consumed.
     """
 
     def __init__(self, sim: Simulator, nic: NetworkInterface,
                  sample_period: float = 1e-3,
                  history: float = 5.0,
                  start_offset: Optional[float] = None):
+        # Fleet scenarios phase-shift each station's grid so no two
+        # monitors share a sample instant; the default keeps the legacy
+        # first sample at t + sample_period.
+        offset = sample_period if start_offset is None else start_offset
+        if not sample_period > 0.0 or not offset > 0.0:
+            raise ValueError(
+                f"sample_period and start_offset must be > 0, got "
+                f"{sample_period!r} and {start_offset!r}")
         self.sim = sim
         self.nic = nic
         self.sample_period = sample_period
         self._samples: Deque[bool] = deque(
             maxlen=max(1, int(history / sample_period)))
-        # Fleet scenarios phase-shift each station's sampling so no two
-        # monitors ever sample at the same kernel timestamp; the default
-        # keeps the legacy first sample at t + sample_period.
-        sim.schedule(sample_period if start_offset is None
-                     else start_offset, self._sample)
+        medium = nic.medium
+        self._flips = medium.flip_log(nic)
+        #: Carrier sense before the first unconsumed flip.
+        self._busy = medium.is_busy_for(nic)
+        #: The next grid point not yet in ``_samples``.
+        self._due = sim.now + offset
 
-    def _sample(self) -> None:
-        self._samples.append(self.nic.medium.is_busy_for(self.nic))
-        self.sim.schedule(self.sample_period, self._sample)
+    def _catch_up(self) -> None:
+        """Append the sample of every grid point the reader has passed."""
+        now = self.sim.now
+        settled = self.sim.settled
+        t = self._due
+        if not (t < now or t <= settled):
+            return
+        flips = self._flips
+        states = (self._busy, not self._busy)
+        append = self._samples.append
+        period = self.sample_period
+        consumed = 0
+        while t < now or t <= settled:
+            # Flips strictly before t decide the state at t.
+            consumed = bisect_left(flips, t, consumed)
+            append(states[consumed & 1])
+            t += period
+        self._due = t
+        if consumed:
+            del flips[:consumed]
+            self._busy = states[consumed & 1]
 
     def cbr(self, window: float) -> float:
         """Busy fraction over the last *window* seconds (0 if no data)."""
+        self._catch_up()
         count = max(1, int(window / self.sample_period))
         recent = list(self._samples)[-count:]
         if not recent:
@@ -118,8 +173,9 @@ class DccGatekeeper:
         self.sim = sim
         self.nic = nic
         self.parameters = parameters or DccParameters()
-        # A per-station phase (fleet scenarios) de-ties both the CBR
-        # sampling and the 1 Hz state updates across N stations.
+        # A per-station phase (fleet scenarios) shifts both the CBR
+        # sample grid and the 1 Hz state updates, which de-ties the
+        # updates across N stations.
         self.monitor = ChannelBusyMonitor(
             sim, nic, self.parameters.sample_period,
             start_offset=(self.parameters.sample_period + start_offset

@@ -210,9 +210,11 @@ class EdcaMac:
                                 self.sim.now, device=self.nic.name)
                 obs.observe("mac.access_delay_ms",
                             (self.sim.now - frame.enqueued_at) * 1000.0)
-        duration = self.nic.start_transmission(frame)
+        # The medium calls the hook last in the frame's completion
+        # event: one event, and the MAC never sees its own frame on
+        # the air whatever the kernel's tie-break.
+        self.nic.start_transmission(frame, self._transmission_done)
         self.frames_transmitted += 1
-        self.sim.schedule(duration, self._transmission_done)
 
     def _transmission_done(self) -> None:
         self._state = self._IDLE

@@ -49,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import operator
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -204,7 +204,7 @@ class _Station:
 
     __slots__ = ("nic", "mac", "position", "name", "slot", "key",
                  "noise_mw", "rx_sensitivity_dbm", "cs_threshold_dbm", "mcs",
-                 "attached", "busy", "audible", "sending")
+                 "attached", "busy", "audible", "sending", "flips")
 
     def __init__(self, nic: "NetworkInterface", slot: int, key: int):
         phy = nic.phy
@@ -225,6 +225,8 @@ class _Station:
         #: In-flight transmissions audible at / sent by this station.
         self.audible = 0
         self.sending = 0
+        #: The NIC's flip log (:meth:`WirelessMedium.flip_log`), or None.
+        self.flips: Optional[List[float]] = None
 
 
 class _Layout:
@@ -255,7 +257,9 @@ class _Layout:
         self.keys = np.array([s.key for s in stations], dtype=np.uint64)
 
 
-@dataclasses.dataclass
+# Identity equality: ``_active.remove`` must not compare the arrays of
+# two transmissions that are alike field by field.
+@dataclasses.dataclass(eq=False)
 class _Transmission:
     #: The sender's record (a fresh, unattached one for a detached NIC).
     station: _Station
@@ -282,6 +286,8 @@ class _Transmission:
     #: Whether the audible counts currently include this transmission.
     sensed: bool = False
     completed: bool = False
+    #: Called last in the completion event (the sender MAC's hook).
+    done: Optional[Callable[[], None]] = None
 
 
 class WirelessMedium:
@@ -322,6 +328,8 @@ class WirelessMedium:
         self._airtime: List[Tuple[float, float, "NetworkInterface"]] = []
         # Per-sender transmission counters for the frame keys.
         self._tx_seq: Dict[str, int] = {}
+        # Carrier-sense flip logs by NIC name (see flip_log).
+        self._flip_logs: Dict[str, List[float]] = {}
         #: Fault-injection seam; None on the (unimpaired) happy path.
         self.impairment: Optional[ChannelImpairment] = None
         # Statistics
@@ -344,14 +352,18 @@ class WirelessMedium:
         station = _Station(nic, self._slots, self.draw.station_key(nic.name))
         self._slots += 1
         station.attached = True
+        station.flips = self._flip_logs.get(nic.name)
         self._stations[nic.name] = station
         self._layout = None
 
     def detach(self, nic: "NetworkInterface") -> None:
-        """Remove *nic* from the channel."""
+        """Remove *nic* from the channel (it senses idle from now on)."""
         station = self._stations.pop(nic.name, None)
         if station is not None:
             station.attached = False
+            if station.busy and station.flips is not None:
+                station.flips.append(self.sim.now)
+            station.flips = None
             self._layout = None
 
     # ------------------------------------------------------------------
@@ -369,20 +381,44 @@ class WirelessMedium:
         return station is not None and (station.sending > 0
                                         or station.audible > 0)
 
-    @staticmethod
-    def _update_busy_states(stations: List[_Station]) -> None:
+    def flip_log(self, nic: "NetworkInterface") -> List[float]:
+        """A log of the times *nic*'s carrier sense flips, from now on.
+
+        The medium appends ``sim.now`` to the returned list whenever
+        :meth:`is_busy_for` changes for the NIC's name: busy and idle
+        alternate, so the times alone give the state.  Detaching a
+        busy NIC appends a flip (a detached NIC senses idle), and the
+        log follows the name across detach and re-attach.  The reader
+        owns the list and may delete entries it has consumed.  One log
+        per name: a NIC that has one raises ValueError.
+        """
+        if nic.name in self._flip_logs:
+            raise ValueError(f"NIC name {nic.name!r} already has a flip log")
+        log: List[float] = []
+        self._flip_logs[nic.name] = log
+        station = self._stations.get(nic.name)
+        if station is not None:
+            station.flips = log
+        return log
+
+    def _update_busy_states(self, stations: List[_Station]) -> None:
         # Called with every station whose count changed: tx's sender
         # and audible receivers (only the sender while a frame waits
         # out cs_latency).  They are visited in attach order, and
         # busy/idle callbacks never transmit synchronously (the MAC
         # schedules its timers), so the callbacks fire in the order a
-        # sweep over every attached NIC produces.
+        # sweep over every attached NIC produces.  A flip goes to the
+        # station's flip log, if it has one, as one list append.
+        now = self.sim.now
         for station in stations:
             if not station.attached:
                 continue
             busy = station.sending > 0 or station.audible > 0
             if busy != station.busy:
                 station.busy = busy
+                flips = station.flips
+                if flips is not None:
+                    flips.append(now)
                 if busy:
                     station.mac.on_medium_busy()
                 else:
@@ -392,8 +428,16 @@ class WirelessMedium:
     # Transmission
     # ------------------------------------------------------------------
 
-    def transmit(self, sender: "NetworkInterface", frame: Frame) -> float:
-        """Start transmitting *frame* from *sender*; returns the airtime."""
+    def transmit(self, sender: "NetworkInterface", frame: Frame,
+                 done: Optional[Callable[[], None]] = None) -> float:
+        """Start transmitting *frame* from *sender*; returns the airtime.
+
+        *done*, if given, runs once the frame has left the air: last in
+        the frame's completion event, after every reception and
+        carrier-sense update, or ``airtime`` after a suppressed frame
+        started.  The MAC passes its end-of-transmission hook here, so
+        it can never run while its own frame is still on the air.
+        """
         duration = sender.phy.airtime(frame.wire_size)
         now = self.sim.now
         self._airtime.append((now, now + duration, sender))
@@ -402,6 +446,8 @@ class WirelessMedium:
             # The radio is down: the stack believes it transmitted
             # (airtime is still charged) but nothing goes on the air.
             self.frames_suppressed += 1
+            if done is not None:
+                self.sim.schedule(duration, done)
             return duration
         name = sender.name
         own = self._stations.get(name)
@@ -411,6 +457,7 @@ class WirelessMedium:
         self._tx_seq[name] = seq + 1
         tx = self._vector_links(own, frame, now, duration,
                                 self.draw.frame_key(own.key, seq))
+        tx.done = done
         # Mutual interference with every overlapping transmission.
         for other in self._active:
             self._add_interference(other, tx)
@@ -585,6 +632,8 @@ class WirelessMedium:
                 obs.count("phy.frames_delivered", device=station.name)
             nic.deliver(frame)
         self._update_busy_states(tx.stations)
+        if tx.done is not None:
+            tx.done()
 
     @property
     def active_count(self) -> int:

@@ -77,9 +77,15 @@ class NetworkInterface:
     # Medium-side API
     # ------------------------------------------------------------------
 
-    def start_transmission(self, frame: Frame) -> float:
-        """Called by the MAC; puts the frame on the air."""
-        return self.medium.transmit(self, frame)
+    def start_transmission(self, frame: Frame,
+                           done: Optional[Callable[[], None]] = None,
+                           ) -> float:
+        """Called by the MAC; puts the frame on the air.
+
+        *done* runs once the frame has left the air (see
+        :meth:`WirelessMedium.transmit`).
+        """
+        return self.medium.transmit(self, frame, done)
 
     def deliver(self, frame: Frame) -> None:
         """Called by the medium on successful decode."""

@@ -188,6 +188,12 @@ class Simulator:
         #: Current simulated time in seconds (advanced by the kernel
         #: only; a plain attribute, read on every hot path).
         self.now = 0.0
+        #: The time through which every event had run when
+        #: :meth:`run_until` (or a :meth:`run` that drained the queue)
+        #: last returned; -inf before.  A reader outside the loop at
+        #: ``now == settled`` comes after every event that was due at
+        #: ``now``; a reader inside an event does not.
+        self.settled = -math.inf
         self._queue = EventQueue(tie_break, tie_rng)
         self._running = False
         self._stopped = False
@@ -256,6 +262,8 @@ class Simulator:
                 raise SimulationError(
                     f"run() exceeded {max_events} events; likely a livelock"
                 )
+        if not self._stopped:
+            self.settled = self.now
 
     def run_until(self, until: float, max_events: int = 10_000_000) -> None:
         """Run events with time <= *until*, then set time to *until*."""
@@ -274,7 +282,7 @@ class Simulator:
                     f"run_until() exceeded {max_events} events; likely a livelock"
                 )
         if not self._stopped:
-            self.now = until
+            self.now = self.settled = until
 
     def peek(self) -> float:
         """Time of the next event, or +inf if the queue is empty."""

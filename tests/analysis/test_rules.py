@@ -154,6 +154,68 @@ class TestPoolBoundaryFrozen:
         assert self._check(source, "repro.obs.metrics") == []
 
 
+class TestPoolBoundaryReceivers:
+    """DET008 checks ``submit``/``map`` only on what is, or may be, a
+    process pool."""
+
+    def _lines(self, source: str):
+        tree = ast.parse(source)
+        ctx = build_context("x.py", "x", source, tree)
+        return [f.line for f in PoolBoundaryRule().check(ctx)]
+
+    def test_hypothesis_strategies_are_not_pools(self):
+        source = ("from hypothesis import strategies as st\n"
+                  "EVEN = st.integers().map(lambda n: 2 * n)\n"
+                  "NEG = EVEN.map(lambda n: -n)\n"
+                  "def pairs():\n"
+                  "    return NEG.map(lambda n: (n, n))\n")
+        assert self._lines(source) == []
+
+    def test_thread_pool_is_not_a_process_pool(self):
+        source = ("from concurrent.futures import ThreadPoolExecutor\n"
+                  "def run(seeds):\n"
+                  "    with ThreadPoolExecutor() as pool:\n"
+                  "        return list(pool.map(lambda s: s, seeds))\n")
+        assert self._lines(source) == []
+
+    def test_process_pools_are_flagged(self):
+        source = ("import concurrent.futures\n"
+                  "import multiprocessing\n"
+                  "def run(seeds, executor):\n"
+                  "    with concurrent.futures.ProcessPoolExecutor() as a:\n"
+                  "        a.map(lambda s: s, seeds)\n"
+                  "    b = multiprocessing.get_context('spawn').Pool()\n"
+                  "    b.map(lambda s: s, seeds)\n"
+                  "    multiprocessing.Pool().map(lambda s: s, seeds)\n"
+                  "    executor.submit(lambda: 0)\n"
+                  "    self_pool.submit(lambda: 0)\n")
+        assert self._lines(source) == [5, 7, 8, 9, 10]
+
+    def test_the_latest_binding_above_the_call_counts(self):
+        source = ("import concurrent.futures\n"
+                  "from hypothesis import strategies as st\n"
+                  "def run(seeds):\n"
+                  "    pool = st.integers()\n"
+                  "    pool.map(lambda s: s)\n"
+                  "    pool = concurrent.futures.ProcessPoolExecutor()\n"
+                  "    pool.map(lambda s: s, seeds)\n")
+        assert self._lines(source) == [7]
+
+    def test_repo_reports_only_the_positive_fixture(self):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        result = lint_paths(
+            [os.path.join(root, name) for name in
+             ("src", "tests", "examples", "benchmarks", "bench")],
+            select=["DET008"])
+        assert sorted((os.path.relpath(f.path, root), f.line)
+                      for f in result.findings) == [
+            (os.path.join("tests", "analysis", "fixtures",
+                          "det008_bad.py"), 11),
+            (os.path.join("tests", "analysis", "fixtures",
+                          "det008_bad.py"), 13)]
+
+
 class TestScopePartition:
     SOURCE = ("class C:\n"
               "    def m(self):\n"

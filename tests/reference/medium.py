@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net.frame import Frame
 from repro.net.medium import ChannelImpairment
@@ -176,15 +176,21 @@ class ReferenceMedium:
     # Transmission
     # ------------------------------------------------------------------
 
-    def transmit(self, sender: "NetworkInterface", frame: Frame) -> float:
+    def transmit(self, sender: "NetworkInterface", frame: Frame,
+                 done: Optional[Callable[[], None]] = None) -> float:
         """``NetworkInterface.start_transmission`` as it was: transmit,
-        then log the NIC's own airtime (suppressed frames included)."""
+        then log the NIC's own airtime (suppressed frames included).
+        *done*, the MAC's end-of-transmission hook, gets its own event
+        ``duration`` later, as the MAC scheduled it before the medium
+        took it over."""
         duration = self._transmit(sender, frame)
         now = self.sim.now
         log = self._own_tx_intervals.setdefault(sender.name, [])
         log.append((now, now + duration))
         if len(log) > OWN_TX_LOG:
             del log[:-OWN_TX_LOG]
+        if done is not None:
+            self.sim.schedule(duration, done)
         return duration
 
     def _overlapped_own_tx(self, nic: "NetworkInterface", start: float,

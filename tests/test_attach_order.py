@@ -17,11 +17,12 @@ layout order) changes no outcome:
   fifo, lifo and seeded tie-breaking.  Those channels use a positive
   carrier-sense latency, as the fleet does, so that stations whose MAC
   timers expire at the same instant do not see each other in the
-  order the kernel pops them; and each station sends one frame and
-  relays none.  A station with a second frame queued behind its own
-  transmission would tie with the medium at that transmission's end:
-  under lifo its MAC runs first, still sees its own frame on the air
-  and draws a backoff that fifo does not.
+  order the kernel pops them; and no station relays or is handed two
+  frames at one instant (the two sends would tie, and the kernel's
+  order would pick which frame goes first).  A station may queue
+  frames behind its own transmission: the medium ends the MAC's
+  transmission in the frame's own completion event, so the MAC never
+  sees its own frame still on the air.
 """
 
 import dataclasses
@@ -99,10 +100,10 @@ class TestTestbedsUnderJamming:
 
 def order_free(spec: Dict[str, Any]) -> Dict[str, Any]:
     """*spec* with shadowing and fading on, a positive carrier-sense
-    latency, no relays and at most one send per station."""
-    sends: Dict[str, Any] = {}
+    latency, no relays and at most one send per station and instant."""
+    sends: Dict[Any, Any] = {}
     for send in spec["sends"]:
-        sends.setdefault(send[0], send)
+        sends.setdefault(send[:2], send)
     return dict(
         spec, shadowing_db=4.0, fading=True, cs_latency=4e-6,
         stations=[dict(station, relays=False)

@@ -169,8 +169,8 @@ class TestCorner64:
         idle_sizes = []
         transmit, complete = medium.transmit, medium._complete
 
-        def counted_transmit(sender, frame):
-            duration = transmit(sender, frame)
+        def counted_transmit(sender, frame, done=None):
+            duration = transmit(sender, frame, done)
             peaks.append(len(medium._airtime))
             return duration
 

@@ -182,7 +182,7 @@ class TestSimDigestPins:
         run_campaign_parallel(EmergencyBrakeScenario(), runs=3,
                               base_seed=1, workers=1, obs=aggregate)
         assert aggregate.sim_digest() == (
-            "5ee8f3764bb8db6bb0cce93244c5d7df5f4a1c588d1d58e9fc457d66bf86de5b")
+            "50033cb38668b193fc496b8b2e7e086384e054739c9dc87c35f377cb13255625")
 
     def test_fleet_campaign_pinned(self):
         from repro.core.fleet import FleetScenario, run_fleet_campaign
@@ -193,7 +193,7 @@ class TestSimDigestPins:
                           duration=3.0),
             runs=2, workers=1, obs=aggregate)
         assert aggregate.sim_digest() == (
-            "c977813a615a074885a7de6e2a42fa0d57597c4985aada7a317b4c7b943b6589")
+            "eda8643c118bbecf5199b31e96f2913e89936040ff7a3d2220a0865fdbed1afc")
 
     def test_fleet_observed_workload_pinned(self):
         # The unit of bench/'s fleet_observed workload at seed 1: its
@@ -208,7 +208,7 @@ class TestSimDigestPins:
         assert result.digest() == (
             "0c348023b5c4e888e34b0ba2c39e35ffe2f35523b4d21f2ba06a21470145eb19")
         assert aggregate.sim_digest() == (
-            "6b56d06cbeff0c341f90bb61ac770c0d02a6d0e9b576046a0ff5216ad0c934a0")
+            "1126a190487b85632f3d86d19b82b199b6d6cde4d2966367577cd9c4de30663b")
 
     #: The OBU poll loop's timeout/backoff schedule under each policy.
     #: Measurements are tie-invariant, so the result digest is one
@@ -217,9 +217,9 @@ class TestSimDigestPins:
     DEGRADED_RESULT = (
         "595c4bdb194312b256d33d6a90a8ea413a695d6a6d70c6b3dc4a325939b1df13")
     DEGRADED_OBS = {
-        "fifo": "f99e98f7f6604e67ca22c564b745a9184e2a9bb7d70b3e84dbf8b4bd55c1e1d7",
-        "lifo": "0174e572bd5b6c90015f61dbeb93ab5e9df2469d9c5098686ac29846e545a41e",
-        "seeded": "2746235163ed039495b79040644bc138de44daef07369bacac079f045f35a2a9",
+        "fifo": "5b64c8b523d60f2e07d2a7768cdacfcfbf008de2c7a796f0af208074f9ecf9b3",
+        "lifo": "fb1f92d02e4da666c9d634f3dc54678ebdebef0269685d140ce89876a9414645",
+        "seeded": "768fdee905c5ac30972c4a849701e2b53701f208841ddb8ae2a132017d8b48e8",
     }
 
     @pytest.mark.parametrize("policy", ["fifo", "lifo", "seeded"])

@@ -78,6 +78,22 @@ def test_run_until_does_not_run_later_events():
     assert fired == [5.0, 15.0]
 
 
+def test_settled_marks_every_event_due_as_run():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.settled))
+    assert sim.settled == -math.inf
+    sim.run_until(1.0)
+    # Inside the event at 1.0 the kernel had not settled 1.0 yet.
+    assert seen == [-math.inf] and sim.settled == 1.0
+    sim.schedule(0.0, sim.stop)
+    sim.schedule(0.5, lambda: None)
+    sim.run_until(2.0)
+    assert (sim.now, sim.settled) == (1.0, 1.0)   # stopped: unchanged
+    sim.run()
+    assert (sim.now, sim.settled) == (1.5, 1.5)   # drained
+
+
 def test_run_until_backwards_rejected():
     sim = Simulator()
     sim.run_until(5.0)
